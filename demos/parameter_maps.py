@@ -2,53 +2,35 @@
 """Sweeps and figure datasets written out as CSV for plotting elsewhere.
 
 Produces the datasets behind the energy-landscape figures plus one custom
-sweep with eigensolver columns, under demos/output/.
+sweep with eigensolver columns, under demos/output/.  Every file is written
+by the command-line front end, so each one carries the CLI's ``#`` header
+with the full parameter set.
 """
 
-import csv
 import pathlib
 
-from laserplasma import (
-    FigureDataset,
-    ModelParams,
-    RadialGrid,
-    SweepSpec,
-    figure_dataset,
-    run_sweep,
-)
+from laserplasma.cli import EXIT_OK, main
+from laserplasma.sweep import FIGURE_TAGS
 
 OUT = pathlib.Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
 
 
-def write_figure(ds: FigureDataset):
-    path = OUT / f"{ds.tag}.csv"
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {ds.note}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["series", ds.x_label, ds.y_label])
-        writer.writerows(ds.rows)
-    print(f"wrote {path} ({len(ds.rows)} rows)")
+def write(name, argv):
+    path = OUT / f"{name}.csv"
+    if main([*argv, "--output", str(path)]) != EXIT_OK:
+        raise SystemExit(f"failed to write {path}")
+    print(f"wrote {path}")
 
 
-for tag in ("fig1a", "fig1b", "fig1c", "fig2a", "fig2b", "fig2c", "fig2d"):
-    write_figure(figure_dataset(tag))
+for tag in FIGURE_TAGS:
+    write(tag, ["figure", "--which", tag])
 
 # custom sweep: screening dependence with the eigensolver riding along
-spec = SweepSpec(
-    vary="lambda_d",
-    values=(5.0, 10.0, 20.0, 40.0, 80.0),
-    fixed=ModelParams(lambda_d=1.0, alpha0=1e-4, field=0.01),
-    outputs=frozenset({"breakdown", "oracle", "overlap"}),
-    oracle_grid=RadialGrid(0.0, 20.0, 8000),
-)
-path = OUT / "screening_sweep.csv"
-with open(path, "w", newline="") as fh:
-    writer = csv.writer(fh)
-    writer.writerow(["lambda_d", "total", "oracle_energy", "deviation", "overlap"])
-    for row in run_sweep(spec, max_workers=4):
-        writer.writerow(
-            [row.value, row.breakdown.total, row.oracle_energy, row.deviation, row.overlap]
-        )
-print(f"wrote {path}")
+# (--lambda-d is required by the CLI and replaced by each swept value)
+write("screening_sweep", [
+    "sweep", "--vary", "lambda-d", "--values", "5,10,20,40,80",
+    "--lambda-d", "1", "--alpha0", "0.0001", "--field", "0.01",
+    "--with-overlap", "--grid-rmax", "20",
+])
 print("Plot any of these with your tool of choice; every file is self-describing.")

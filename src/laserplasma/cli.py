@@ -28,7 +28,7 @@ from .potential import (
     v0_quadrature,
     veff_series_eval,
 )
-from .sweep import FIGURE_TAGS, SweepSpec, figure_dataset, run_sweep, table1_rows
+from .sweep import FIGURE_TAGS, TABLE1_ALPHA0, SweepSpec, figure_dataset, run_sweep, table1_rows
 
 __all__ = ["RunConfig", "UsageError", "parse_args", "run", "main"]
 
@@ -154,10 +154,7 @@ def _build_parser():
     p_sweep.add_argument("--with-oracle", action="store_true")
     p_sweep.add_argument("--with-overlap", action="store_true")
 
-    p_table = sub.add_parser("table1", parents=[output],
-                             help="regenerate the reference energy table")
-    p_table.add_argument("--z", type=float, default=None)
-    p_table.add_argument("--alpha0", type=float, default=None)
+    sub.add_parser("table1", parents=[output], help="regenerate the reference energy table")
 
     p_fig = sub.add_parser("figure", parents=[output], help="figure datasets")
     p_fig.add_argument("--which", choices=FIGURE_TAGS, required=True)
@@ -177,7 +174,7 @@ def _pick(cli_value, config_values, key, default, convert=float):
     return default
 
 
-def _model_params(ns, config_values, require_lambda):
+def _model_params(ns, config_values):
     z = _pick(ns.z, config_values, "z", 1.0)
     lambda_d = _pick(ns.lambda_d, config_values, "lambda_d", None)
     alpha0 = _pick(ns.alpha0, config_values, "alpha0", None)
@@ -185,8 +182,6 @@ def _model_params(ns, config_values, require_lambda):
     omega = _pick(ns.omega, config_values, "omega", None)
     e0_amp = _pick(ns.e0_amp, config_values, "e0_amp", None)
     if lambda_d is None:
-        if not require_lambda:
-            return None
         raise UsageError("missing required parameter lambda_d (--lambda-d)")
     if alpha0 is not None and (omega is not None or e0_amp is not None):
         raise UsageError(
@@ -203,17 +198,19 @@ def _model_params(ns, config_values, require_lambda):
         raise UsageError(str(exc)) from exc
 
 
-def _grid_from(ns, config_values):
-    rmin = _pick(getattr(ns, "grid_rmin", None), config_values, "grid_rmin", None)
-    rmax = _pick(getattr(ns, "grid_rmax", None), config_values, "grid_rmax", None)
-    npts = _pick(getattr(ns, "grid_points", None), config_values, "grid_points", None, int)
+def _grid_from(ns, config_values, params):
+    """Solver box from the grid flags, missing fields taken from default_grid."""
+    rmin = _pick(ns.grid_rmin, config_values, "grid_rmin", None)
+    rmax = _pick(ns.grid_rmax, config_values, "grid_rmax", None)
+    npts = _pick(ns.grid_points, config_values, "grid_points", None, int)
     if rmin is None and rmax is None and npts is None:
         return None
+    default = default_grid(params)
     try:
         return RadialGrid(
-            0.0 if rmin is None else rmin,
-            50.0 if rmax is None else rmax,
-            8000 if npts is None else int(npts),
+            default.r_min if rmin is None else rmin,
+            default.r_max if rmax is None else rmax,
+            default.n_points if npts is None else int(npts),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -231,7 +228,7 @@ def parse_args(argv) -> RunConfig:
     common = dict(output_format=out_format, output_path=output_path, precision=precision)
     try:
         if ns.subcommand == "potential":
-            params = _model_params(ns, config_values, require_lambda=True)
+            params = _model_params(ns, config_values)
             if ns.points < 2:
                 raise UsageError("--points must be >= 2")
             if not 0 < ns.r_min < ns.r_max:
@@ -242,12 +239,13 @@ def parse_args(argv) -> RunConfig:
                              with_quadrature=ns.with_quadrature,
                              quad_nodes=ns.quad_nodes, **common)
         if ns.subcommand == "energy":
-            return RunConfig("energy", _model_params(ns, config_values, True), **common)
+            return RunConfig("energy", _model_params(ns, config_values), **common)
         if ns.subcommand == "oracle":
-            return RunConfig("oracle", _model_params(ns, config_values, True),
-                             grid=_grid_from(ns, config_values), **common)
+            params = _model_params(ns, config_values)
+            return RunConfig("oracle", params,
+                             grid=_grid_from(ns, config_values, params), **common)
         if ns.subcommand == "sweep":
-            params = _model_params(ns, config_values, require_lambda=True)
+            params = _model_params(ns, config_values)
             vary = ns.vary.replace("-", "_")
             if ns.values is not None:
                 if ns.start is not None or ns.stop is not None or ns.count is not None:
@@ -268,11 +266,9 @@ def parse_args(argv) -> RunConfig:
                 outputs.add("overlap")
             return RunConfig("sweep", params, sweep_vary=vary, sweep_values=values,
                              sweep_outputs=frozenset(outputs),
-                             grid=_grid_from(ns, config_values), **common)
+                             grid=_grid_from(ns, config_values, params), **common)
         if ns.subcommand == "table1":
-            z = _pick(ns.z, config_values, "z", 1.0)
-            alpha0 = _pick(ns.alpha0, config_values, "alpha0", 1e-4)
-            params = ModelParams(lambda_d=100.0, alpha0=alpha0, z=z)
+            params = ModelParams(lambda_d=100.0, alpha0=TABLE1_ALPHA0)
             return RunConfig("table1", params, **common)
         if ns.subcommand == "figure":
             return RunConfig("figure", None, figure_tag=ns.which, **common)
@@ -304,8 +300,17 @@ def _params_header(p: ModelParams | None):
     return header
 
 
-def _emit(config: RunConfig, header: dict, columns, rows, json_extra=None):
-    """Write CSV (with # comment header) or JSON to the configured sink."""
+def _write(config: RunConfig, text: str):
+    """The one output sink: stdout, or the --output file."""
+    if config.output_path is None:
+        sys.stdout.write(text)
+    else:
+        with open(config.output_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def _emit(config: RunConfig, header: dict, columns, rows):
+    """Table output: CSV (with # comment header) or JSON with columns and rows."""
     if config.output_format == "csv":
         buf = io.StringIO()
         buf.write(f"# laserplasma {config.subcommand}\n")
@@ -322,28 +327,25 @@ def _emit(config: RunConfig, header: dict, columns, rows, json_extra=None):
         payload = {"subcommand": config.subcommand, **header,
                    "columns": list(columns),
                    "rows": [list(row) for row in rows]}
-        if json_extra:
-            payload = {**json_extra, **payload}
         text = json.dumps(payload, indent=2) + "\n"
-    if config.output_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write(config, text)
 
 
 def _emit_mapping(config: RunConfig, header: dict, mapping: dict):
     """Single-record output: one CSV row or a flat JSON object."""
     if config.output_format == "json":
         payload = {"subcommand": config.subcommand, "params": header, **mapping}
-        text = json.dumps(payload, indent=2) + "\n"
-        if config.output_path is None:
-            sys.stdout.write(text)
-        else:
-            with open(config.output_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+        _write(config, json.dumps(payload, indent=2) + "\n")
     else:
         _emit(config, header, list(mapping.keys()), [tuple(mapping.values())])
+
+
+_BREAKDOWN_KEYS = ("e0", "const_shift", "e1", "e2", "e3", "total")
+
+
+def _breakdown(b) -> dict:
+    """The additive energy parts and their total, in output column order."""
+    return {key: getattr(b, key) for key in _BREAKDOWN_KEYS}
 
 
 def _run_potential(config: RunConfig):
@@ -354,8 +356,8 @@ def _run_potential(config: RunConfig):
         columns.append("cycle_avg")
     rows = []
     for r in config.r_values:
-        row = [r, ecsc_eval(r, p), dressed_pair_eval(r, p),
-               dressed_pair_eval(r, p) + p.field * r, veff_series_eval(r, coeffs)]
+        dressed = dressed_pair_eval(r, p)
+        row = [r, ecsc_eval(r, p), dressed, dressed + p.field * r, veff_series_eval(r, coeffs)]
         if config.with_quadrature:
             row.append(v0_quadrature(r, p, config.quad_nodes))
         rows.append(tuple(row))
@@ -364,12 +366,7 @@ def _run_potential(config: RunConfig):
 
 
 def _run_energy(config: RunConfig):
-    breakdown = total_energy(config.params)
-    _emit_mapping(config, _params_header(config.params), {
-        "e0": breakdown.e0, "const_shift": breakdown.const_shift,
-        "e1": breakdown.e1, "e2": breakdown.e2, "e3": breakdown.e3,
-        "total": breakdown.total,
-    })
+    _emit_mapping(config, _params_header(config.params), _breakdown(total_energy(config.params)))
     return EXIT_OK
 
 
@@ -379,18 +376,15 @@ def _run_oracle(config: RunConfig):
     breakdown = total_energy(p)
     coeffs = taylor_coefficients(p)
     result = solve_ground_state(lambda r: veff_series_eval(r, coeffs), grid, p)
-    ov = overlap(result, lambda r: wavefunction_eval(r, p))
     if not result.converged:
         print(f"oracle did not converge: error estimate {result.error_estimate:.3e}",
               file=sys.stderr)
         return EXIT_NUMERIC
     _emit_mapping(config, _params_header(p), {
-        "e0": breakdown.e0, "const_shift": breakdown.const_shift,
-        "e1": breakdown.e1, "e2": breakdown.e2, "e3": breakdown.e3,
-        "total": breakdown.total,
+        **_breakdown(breakdown),
         "oracle_energy": result.energy,
         "deviation": breakdown.total - result.energy,
-        "overlap": ov,
+        "overlap": overlap(result, lambda r: wavefunction_eval(r, p)),
         "error_estimate": result.error_estimate,
     })
     return EXIT_OK
@@ -400,31 +394,23 @@ def _run_sweep(config: RunConfig):
     spec = SweepSpec(vary=config.sweep_vary, values=config.sweep_values,
                      fixed=config.params, outputs=config.sweep_outputs,
                      oracle_grid=config.grid)
-    rows_out = []
-    columns = [config.sweep_vary, "e0", "const_shift", "e1", "e2", "e3", "total"]
-    with_oracle = "oracle" in spec.outputs
-    with_overlap = "overlap" in spec.outputs
-    if with_oracle:
-        columns += ["oracle_energy", "deviation"]
-    if with_overlap:
-        columns.append("overlap")
-    for row in run_sweep(spec):
-        b = row.breakdown
-        out = [row.value, b.e0, b.const_shift, b.e1, b.e2, b.e3, b.total]
-        if with_oracle:
-            out += [row.oracle_energy, row.deviation]
-        if with_overlap:
-            out.append(row.overlap)
-        rows_out.append(tuple(out))
-    _emit(config, _params_header(config.params), columns, rows_out)
+    # optional columns are named after the SweepRow fields that fill them
+    extra = []
+    if "oracle" in spec.outputs:
+        extra += ["oracle_energy", "deviation"]
+    if "overlap" in spec.outputs:
+        extra.append("overlap")
+    rows = [(row.value, *_breakdown(row.breakdown).values(), *(getattr(row, k) for k in extra))
+            for row in run_sweep(spec)]
+    columns = [config.sweep_vary, *_BREAKDOWN_KEYS, *extra]
+    _emit(config, _params_header(config.params), columns, rows)
     return EXIT_OK
 
 
 def _run_table1(config: RunConfig):
-    rows = [(r["vary"], r["value"], r["total"], r["reference"], r["deviation"])
-            for r in table1_rows()]
+    table = table1_rows()
     header = {"z": config.params.z, "alpha0": config.params.alpha0}
-    _emit(config, header, ["vary", "value", "total", "reference", "deviation"], rows)
+    _emit(config, header, list(table[0]), [tuple(row.values()) for row in table])
     return EXIT_OK
 
 

@@ -124,14 +124,7 @@ def e1_correction(p: ModelParams) -> float:
 
 def w1_profile(p: ModelParams):
     """First-order superpotential, linear in r."""
-    slope = _w1_slope(p, taylor_coefficients(p))
-
-    def w1(r):
-        r = np.asarray(r, dtype=float)
-        out = slope * r
-        return float(out) if out.ndim == 0 else out
-
-    return w1
+    return superpotential_set(p).w1
 
 
 def e2_correction(p: ModelParams) -> float:
@@ -146,15 +139,7 @@ def e2_correction(p: ModelParams) -> float:
 
 def w2_profile(p: ModelParams):
     """Second-order superpotential, r (r + 2/s) times a constant."""
-    scale = _w2_scale(p, taylor_coefficients(p))
-    two_over_sig = 2.0 / p.decay_rate
-
-    def w2(r):
-        r = np.asarray(r, dtype=float)
-        out = scale * r * (r + two_over_sig)
-        return float(out) if out.ndim == 0 else out
-
-    return w2
+    return superpotential_set(p).w2
 
 
 def e3_correction(p: ModelParams) -> float:

@@ -1,13 +1,12 @@
 """Parameter sweeps and the datasets behind the reference table and figures.
 
-Rows are a pure function of the sweep specification, so reruns are
-byte-identical and rows may be evaluated concurrently (results are always
-merged back in input order).  Oracle columns are opt-in because the
-eigensolver dominates runtime; the closed-form table regenerates in
-milliseconds.
+Rows are a pure function of the sweep specification and are evaluated in
+input order, so reruns are byte-identical.  Oracle columns are opt-in
+because the eigensolver dominates runtime; the closed-form table
+regenerates in milliseconds.  Every figure is one entry of a table that
+names its builder and its parameter axes.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -126,15 +125,8 @@ def _row(spec: SweepSpec, value: float) -> SweepRow:
     )
 
 
-def run_sweep(spec: SweepSpec, max_workers: int | None = None):
-    """Evaluate every sweep value; one SweepRow per value, input order.
-
-    max_workers > 1 evaluates rows concurrently (rows are independent);
-    the output is identical to the serial result.
-    """
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(lambda v: _row(spec, v), spec.values))
+def run_sweep(spec: SweepSpec):
+    """Evaluate every sweep value; one SweepRow per value, input order."""
     return [_row(spec, v) for v in spec.values]
 
 
@@ -144,21 +136,17 @@ def table1_rows():
     Returns a list of dicts with keys: vary, value, total, reference,
     deviation.
     """
-    rows = []
     field_fixed = ModelParams(lambda_d=TABLE1_FIELD_LAMBDA, alpha0=TABLE1_ALPHA0)
-    for value, ref in zip(TABLE1_FIELD_VALUES, TABLE1_FIELD_ENERGIES):
-        total = total_energy(replace(field_fixed, field=value)).total
-        rows.append(
-            {"vary": "field", "value": value, "total": total,
-             "reference": ref, "deviation": total - ref}
-        )
     lam_fixed = ModelParams(lambda_d=1.0, alpha0=TABLE1_ALPHA0, field=TABLE1_LAMBDA_FIELD)
-    for value, ref in zip(TABLE1_LAMBDA_VALUES, TABLE1_LAMBDA_ENERGIES):
-        total = total_energy(replace(lam_fixed, lambda_d=value)).total
-        rows.append(
-            {"vary": "lambda_d", "value": value, "total": total,
-             "reference": ref, "deviation": total - ref}
-        )
+    rows = []
+    for vary, fixed, values, refs in (
+        ("field", field_fixed, TABLE1_FIELD_VALUES, TABLE1_FIELD_ENERGIES),
+        ("lambda_d", lam_fixed, TABLE1_LAMBDA_VALUES, TABLE1_LAMBDA_ENERGIES),
+    ):
+        for value, ref in zip(values, refs):
+            total = total_energy(replace(fixed, **{vary: value})).total
+            rows.append({"vary": vary, "value": value, "total": total,
+                         "reference": ref, "deviation": total - ref})
     return rows
 
 
@@ -179,71 +167,53 @@ def _potential_curve(p: ModelParams, radii) -> np.ndarray:
 
 # Axis ranges are not pinned by the captions being reproduced; these
 # defaults bracket the described features and are recorded in each
-# dataset's note so files remain self-describing.
+# dataset's note so files remain self-describing.  An axis is a
+# (parameter name, values) pair; labels and notes use the short names.
 _FIG1_RADII = np.linspace(0.05, 10.0, 120)
-_FIG1A_LAMBDAS = (1.0, 2.0, 5.0, 100.0)
-_FIG1A_FIELDS = (0.4, 1.2)
-_FIG1B_LAMBDAS = (1.0, 100.0)
-_FIG1B_FIELDS = (0.1, 0.4, 0.8, 1.2)
 _FIG1C_FIELDS = (0.1, 10.0)
 _FIG1C_LAMBDAS = (1.0, 100.0)
 _FIG1_ALPHA0 = 1e-3
-_FIG2AB_ALPHAS = np.linspace(0.0, 0.5, 51)
-_FIG2AB_FIELDS = (0.0001, 0.001, 0.01)
-_FIG2C_FIELDS = np.geomspace(1e-4, 4e-2, 25)
-_FIG2C_LAMBDAS = (5.0, 10.0, 50.0, 100.0)
-_FIG2D_LAMBDAS = np.linspace(2.0, 100.0, 50)
-_FIG2D_FIELDS = (0.0001, 0.001, 0.01, 0.04)
+_FIG2AB_FIELD_AXIS = ("field", (0.0001, 0.001, 0.01))
+_FIG2AB_ALPHA_AXIS = ("alpha0", np.linspace(0.0, 0.5, 51))
 _FIG2_ALPHA0 = 1e-4
+_SHORT_NAMES = {"field": "F"}
 
-FIGURE_TAGS = ("fig1a", "fig1b", "fig1c", "fig2a", "fig2b", "fig2c", "fig2d")
+
+def _short(name):
+    return _SHORT_NAMES.get(name, name)
 
 
-def _fig1a():
+def _potential_figure(tag, outer, inner):
+    """V_eff(r) curves, one per (outer, inner) parameter pair."""
+    (outer_name, outer_values), (inner_name, inner_values) = outer, inner
     rows = []
-    for f in _FIG1A_FIELDS:
-        for lam in _FIG1A_LAMBDAS:
-            p = ModelParams(lambda_d=lam, alpha0=_FIG1_ALPHA0, field=f)
+    for a in outer_values:
+        for b in inner_values:
+            p = ModelParams(alpha0=_FIG1_ALPHA0, **{outer_name: a, inner_name: b})
+            label = f"{_short(outer_name)}={a:g},{_short(inner_name)}={b:g}"
             for r, v in zip(_FIG1_RADII, _potential_curve(p, _FIG1_RADII)):
-                rows.append((f"F={f:g},lambda_d={lam:g}", float(r), float(v)))
+                rows.append((label, float(r), float(v)))
     return FigureDataset(
-        "fig1a", "r", "V_eff",
+        tag, "r", "V_eff",
         f"effective potential vs radius; alpha0={_FIG1_ALPHA0:g}, "
-        f"F in {_FIG1A_FIELDS}, lambda_d in {_FIG1A_LAMBDAS}",
+        f"{_short(outer_name)} in {outer_values}, {_short(inner_name)} in {inner_values}",
         tuple(rows),
     )
 
 
-def _fig1b():
-    rows = []
-    for lam in _FIG1B_LAMBDAS:
-        for f in _FIG1B_FIELDS:
-            p = ModelParams(lambda_d=lam, alpha0=_FIG1_ALPHA0, field=f)
-            for r, v in zip(_FIG1_RADII, _potential_curve(p, _FIG1_RADII)):
-                rows.append((f"lambda_d={lam:g},F={f:g}", float(r), float(v)))
-    return FigureDataset(
-        "fig1b", "r", "V_eff",
-        f"effective potential vs radius; alpha0={_FIG1_ALPHA0:g}, "
-        f"lambda_d in {_FIG1B_LAMBDAS}, F in {_FIG1B_FIELDS}",
-        tuple(rows),
-    )
-
-
-def _fig1c():
+def _fig1c(tag):
     rows = []
     for lam in _FIG1C_LAMBDAS:
         radii = np.linspace(0.02, 1.2 * lam, 60) if lam <= 2.0 else np.linspace(0.05, 10.0, 60)
         for f in _FIG1C_FIELDS:
             p = ModelParams(lambda_d=lam, alpha0=_FIG1_ALPHA0, field=f)
-            coeffs = taylor_coefficients(p)
-            exact = _potential_curve(p, radii)
-            series = veff_series_eval(radii, coeffs)
-            for r, v in zip(radii, exact):
-                rows.append((f"exact,lambda_d={lam:g},F={f:g}", float(r), float(v)))
-            for r, v in zip(radii, series):
-                rows.append((f"series,lambda_d={lam:g},F={f:g}", float(r), float(v)))
+            curves = (("exact", _potential_curve(p, radii)),
+                      ("series", veff_series_eval(radii, taylor_coefficients(p))))
+            for kind, curve in curves:
+                label = f"{kind},lambda_d={lam:g},F={f:g}"
+                rows.extend((label, float(r), float(v)) for r, v in zip(radii, curve))
     return FigureDataset(
-        "fig1c", "r", "V_eff",
+        tag, "r", "V_eff",
         "exact dressed potential vs its cubic expansion; the expansion is "
         f"only trustworthy for r/lambda_d << 1; alpha0={_FIG1_ALPHA0:g}, "
         f"F in {_FIG1C_FIELDS}, lambda_d in {_FIG1C_LAMBDAS}",
@@ -251,65 +221,44 @@ def _fig1c():
     )
 
 
-def _energy_series(tag, x_label, outer_label, outer_values, x_values, make_params, note):
+def _energy_figure(tag, fixed, outer, x, about, remark=""):
+    """Closed-form energy against the x axis, one curve per outer value."""
+    (outer_name, outer_values), (x_name, x_values) = outer, x
     rows = []
-    for outer in outer_values:
-        for x in x_values:
-            p = make_params(outer, x)
-            rows.append((f"{outer_label}={outer:g}", float(x), total_energy(p).total))
-    return FigureDataset(tag, x_label, "E", note, tuple(rows))
-
-
-def _fig2a():
-    return _energy_series(
-        "fig2a", "alpha0", "F", _FIG2AB_FIELDS, _FIG2AB_ALPHAS,
-        lambda f, a0: ModelParams(lambda_d=1.0, alpha0=a0, field=f),
-        f"energy vs quiver amplitude at lambda_d=1; F in {_FIG2AB_FIELDS}; "
-        "the shift only becomes visible near alpha0 ~ 0.06",
-    )
-
-
-def _fig2b():
-    return _energy_series(
-        "fig2b", "alpha0", "F", _FIG2AB_FIELDS, _FIG2AB_ALPHAS,
-        lambda f, a0: ModelParams(lambda_d=4.0, alpha0=a0, field=f),
-        f"energy vs quiver amplitude at lambda_d=4; F in {_FIG2AB_FIELDS}",
-    )
-
-
-def _fig2c():
-    return _energy_series(
-        "fig2c", "F", "lambda_d", _FIG2C_LAMBDAS, _FIG2C_FIELDS,
-        lambda lam, f: ModelParams(lambda_d=lam, alpha0=_FIG2_ALPHA0, field=f),
-        f"energy vs static field at alpha0={_FIG2_ALPHA0:g}; "
-        f"lambda_d in {_FIG2C_LAMBDAS}",
-    )
-
-
-def _fig2d():
-    return _energy_series(
-        "fig2d", "lambda_d", "F", _FIG2D_FIELDS, _FIG2D_LAMBDAS,
-        lambda f, lam: ModelParams(lambda_d=lam, alpha0=_FIG2_ALPHA0, field=f),
-        f"energy vs screening length at alpha0={_FIG2_ALPHA0:g}; "
-        f"F in {_FIG2D_FIELDS}; curves flatten beyond lambda_d ~ 25",
-    )
+    for o in outer_values:
+        for v in x_values:
+            p = ModelParams(**fixed, **{outer_name: o, x_name: v})
+            rows.append((f"{_short(outer_name)}={o:g}", float(v), total_energy(p).total))
+    at = ", ".join(f"{name}={value:g}" for name, value in fixed.items())
+    note = f"energy vs {about} at {at}; {_short(outer_name)} in {outer_values}"
+    if remark:
+        note += f"; {remark}"
+    return FigureDataset(tag, _short(x_name), "E", note, tuple(rows))
 
 
 _FIGURES = {
-    "fig1a": _fig1a,
-    "fig1b": _fig1b,
-    "fig1c": _fig1c,
-    "fig2a": _fig2a,
-    "fig2b": _fig2b,
-    "fig2c": _fig2c,
-    "fig2d": _fig2d,
+    "fig1a": (_potential_figure, ("field", (0.4, 1.2)), ("lambda_d", (1.0, 2.0, 5.0, 100.0))),
+    "fig1b": (_potential_figure, ("lambda_d", (1.0, 100.0)), ("field", (0.1, 0.4, 0.8, 1.2))),
+    "fig1c": (_fig1c,),
+    "fig2a": (_energy_figure, {"lambda_d": 1.0}, _FIG2AB_FIELD_AXIS,
+              _FIG2AB_ALPHA_AXIS, "quiver amplitude",
+              "the shift only becomes visible near alpha0 ~ 0.06"),
+    "fig2b": (_energy_figure, {"lambda_d": 4.0}, _FIG2AB_FIELD_AXIS,
+              _FIG2AB_ALPHA_AXIS, "quiver amplitude"),
+    "fig2c": (_energy_figure, {"alpha0": _FIG2_ALPHA0}, ("lambda_d", (5.0, 10.0, 50.0, 100.0)),
+              ("field", np.geomspace(1e-4, 4e-2, 25)), "static field"),
+    "fig2d": (_energy_figure, {"alpha0": _FIG2_ALPHA0}, ("field", (0.0001, 0.001, 0.01, 0.04)),
+              ("lambda_d", np.linspace(2.0, 100.0, 50)), "screening length",
+              "curves flatten beyond lambda_d ~ 25"),
 }
+
+FIGURE_TAGS = tuple(_FIGURES)
 
 
 def figure_dataset(which: str) -> FigureDataset:
     """Tabular data behind one of the named figures."""
     try:
-        builder = _FIGURES[which]
+        builder, *args = _FIGURES[which]
     except KeyError:
         raise ValueError(f"unknown figure tag {which!r}; choose from {FIGURE_TAGS}") from None
-    return builder()
+    return builder(which, *args)

@@ -161,6 +161,13 @@ def test_table1_output(capsys):
     assert max(abs(row[idx]) for row in payload["rows"]) < 5e-7
 
 
+def test_table1_rejects_model_flags(capsys):
+    # the table is pinned to Z = 1, alpha0 = 1e-4; it takes output flags only
+    code, out, err = run_cli(capsys, ["table1", "--alpha0", "0.05"])
+    assert code == EXIT_USAGE
+    assert out == "" and "--alpha0" in err
+
+
 def test_figure_output(capsys):
     code, out, _ = run_cli(capsys, ["figure", "--which", "fig2d"])
     assert code == EXIT_OK
