@@ -6,9 +6,10 @@ The package has four computational layers:
 - `laserplasma.potential`: screened Coulomb potential, its laser-dressed
   two-center form, the exact cycle-average quadrature, and the cubic
   small-r expansion coefficients.
-- `laserplasma.perturbation`: closed-form zeroth- through third-order
-  ground-state energies and the perturbed wavefunction, built on a
-  superpotential hierarchy.
+- `laserplasma.perturbation`: the closed-form ground-state energy
+  (`total_energy`, zeroth through third order from one set of expansion
+  coefficients), the hierarchy's third order (`e3_hierarchy`), the
+  superpotentials and the perturbed wavefunction.
 - `laserplasma.oracle`: an independent finite-difference eigensolver used
   to cross-validate the closed forms.
 - `laserplasma.sweep`: parameter sweeps and the datasets behind the
@@ -21,15 +22,9 @@ from .oracle import OracleResult, RadialGrid, default_grid, overlap, solve_groun
 from .perturbation import (
     EnergyBreakdown,
     SuperpotentialSet,
-    e1_correction,
-    e2_correction,
-    e3_correction,
     e3_hierarchy,
-    e4_correction,
     superpotential_set,
     total_energy,
-    w1_profile,
-    w2_profile,
     wavefunction_eval,
     zeroth_order,
 )
@@ -59,13 +54,7 @@ __all__ = [
     "EnergyBreakdown",
     "SuperpotentialSet",
     "zeroth_order",
-    "e1_correction",
-    "e2_correction",
-    "e3_correction",
     "e3_hierarchy",
-    "e4_correction",
-    "w1_profile",
-    "w2_profile",
     "superpotential_set",
     "total_energy",
     "wavefunction_eval",

@@ -17,7 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import GroundStateError, RadialGrid, default_grid, overlap, solve_ground_state
+from .oracle import (
+    ConvergenceError,
+    GroundStateError,
+    RadialGrid,
+    default_grid,
+    overlap,
+    require_converged,
+    solve_ground_state,
+)
 from .perturbation import total_energy, wavefunction_eval
 from .potential import (
     ModelParams,
@@ -231,6 +239,8 @@ def parse_args(argv) -> RunConfig:
             params = _model_params(ns, config_values)
             if ns.points < 2:
                 raise UsageError("--points must be >= 2")
+            if ns.quad_nodes < 8:
+                raise UsageError("--quad-nodes must be >= 8")
             if not 0 < ns.r_min < ns.r_max:
                 raise UsageError("need 0 < --r-min < --r-max")
             space = np.geomspace if ns.log else np.linspace
@@ -375,11 +385,8 @@ def _run_oracle(config: RunConfig):
     grid = config.grid if config.grid is not None else default_grid(p)
     breakdown = total_energy(p)
     coeffs = taylor_coefficients(p)
-    result = solve_ground_state(lambda r: veff_series_eval(r, coeffs), grid, p)
-    if not result.converged:
-        print(f"oracle did not converge: error estimate {result.error_estimate:.3e}",
-              file=sys.stderr)
-        return EXIT_NUMERIC
+    result = require_converged(
+        solve_ground_state(lambda r: veff_series_eval(r, coeffs), grid, p))
     _emit_mapping(config, _params_header(p), {
         **_breakdown(breakdown),
         "oracle_energy": result.energy,
@@ -436,6 +443,9 @@ def run(config: RunConfig) -> int:
     """Execute a parsed RunConfig; returns the process exit code."""
     try:
         return _RUNNERS[config.subcommand](config)
+    except ConvergenceError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_NUMERIC
     except (PoleProximityError, GroundStateError, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -25,16 +25,26 @@ __all__ = [
     "RadialGrid",
     "OracleResult",
     "GroundStateError",
+    "ConvergenceError",
+    "CONVERGENCE_TOL",
     "default_grid",
     "hamiltonian_arrays",
     "solve_on_grid",
     "solve_ground_state",
     "overlap",
+    "require_converged",
 ]
+
+# Largest Richardson error estimate (a.u.) that counts as converged.
+CONVERGENCE_TOL = 1e-4
 
 
 class GroundStateError(RuntimeError):
     """The lowest extracted eigenvector is not a nodeless ground state."""
+
+
+class ConvergenceError(RuntimeError):
+    """The error estimate of an oracle result exceeds `CONVERGENCE_TOL`."""
 
 
 @dataclass(frozen=True)
@@ -80,8 +90,8 @@ class OracleResult:
     u_samples lives on ``grid.points`` and is normalized so that
     sum(u^2) h = 1.  ``energy`` is Richardson-extrapolated from the h and
     h/2 solves; ``error_estimate`` is the extrapolation residual
-    |E_{h/2} - E_h| / 3 and ``converged`` records whether it met the
-    requested tolerance.
+    |E_{h/2} - E_h| / 3 and ``converged`` records whether it is at most
+    `CONVERGENCE_TOL`.
     """
 
     energy: float
@@ -139,9 +149,7 @@ def _interior_sign_changes(u: np.ndarray) -> int:
     return int(np.count_nonzero(np.sign(significant[:-1]) != np.sign(significant[1:])))
 
 
-def solve_ground_state(
-    potential, grid: RadialGrid, p: ModelParams, convergence_tol: float = 1e-4
-) -> OracleResult:
+def solve_ground_state(potential, grid: RadialGrid, p: ModelParams) -> OracleResult:
     """Richardson-extrapolated ground state of the sampled radial potential.
 
     Solves on ``grid`` and on its half-spacing refinement, extrapolates
@@ -170,34 +178,41 @@ def solve_ground_state(
     return OracleResult(
         energy=energy,
         u_samples=u,
-        converged=error_estimate <= convergence_tol,
+        converged=error_estimate <= CONVERGENCE_TOL,
         error_estimate=error_estimate,
         grid=grid,
     )
 
 
-def overlap(result: OracleResult, psi, grid: RadialGrid | None = None) -> float:
-    """Overlap |<u, psi_hat>| with psi normalized on the same grid.
+def require_converged(result: OracleResult) -> OracleResult:
+    """The one convergence verdict: ``result``, or `ConvergenceError`.
+
+    Every printed oracle energy passes through here, so a grid too coarse
+    for `CONVERGENCE_TOL` yields a diagnostic instead of a number.
+    """
+    if not result.converged:
+        raise ConvergenceError(
+            f"oracle did not converge: error estimate {result.error_estimate:.3e}"
+        )
+    return result
+
+
+def overlap(result: OracleResult, psi) -> float:
+    """Overlap |<u, psi_hat>| with psi normalized on the result's grid.
 
     Parameters
     ----------
     result : OracleResult
     psi : callable
-        Radial function evaluated on the grid points.
-    grid : RadialGrid, optional
-        Defaults to the grid the result was computed on; if given it must
-        match that grid.
+        Radial function evaluated on ``result.grid.points``.
 
     Returns
     -------
     float
         Value in [0, 1] up to rounding.
     """
-    grid = result.grid if grid is None else grid
-    if grid != result.grid:
-        raise ValueError("overlap grid must match the grid of the oracle result")
-    h = grid.spacing
-    vals = _sample(psi, grid.points)
+    h = result.grid.spacing
+    vals = _sample(psi, result.grid.points)
     norm = np.sqrt(np.sum(vals * vals) * h)
     if norm == 0.0:
         raise ValueError("trial function has zero norm on the grid")

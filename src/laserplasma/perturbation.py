@@ -13,12 +13,14 @@ The first three orders close in elementary functions:
     order 1:  W1 linear in r,      E1 = 3 c1 / (2 s)
     order 2:  W2 = k r (r + 2/s),  E2 = 3 c2 / s^2 - 3 hbar^6 c1^2 / (32 mu^3 A^4)
     order 3:  hierarchy E3 = <c3 r^3> - 2 <W1 W2>   (`e3_hierarchy`)
-              the paper's Table-1 form of E3        (`e3_correction`)
+              the paper's Table-1 form of E3        (`total_energy`)
 
-The constant c0 enters the total additively.  `total_energy` assembles
-the five parts with the Table-1 third order, which reproduces the
-reference energies; `wavefunction_eval` applies the first- and
-second-order superpotentials as a multiplicative correction to chi0.
+The constant c0 enters the total additively.  `total_energy` turns one
+set of coefficients into all five parts, with the Table-1 third order,
+which reproduces the reference energies.  `superpotential_set` holds the
+W1 slope and W2 scale, and `wavefunction_eval` applies the first- and
+second-order superpotentials from it as a multiplicative correction to
+chi0.
 """
 
 import math
@@ -27,19 +29,13 @@ from typing import Callable
 
 import numpy as np
 
-from .potential import EffectiveCoefficients, ModelParams, taylor_coefficients
+from .potential import ModelParams, taylor_coefficients
 
 __all__ = [
     "EnergyBreakdown",
     "SuperpotentialSet",
     "zeroth_order",
-    "e1_correction",
-    "w1_profile",
-    "e2_correction",
-    "w2_profile",
-    "e3_correction",
     "e3_hierarchy",
-    "e4_correction",
     "total_energy",
     "superpotential_set",
     "wavefunction_eval",
@@ -106,67 +102,6 @@ def zeroth_order(p: ModelParams):
     return energy, chi0
 
 
-def _w1_slope(p: ModelParams, c: EffectiveCoefficients) -> float:
-    # solves 2 W0 W1 - (hbar/sqrt(2 mu)) W1' = c1 r - E1 with W1 = slope * r
-    return c.c1 / (2.0 * p.decay_rate * _s_factor(p))
-
-
-def _w2_scale(p: ModelParams, c: EffectiveCoefficients) -> float:
-    # W2 = k r (r + 2/s) solves W1^2 + 2 W0 W2 - (hbar/sqrt(2 mu)) W2' =
-    # c2 r^2 - E2; matching the r^2 coefficient fixes k uniquely.
-    s = _s_factor(p)
-    sig = p.decay_rate
-    return c.c2 / (2.0 * sig * s) - c.c1**2 / (8.0 * sig**3 * s**3)
-
-
-def e1_correction(p: ModelParams) -> float:
-    """First-order energy: the linear coefficient weighted by <r> = 3/(2 s)."""
-    c = taylor_coefficients(p)
-    return 1.5 * c.c1 / p.decay_rate
-
-
-def w1_profile(p: ModelParams):
-    """First-order superpotential, linear in r."""
-    return superpotential_set(p).w1
-
-
-def e2_correction(p: ModelParams) -> float:
-    """Second-order energy: quadratic moment minus the W1^2 moment."""
-    c = taylor_coefficients(p)
-    sig = p.decay_rate
-    return (
-        3.0 * c.c2 / sig**2
-        - 3.0 * p.hbar**6 * c.c1**2 / (32.0 * p.mu**3 * p.coulomb_strength**4)
-    )
-
-
-def w2_profile(p: ModelParams):
-    """Second-order superpotential, r (r + 2/s) times a constant."""
-    return superpotential_set(p).w2
-
-
-def e3_correction(p: ModelParams) -> float:
-    """Third-order energy in the paper's Table-1 form.
-
-    (15 c3 + 27 mu^2 c1^2 / (4 hbar^4 s^4) - 27 mu c1 c2 / (2 hbar^2 s^2))
-    / (2 s^3).  This is the form that reproduces the reference energy
-    table (see `laserplasma.sweep`), so `total_energy` and every printed
-    energy use it.  It is not the third order of any hierarchy: its c1^2
-    term has the units of a length, not of an energy (the consistent
-    power is c1^3), and its mixed c1 c2 term is half the hierarchy's.
-    Against the finite-difference oracle on the cubic potential its total
-    is off by an error that grows like F^2 (+3.9e-5 at lambda_D = 100,
-    alpha0 = 1e-4, F = 0.04), so it is wrong at second order in the field.
-    `e3_hierarchy` is the consistent third order.
-    """
-    c = taylor_coefficients(p)
-    sig = p.decay_rate
-    term_cubic = 15.0 * c.c3
-    term_cross = 27.0 * p.mu**2 * c.c1**2 / (4.0 * p.hbar**4 * sig**4)
-    term_mixed = 27.0 * p.mu * c.c1 * c.c2 / (2.0 * p.hbar**2 * sig**2)
-    return (term_cubic + term_cross - term_mixed) / (2.0 * sig**3)
-
-
 def e3_hierarchy(p: ModelParams) -> float:
     """Third-order energy of the hierarchy: <c3 r^3> - 2 <W1 W2>.
 
@@ -186,29 +121,38 @@ def e3_hierarchy(p: ModelParams) -> float:
     return (term_cubic - term_mixed + term_cross) / (2.0 * sig**3)
 
 
-def e4_correction(p: ModelParams) -> float:
-    """Fourth hierarchy level: defined by the recurrence, not implemented.
-
-    The superpotential hierarchy continues past third order, but no closed
-    form is provided here and `total_energy` truncates after e3.  This
-    stub exists so the missing level is explicit rather than silent.
-    """
-    raise NotImplementedError(
-        "fourth-order correction: the hierarchy defines it, but no closed "
-        "form is implemented; total_energy truncates at third order"
-    )
-
-
 def total_energy(p: ModelParams) -> EnergyBreakdown:
-    """Assemble the five additive parts of the ground-state energy."""
+    """Ground-state energy in five additive parts, from one coefficient set.
+
+    e1 = 3 c1 / (2 s) is the linear coefficient weighted by <r>.  e2 is
+    the quadratic moment minus the W1^2 moment.  e3 is the paper's
+    Table-1 form (15 c3 + 27 mu^2 c1^2 / (4 hbar^4 s^4)
+    - 27 mu c1 c2 / (2 hbar^2 s^2)) / (2 s^3), which reproduces the
+    reference energy table (see `laserplasma.sweep`), so every printed
+    energy uses it.  It is not the third order of any hierarchy: its c1^2
+    term has the units of a length, not of an energy (the consistent
+    power is c1^3), and its mixed c1 c2 term is half the hierarchy's.
+    Against the finite-difference oracle on the cubic potential the total
+    is off by an error that grows like F^2 (+3.9e-5 at lambda_D = 100,
+    alpha0 = 1e-4, F = 0.04), so it is wrong at second order in the field.
+    `e3_hierarchy` is the consistent third order.
+    """
     energy0, _ = zeroth_order(p)
     c = taylor_coefficients(p)
+    sig = p.decay_rate
+    e2 = (
+        3.0 * c.c2 / sig**2
+        - 3.0 * p.hbar**6 * c.c1**2 / (32.0 * p.mu**3 * p.coulomb_strength**4)
+    )
+    term_cubic = 15.0 * c.c3
+    term_cross = 27.0 * p.mu**2 * c.c1**2 / (4.0 * p.hbar**4 * sig**4)
+    term_mixed = 27.0 * p.mu * c.c1 * c.c2 / (2.0 * p.hbar**2 * sig**2)
     return EnergyBreakdown(
         e0=energy0,
         const_shift=c.c0,
-        e1=e1_correction(p),
-        e2=e2_correction(p),
-        e3=e3_correction(p),
+        e1=1.5 * c.c1 / sig,
+        e2=e2,
+        e3=(term_cubic + term_cross - term_mixed) / (2.0 * sig**3),
     )
 
 
@@ -223,9 +167,13 @@ def superpotential_set(p: ModelParams) -> SuperpotentialSet:
         out = -s / r + a / s
         return float(out) if out.ndim == 0 else out
 
-    slope = _w1_slope(p, c)
-    scale = _w2_scale(p, c)
-    two_over_sig = 2.0 / p.decay_rate
+    sig = p.decay_rate
+    # W1 = slope * r solves 2 W0 W1 - (hbar/sqrt(2 mu)) W1' = c1 r - E1, and
+    # W2 = scale * r (r + 2/sig) solves W1^2 + 2 W0 W2 - (hbar/sqrt(2 mu)) W2'
+    # = c2 r^2 - E2; matching the r^2 coefficient fixes the scale uniquely.
+    slope = c.c1 / (2.0 * sig * s)
+    scale = c.c2 / (2.0 * sig * s) - c.c1**2 / (8.0 * sig**3 * s**3)
+    two_over_sig = 2.0 / sig
 
     def w1(r):
         r = np.asarray(r, dtype=float)
@@ -253,11 +201,10 @@ def wavefunction_eval(r, p: ModelParams):
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0.0):
         raise ValueError("radial distance must be > 0")
-    c = taylor_coefficients(p)
+    sp = superpotential_set(p)
     sig = p.decay_rate
     s = _s_factor(p)
-    slope = _w1_slope(p, c)
-    scale = _w2_scale(p, c)
+    slope, scale = sp.w1_slope, sp.w2_scale
     # P(r) = int_0^r (W1 + W2) = (slope/2 + scale/sig) r^2 + (scale/3) r^3
     quad_coeff = 0.5 * slope + scale / sig
     cubic_coeff = scale / 3.0

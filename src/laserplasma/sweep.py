@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .oracle import RadialGrid, default_grid, overlap, solve_ground_state
+from .oracle import RadialGrid, default_grid, overlap, require_converged, solve_ground_state
 from .perturbation import EnergyBreakdown, total_energy, wavefunction_eval
 from .potential import ModelParams, dressed_pair_eval, taylor_coefficients, veff_series_eval
 
@@ -111,7 +111,8 @@ def _row(spec: SweepSpec, value: float) -> SweepRow:
     if "oracle" in spec.outputs:
         grid = spec.oracle_grid if spec.oracle_grid is not None else default_grid(p)
         coeffs = taylor_coefficients(p)
-        result = solve_ground_state(lambda r: veff_series_eval(r, coeffs), grid, p)
+        result = require_converged(
+            solve_ground_state(lambda r: veff_series_eval(r, coeffs), grid, p))
         oracle_energy = result.energy
         deviation = breakdown.total - result.energy
         if "overlap" in spec.outputs:
@@ -126,7 +127,11 @@ def _row(spec: SweepSpec, value: float) -> SweepRow:
 
 
 def run_sweep(spec: SweepSpec):
-    """Evaluate every sweep value; one SweepRow per value, input order."""
+    """Evaluate every sweep value; one SweepRow per value, input order.
+
+    Oracle rows pass the same convergence verdict as the ``oracle``
+    command: a grid too coarse for them raises `ConvergenceError`.
+    """
     return [_row(spec, v) for v in spec.values]
 
 

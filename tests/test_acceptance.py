@@ -8,7 +8,7 @@ Criterion 2's third-order leg integrates the hierarchy's own moment,
 c3 r^3 - E3 carries the same factor 2 from expanding W^2 that gives the
 e2 leg its W1^2 and that criterion 3 checks at orders 1 and 2.  It pins
 `e3_hierarchy`.  The printed energies use the paper's Table-1 third order
-(`e3_correction`), which criterion 1 pins; the unit suite
+(`total_energy(p).e3`), which criterion 1 pins; the unit suite
 (test_perturbation.py) pins the gap between that form and its own
 factor-1 moment, and the total built on `e3_hierarchy` against the
 oracle.  See README "Known limitations".
@@ -25,13 +25,9 @@ from scipy.integrate import quad
 from laserplasma.cli import main as cli_main
 from laserplasma.oracle import RadialGrid, overlap, solve_ground_state, solve_on_grid
 from laserplasma.perturbation import (
-    e1_correction,
-    e2_correction,
     e3_hierarchy,
     superpotential_set,
     total_energy,
-    w1_profile,
-    w2_profile,
     wavefunction_eval,
     zeroth_order,
 )
@@ -100,11 +96,12 @@ def criterion_2_defining_integrals():
     worst = {"e1": 0.0, "e2": 0.0, "e3": 0.0}
     for p in random_parameter_sets():
         c = taylor_coefficients(p)
-        w1 = w1_profile(p)
-        w2 = w2_profile(p)
+        sp = superpotential_set(p)
+        w1, w2 = sp.w1, sp.w2
+        b = total_energy(p)
         closed = {
-            "e1": e1_correction(p),
-            "e2": e2_correction(p),
+            "e1": b.e1,
+            "e2": b.e2,
             "e3": e3_hierarchy(p),
         }
         integrals = {
@@ -131,8 +128,8 @@ def criterion_3_riccati_residuals():
         c = taylor_coefficients(p)
         sp = superpotential_set(p)
         s = p.hbar / math.sqrt(2.0 * p.mu)
-        e1 = e1_correction(p)
-        e2 = e2_correction(p)
+        b = total_energy(p)
+        e1, e2 = b.e1, b.e2
         two_over_sig = 2.0 / p.decay_rate
         w0v, w1v, w2v = sp.w0(radii), sp.w1(radii), sp.w2(radii)
         res1 = np.abs(2.0 * w0v * w1v - s * sp.w1_slope - (c.c1 * radii - e1))

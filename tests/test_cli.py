@@ -263,6 +263,28 @@ def test_oracle_nonconvergence_exit_code(capsys):
     assert "did not converge" in err
 
 
+def test_sweep_oracle_nonconvergence_matches_oracle_command(capsys):
+    # the grid the oracle command refuses must not yield sweep rows either
+    model = ["--lambda-d", "100", "--grid-points", "100"]
+    code, out, err = run_cli(
+        capsys, ["sweep", "--vary", "field", "--values", "0.01,0.02", "--with-oracle", *model]
+    )
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err.startswith("oracle did not converge: error estimate ")
+    _, _, oracle_err = run_cli(capsys, ["oracle", "--field", "0.01", *model])
+    assert err == oracle_err
+
+
+def test_potential_rejects_too_few_quadrature_nodes(capsys):
+    code, out, err = run_cli(
+        capsys, ["potential", "--lambda-d", "5", "--with-quadrature", "--quad-nodes", "4"]
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--quad-nodes must be >= 8" in err
+
+
 def test_numeric_failure_exit_code(capsys):
     # potential curve sampled across the dressed-potential pole
     code, _, err = run_cli(

@@ -1,7 +1,9 @@
-"""Byte-identity pins for the table and figure CSV output.
+"""Byte-identity pins for the CLI's CSV output.
 
-Each digest is the SHA-256 of the default-precision CSV that
-``laserplasma figure --which <tag>`` or ``laserplasma table1`` prints.
+Each digest is the SHA-256 of the CSV that ``laserplasma figure --which
+<tag>`` or ``laserplasma table1`` prints at the default precision, or
+that ``energy`` and ``sweep`` print at ``--precision 17``, which pins
+every breakdown column bit for bit.
 Refactors of the sweep and CLI layers must keep these bytes unchanged; a
 deliberate change of output has to update the digest and say why.
 """
@@ -21,10 +23,24 @@ GOLDEN_SHA256 = {
     ("figure", "--which", "fig2c"): "dcc85dd86b7d954069d95a779bdff42dde592042f68bf24d08a5adab2b23ef06",
     ("figure", "--which", "fig2d"): "b7740bd66071e502e025cddb76a85f9f9c28ffd7ea3161497e3f8278168f6245",
     ("table1",): "31bae30111f3419bcbe489c942731d9e6584adc269cb934c842ab3cd0643bcd9",
+    ("energy", "--lambda-d", "100", "--alpha0", "1e-4", "--field", "0.04",
+     "--precision", "17"): "21c901fb12254f32564396da2542b1154a296647eed8358bc16c1fde292d53c4",
+    ("energy", "--lambda-d", "5", "--alpha0", "0.01", "--field", "0.002", "--z", "2",
+     "--precision", "17"): "2f0c571ccdb45deb345357a5ac65048e5b042799a691111678695f5833013e84",
+    ("sweep", "--vary", "field", "--values", "0.0001,0.001,0.01,0.02,0.04",
+     "--lambda-d", "20", "--alpha0", "0.001",
+     "--precision", "17"): "2f18b9e8b7e94bcde95acd65681425fc440f843a1ab25afa2b504722787f30b2",
 }
 
 
-@pytest.mark.parametrize("argv", list(GOLDEN_SHA256), ids=lambda argv: argv[-1])
+def _case_id(argv):
+    # the figure tag or "table1"; a full-precision case is named by its model flags
+    if argv[-2:] != ("--precision", "17"):
+        return argv[-1]
+    return "-".join(arg.lstrip("-") for arg in argv[:-2])
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_SHA256), ids=_case_id)
 def test_csv_output_is_byte_identical(capsys, argv):
     assert main(list(argv)) == EXIT_OK
     out = capsys.readouterr().out

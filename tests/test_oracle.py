@@ -148,12 +148,10 @@ def test_overlap_with_perturbed_wavefunction():
     assert ov <= 1.0 + 1e-9
 
 
-def test_overlap_rejects_zero_norm_and_foreign_grid():
+def test_overlap_rejects_zero_norm():
     result = solve_ground_state(coulomb, COULOMB_GRID, AU)
     with pytest.raises(ValueError, match="zero norm"):
         overlap(result, lambda r: np.zeros_like(r))
-    with pytest.raises(ValueError, match="grid"):
-        overlap(result, lambda r: r, RadialGrid(0.0, 20.0, 4000))
 
 
 def test_variational_bound():

@@ -4,16 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from laserplasma import perturbation
 from laserplasma.perturbation import (
-    e1_correction,
-    e2_correction,
-    e3_correction,
     e3_hierarchy,
-    e4_correction,
     superpotential_set,
     total_energy,
-    w1_profile,
-    w2_profile,
     wavefunction_eval,
     zeroth_order,
 )
@@ -71,18 +66,18 @@ def test_zeroth_order_scaling_in_z():
 
 def test_e1_hand_value():
     p = ModelParams(lambda_d=100.0, alpha0=1e-4, field=0.04)
-    assert e1_correction(p) == pytest.approx(0.03, abs=1e-10)
+    assert total_energy(p).e1 == pytest.approx(0.03, abs=1e-10)
 
 
 def test_e1_vanishes_without_perturbation():
-    assert e1_correction(ModelParams(lambda_d=5.0)) == 0.0
+    assert total_energy(ModelParams(lambda_d=5.0)).e1 == 0.0
 
 
 def test_e1_matches_defining_integral():
     for p in random_params(6):
         c = taylor_coefficients(p)
         integral = weighted_integral(p, lambda r: c.c1 * r)
-        assert integral == pytest.approx(e1_correction(p), rel=1e-10, abs=1e-14)
+        assert integral == pytest.approx(total_energy(p).e1, rel=1e-10, abs=1e-14)
 
 
 def test_e1_sign_threshold():
@@ -91,21 +86,21 @@ def test_e1_sign_threshold():
     threshold = a0**6 / (180.0 * lam**8) - a0**2 / lam**4
     # threshold is negative here, so even F = 0 keeps e1 positive
     assert threshold < 0
-    assert e1_correction(ModelParams(lambda_d=lam, alpha0=a0)) >= 0.0
+    assert total_energy(ModelParams(lambda_d=lam, alpha0=a0)).e1 >= 0.0
     # extreme quiver amplitude flips the threshold sign
     a0, lam = 8.0, 2.0
     threshold = a0**6 / (180.0 * lam**8) - a0**2 / lam**4
     assert threshold > 0
-    assert e1_correction(ModelParams(lambda_d=lam, alpha0=a0, field=2.0)) >= 0.0
-    assert e1_correction(ModelParams(lambda_d=lam, alpha0=a0, field=1.0)) < 0.0
+    assert total_energy(ModelParams(lambda_d=lam, alpha0=a0, field=2.0)).e1 >= 0.0
+    assert total_energy(ModelParams(lambda_d=lam, alpha0=a0, field=1.0)).e1 < 0.0
 
 
 def test_w1_profile():
     p = ModelParams(lambda_d=100.0, field=0.01)
-    w1 = w1_profile(p)
+    w1 = superpotential_set(p).w1
     # (1/(hbar*s)) sqrt(mu/2) c1 at r=1: 0.01 / (2 * 2 / sqrt(2))
     assert w1(1.0) == pytest.approx(0.0035355339059327377, rel=1e-14)
-    zero = w1_profile(ModelParams(lambda_d=1e12))
+    zero = superpotential_set(ModelParams(lambda_d=1e12)).w1
     assert zero(3.0) == 0.0
 
 
@@ -114,7 +109,7 @@ def test_w1_riccati_residual():
         c = taylor_coefficients(p)
         sp = superpotential_set(p)
         s = p.hbar / math.sqrt(2.0 * p.mu)
-        e1 = e1_correction(p)
+        e1 = total_energy(p).e1
         for r in (0.1, 0.5, 1.0, 2.0, 5.0):
             lhs = 2.0 * sp.w0(r) * sp.w1(r) - s * sp.w1_slope
             assert abs(lhs - (c.c1 * r - e1)) < 1e-10
@@ -122,7 +117,7 @@ def test_w1_riccati_residual():
 
 def test_e2_hand_value():
     p = ModelParams(lambda_d=100.0, alpha0=0.0, field=0.04)
-    assert e2_correction(p) == pytest.approx(-1.505e-4, rel=1e-12)
+    assert total_energy(p).e2 == pytest.approx(-1.505e-4, rel=1e-12)
 
 
 def test_e2_two_closed_forms_agree():
@@ -141,30 +136,30 @@ def test_e2_two_closed_forms_agree():
             p.hbar**4 / (4.0 * p.mu**2 * a) * bracket
             - 3.0 * p.hbar**6 / (32.0 * p.mu**3 * a**2) * lin**2
         )
-        assert e2_correction(p) == pytest.approx(direct, rel=1e-12)
+        assert total_energy(p).e2 == pytest.approx(direct, rel=1e-12)
 
 
 def test_e2_vanishes_in_free_limit():
-    assert abs(e2_correction(ModelParams(lambda_d=1e12))) < 1e-20
+    assert abs(total_energy(ModelParams(lambda_d=1e12)).e2) < 1e-20
 
 
 def test_e2_matches_defining_integral():
     for p in random_params(6, seed=3):
         c = taylor_coefficients(p)
-        w1 = w1_profile(p)
+        w1 = superpotential_set(p).w1
         integral = weighted_integral(p, lambda r: c.c2 * r**2 - w1(r) ** 2)
-        assert integral == pytest.approx(e2_correction(p), rel=1e-10)
+        assert integral == pytest.approx(total_energy(p).e2, rel=1e-10)
 
 
 def test_w2_structure():
     p = ModelParams(lambda_d=5.0, alpha0=0.01, field=0.02)
-    w2 = w2_profile(p)
+    w2 = superpotential_set(p).w2
     assert w2(0.0) == 0.0
     # quadratic with zero constant term: w2(r)/r is affine
     r = np.linspace(0.2, 4.0, 9)
     ratio = w2(r) / r
     assert np.max(np.abs(np.diff(ratio, 2))) < 1e-12
-    nearly_zero = w2_profile(ModelParams(lambda_d=1e12))
+    nearly_zero = superpotential_set(ModelParams(lambda_d=1e12)).w2
     assert abs(nearly_zero(2.0)) < 1e-30
 
 
@@ -174,7 +169,7 @@ def test_w2_riccati_residual():
         c = taylor_coefficients(p)
         sp = superpotential_set(p)
         s = p.hbar / math.sqrt(2.0 * p.mu)
-        e2 = e2_correction(p)
+        e2 = total_energy(p).e2
         two_over_sig = 2.0 / p.decay_rate
         for r in (0.1, 0.5, 1.0, 2.0, 5.0):
             dw2 = sp.w2_scale * (2.0 * r + two_over_sig)
@@ -184,11 +179,11 @@ def test_w2_riccati_residual():
 
 def test_e3_hand_value():
     p = ModelParams(lambda_d=100.0, alpha0=0.0, field=0.04)
-    assert e3_correction(p) == pytest.approx(4.219625e-5, rel=1e-9)
+    assert total_energy(p).e3 == pytest.approx(4.219625e-5, rel=1e-9)
 
 
 def test_e3_vanishes_in_free_limit():
-    assert abs(e3_correction(ModelParams(lambda_d=1e12))) < 1e-20
+    assert abs(total_energy(ModelParams(lambda_d=1e12)).e3) < 1e-20
 
 
 def test_e3_gap_to_defining_integral_is_the_known_term():
@@ -200,14 +195,13 @@ def test_e3_gap_to_defining_integral_is_the_known_term():
     # pin it.
     for p in random_params(6, seed=42):
         c = taylor_coefficients(p)
-        w1 = w1_profile(p)
-        w2 = w2_profile(p)
-        integral = weighted_integral(p, lambda r: c.c3 * r**3 - w1(r) * w2(r))
+        sp = superpotential_set(p)
+        integral = weighted_integral(p, lambda r: c.c3 * r**3 - sp.w1(r) * sp.w2(r))
         sig = p.decay_rate
         gap = (
             27.0 * p.mu**2 * (c.c1**2 - c.c1**3) / (4.0 * p.hbar**4 * sig**4)
         ) / (2.0 * sig**3)
-        assert e3_correction(p) - integral == pytest.approx(gap, rel=1e-9)
+        assert total_energy(p).e3 - integral == pytest.approx(gap, rel=1e-9)
 
 
 def test_e3_hierarchy_total_matches_oracle():
@@ -222,11 +216,6 @@ def test_e3_hierarchy_total_matches_oracle():
     b = total_energy(p)
     closed = b.e0 + b.const_shift + b.e1 + b.e2 + e3_hierarchy(p)
     assert abs(closed - oracle.energy) <= 2e-7
-
-
-def test_fourth_order_is_explicitly_unimplemented():
-    with pytest.raises(NotImplementedError, match="fourth-order"):
-        e4_correction(ModelParams(lambda_d=5.0))
 
 
 def test_total_energy_reference_values():
@@ -300,3 +289,15 @@ def test_wavefunction_matches_explicit_moderating_factor():
         prim, _ = quad(lambda x: sp.w1(x) + sp.w2(x), 0.0, r, epsabs=1e-14)
         expected = chi0(r) * math.exp(-prim / s)
         assert wavefunction_eval(r, p) == pytest.approx(expected, rel=1e-10)
+
+
+def test_total_energy_computes_coefficients_once(monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return taylor_coefficients(p)
+
+    monkeypatch.setattr(perturbation, "taylor_coefficients", counted)
+    total_energy(ModelParams(lambda_d=20.0, alpha0=1e-3, field=0.01))
+    assert len(calls) == 1

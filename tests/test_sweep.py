@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from laserplasma.oracle import RadialGrid
+from laserplasma.oracle import ConvergenceError, RadialGrid
 from laserplasma.perturbation import total_energy
 from laserplasma.potential import ModelParams
 from laserplasma.sweep import (
@@ -85,6 +85,15 @@ def test_oracle_columns_opt_in():
     assert row.oracle_energy == pytest.approx(-1.9799255, abs=1e-4)
     assert abs(row.deviation) < 1e-4
     assert row.overlap >= 0.999
+
+
+def test_oracle_rows_refuse_unconverged_grid():
+    spec = SweepSpec(
+        "field", (0.01, 0.02), FIXED,
+        outputs=frozenset({"breakdown", "oracle"}), oracle_grid=RadialGrid(0.0, 50.0, 100),
+    )
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        run_sweep(spec)
 
 
 def test_geometric_range_builder():
