@@ -4,8 +4,14 @@ Subcommands: potential (radial curves), energy (closed-form breakdown),
 oracle (eigensolver cross-check), sweep (one varying parameter), table1
 (reference-energy regeneration with deviations), figure (datasets behind
 the named figures).  Output is CSV with a self-describing ``#`` comment
-header, or JSON.  Exit codes: 0 success, 2 usage error, 3 numeric
+header, or JSON.  Exit codes: 0 success, 2 usage error (including
+parameters and sweep values outside the model's domain), 3 numeric
 failure, 4 I/O failure.
+
+argparse holds every default.  The entries of a ``--config`` file become
+the chosen subcommand's defaults, so flags still win.  ``oracle`` runs a
+one-value ``field`` sweep with the oracle and overlap outputs through the
+same `run_sweep` as ``sweep``.
 """
 
 import argparse
@@ -17,16 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import (
-    ConvergenceError,
-    GroundStateError,
-    RadialGrid,
-    default_grid,
-    overlap,
-    require_converged,
-    solve_ground_state,
-)
-from .perturbation import total_energy, wavefunction_eval
+from .oracle import ConvergenceError, GroundStateError, RadialGrid, default_grid
+from .perturbation import total_energy
 from .potential import (
     ModelParams,
     PoleProximityError,
@@ -45,10 +43,10 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-_SUBCOMMANDS = ("potential", "energy", "oracle", "sweep", "table1", "figure")
-_PARAM_KEYS = ("z", "lambda_d", "alpha0", "field", "omega", "e0_amp")
-_CONFIG_KEYS = _PARAM_KEYS + (
-    "format", "output", "precision", "grid_rmin", "grid_rmax", "grid_points",
+# a config file's keys are the dests of the flags whose defaults they set
+_CONFIG_KEYS = (
+    "z", "lambda_d", "alpha0", "field", "omega", "e0_amp",
+    "out_format", "output", "precision", "grid_rmin", "grid_rmax", "grid_points",
 )
 
 
@@ -63,17 +61,14 @@ class RunConfig:
     output_format: str = "csv"
     output_path: str | None = None
     precision: int = 7
-    grid: RadialGrid | None = None
     figure_tag: str | None = None
-    sweep_vary: str | None = None
-    sweep_values: tuple = ()
-    sweep_outputs: frozenset = frozenset({"breakdown"})
+    sweep: SweepSpec | None = None
     r_values: tuple = ()
     with_quadrature: bool = False
     quad_nodes: int = 64
 
     def __post_init__(self):
-        if self.subcommand not in _SUBCOMMANDS:
+        if self.subcommand not in _RUNNERS:
             raise ValueError(f"unknown subcommand {self.subcommand!r}")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"output_format must be csv or json, got {self.output_format!r}")
@@ -109,18 +104,19 @@ def _read_config_file(path):
 
 
 def _build_parser():
+    """The top-level parser and its subcommand parsers by name."""
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--config", metavar="PATH", help="key=value file seeding defaults")
-    output.add_argument("--format", choices=("csv", "json"), default=None, dest="out_format")
+    output.add_argument("--format", choices=("csv", "json"), default="csv", dest="out_format")
     output.add_argument("--output", metavar="PATH", default=None, help="write here instead of stdout")
-    output.add_argument("--precision", type=int, default=None, help="printed decimal places (1..17)")
+    output.add_argument("--precision", type=int, default=7, help="printed decimal places (1..17)")
 
     params = argparse.ArgumentParser(add_help=False)
-    params.add_argument("--z", type=float, default=None, help="nuclear charge number")
+    params.add_argument("--z", type=float, default=1.0, help="nuclear charge number")
     params.add_argument("--lambda-d", type=float, default=None, dest="lambda_d",
                         help="Debye screening length (a.u.)")
     params.add_argument("--alpha0", type=float, default=None, help="laser quiver amplitude (a.u.)")
-    params.add_argument("--field", type=float, default=None, help="static field strength (a.u.)")
+    params.add_argument("--field", type=float, default=0.0, help="static field strength (a.u.)")
     params.add_argument("--omega", type=float, default=None,
                         help="laser angular frequency; with --e0-amp derives alpha0")
     params.add_argument("--e0-amp", type=float, default=None, dest="e0_amp",
@@ -167,76 +163,74 @@ def _build_parser():
     p_fig = sub.add_parser("figure", parents=[output], help="figure datasets")
     p_fig.add_argument("--which", choices=FIGURE_TAGS, required=True)
 
-    return parser
+    return parser, sub.choices
 
 
-def _pick(cli_value, config_values, key, default, convert=float):
-    if cli_value is not None:
-        return cli_value
-    if key in config_values:
-        raw = config_values[key]
-        try:
-            return convert(raw)
-        except ValueError as exc:
-            raise UsageError(f"config key {key}: cannot parse {raw!r}") from exc
-    return default
-
-
-def _model_params(ns, config_values):
-    z = _pick(ns.z, config_values, "z", 1.0)
-    lambda_d = _pick(ns.lambda_d, config_values, "lambda_d", None)
-    alpha0 = _pick(ns.alpha0, config_values, "alpha0", None)
-    field = _pick(ns.field, config_values, "field", 0.0)
-    omega = _pick(ns.omega, config_values, "omega", None)
-    e0_amp = _pick(ns.e0_amp, config_values, "e0_amp", None)
-    if lambda_d is None:
+def _model_params(ns):
+    if ns.lambda_d is None:
         raise UsageError("missing required parameter lambda_d (--lambda-d)")
-    if alpha0 is not None and (omega is not None or e0_amp is not None):
+    if ns.alpha0 is not None and (ns.omega is not None or ns.e0_amp is not None):
         raise UsageError(
             "conflicting laser specification: give either --alpha0 or the "
             "pair --omega/--e0-amp, not both"
         )
-    if (omega is None) != (e0_amp is None):
+    if (ns.omega is None) != (ns.e0_amp is None):
         raise UsageError("--omega and --e0-amp must be given together")
-    try:
-        if omega is not None:
-            return ModelParams.from_laser(omega, e0_amp, lambda_d=lambda_d, field=field, z=z)
-        return ModelParams(lambda_d=lambda_d, alpha0=alpha0 or 0.0, field=field, z=z)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if ns.omega is not None:
+        return ModelParams.from_laser(ns.omega, ns.e0_amp, lambda_d=ns.lambda_d,
+                                      field=ns.field, z=ns.z)
+    return ModelParams(lambda_d=ns.lambda_d, alpha0=ns.alpha0 or 0.0, field=ns.field, z=ns.z)
 
 
-def _grid_from(ns, config_values, params):
+def _grid_from(ns, params):
     """Solver box from the grid flags, missing fields taken from default_grid."""
-    rmin = _pick(ns.grid_rmin, config_values, "grid_rmin", None)
-    rmax = _pick(ns.grid_rmax, config_values, "grid_rmax", None)
-    npts = _pick(ns.grid_points, config_values, "grid_points", None, int)
-    if rmin is None and rmax is None and npts is None:
+    if ns.grid_rmin is None and ns.grid_rmax is None and ns.grid_points is None:
         return None
     default = default_grid(params)
-    try:
-        return RadialGrid(
-            default.r_min if rmin is None else rmin,
-            default.r_max if rmax is None else rmax,
-            default.n_points if npts is None else int(npts),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return RadialGrid(
+        default.r_min if ns.grid_rmin is None else ns.grid_rmin,
+        default.r_max if ns.grid_rmax is None else ns.grid_rmax,
+        default.n_points if ns.grid_points is None else ns.grid_points,
+    )
+
+
+def _sweep_values(ns):
+    if ns.values is not None:
+        if ns.start is not None or ns.stop is not None or ns.count is not None:
+            raise UsageError("give --values or --start/--stop/--count, not both")
+        try:
+            return tuple(float(v) for v in ns.values.split(","))
+        except ValueError as exc:
+            raise UsageError(f"cannot parse --values: {exc}") from exc
+    if None in (ns.start, ns.stop, ns.count):
+        raise UsageError("sweep needs --values or all of --start/--stop/--count")
+    space = np.geomspace if ns.geometric else np.linspace
+    return tuple(float(v) for v in space(ns.start, ns.stop, ns.count))
 
 
 def parse_args(argv) -> RunConfig:
     """Parse argv into a validated RunConfig; raises UsageError on bad input."""
-    ns = _build_parser().parse_args(argv)
-    config_values = _read_config_file(ns.config) if getattr(ns, "config", None) else {}
+    parser, subparsers = _build_parser()
+    ns = parser.parse_args(argv)
+    if ns.config is not None:
+        # the file's entries become the subcommand's defaults, which argparse
+        # converts and checks on a second parse
+        subparsers[ns.subcommand].set_defaults(**_read_config_file(ns.config))
+        try:
+            ns = parser.parse_args(argv)
+        except UsageError as exc:
+            raise UsageError(f"{ns.config}: {exc}") from exc
 
-    out_format = _pick(ns.out_format, config_values, "format", "csv", str)
-    output_path = _pick(ns.output, config_values, "output", None, str)
-    precision = _pick(ns.precision, config_values, "precision", 7, int)
-
-    common = dict(output_format=out_format, output_path=output_path, precision=precision)
+    common = dict(output_format=ns.out_format, output_path=ns.output, precision=ns.precision)
     try:
+        if ns.subcommand == "table1":
+            return RunConfig("table1", None, **common)
+        if ns.subcommand == "figure":
+            return RunConfig("figure", None, figure_tag=ns.which, **common)
+        params = _model_params(ns)
+        if ns.subcommand == "energy":
+            return RunConfig("energy", params, **common)
         if ns.subcommand == "potential":
-            params = _model_params(ns, config_values)
             if ns.points < 2:
                 raise UsageError("--points must be >= 2")
             if ns.quad_nodes < 8:
@@ -248,43 +242,19 @@ def parse_args(argv) -> RunConfig:
             return RunConfig("potential", params, r_values=radii,
                              with_quadrature=ns.with_quadrature,
                              quad_nodes=ns.quad_nodes, **common)
-        if ns.subcommand == "energy":
-            return RunConfig("energy", _model_params(ns, config_values), **common)
-        if ns.subcommand == "oracle":
-            params = _model_params(ns, config_values)
-            return RunConfig("oracle", params,
-                             grid=_grid_from(ns, config_values, params), **common)
+        # oracle is the one-value field sweep at the given parameters
+        vary, values, outputs = "field", (params.field,), {"breakdown", "oracle", "overlap"}
         if ns.subcommand == "sweep":
-            params = _model_params(ns, config_values)
-            vary = ns.vary.replace("-", "_")
-            if ns.values is not None:
-                if ns.start is not None or ns.stop is not None or ns.count is not None:
-                    raise UsageError("give --values or --start/--stop/--count, not both")
-                try:
-                    values = tuple(float(v) for v in ns.values.split(","))
-                except ValueError as exc:
-                    raise UsageError(f"cannot parse --values: {exc}") from exc
-            else:
-                if None in (ns.start, ns.stop, ns.count):
-                    raise UsageError("sweep needs --values or all of --start/--stop/--count")
-                space = np.geomspace if ns.geometric else np.linspace
-                values = tuple(float(v) for v in space(ns.start, ns.stop, ns.count))
-            outputs = {"breakdown"}
+            vary, values, outputs = ns.vary.replace("-", "_"), _sweep_values(ns), {"breakdown"}
             if ns.with_oracle or ns.with_overlap:
                 outputs.add("oracle")
             if ns.with_overlap:
                 outputs.add("overlap")
-            return RunConfig("sweep", params, sweep_vary=vary, sweep_values=values,
-                             sweep_outputs=frozenset(outputs),
-                             grid=_grid_from(ns, config_values, params), **common)
-        if ns.subcommand == "table1":
-            params = ModelParams(lambda_d=100.0, alpha0=TABLE1_ALPHA0)
-            return RunConfig("table1", params, **common)
-        if ns.subcommand == "figure":
-            return RunConfig("figure", None, figure_tag=ns.which, **common)
+        spec = SweepSpec(vary, values, params, outputs=frozenset(outputs),
+                         oracle_grid=_grid_from(ns, params))
+        return RunConfig(ns.subcommand, params, sweep=spec, **common)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    raise UsageError(f"unknown subcommand {ns.subcommand!r}")
 
 
 def _fmt(value, precision):
@@ -360,18 +330,18 @@ def _breakdown(b) -> dict:
 
 def _run_potential(config: RunConfig):
     p = config.params
-    coeffs = taylor_coefficients(p)
-    columns = ["r", "screened", "dressed", "effective", "series"]
-    if config.with_quadrature:
-        columns.append("cycle_avg")
-    rows = []
-    for r in config.r_values:
-        dressed = dressed_pair_eval(r, p)
-        row = [r, ecsc_eval(r, p), dressed, dressed + p.field * r, veff_series_eval(r, coeffs)]
-        if config.with_quadrature:
-            row.append(v0_quadrature(r, p, config.quad_nodes))
-        rows.append(tuple(row))
-    _emit(config, _params_header(p), columns, rows)
+    r = np.array(config.r_values)
+    # the quadrature runs first, so radii r <= alpha0 are reported as such
+    # and not as the dressed form's pole at r = alpha0
+    quadrature = v0_quadrature(r, p, config.quad_nodes) if config.with_quadrature else None
+    dressed = dressed_pair_eval(r, p)
+    columns = {"r": r, "screened": ecsc_eval(r, p), "dressed": dressed,
+               "effective": dressed + p.field * r,
+               "series": veff_series_eval(r, taylor_coefficients(p))}
+    if quadrature is not None:
+        columns["cycle_avg"] = quadrature
+    rows = zip(*(column.tolist() for column in columns.values()))
+    _emit(config, _params_header(p), list(columns), rows)
     return EXIT_OK
 
 
@@ -380,43 +350,32 @@ def _run_energy(config: RunConfig):
     return EXIT_OK
 
 
-def _run_oracle(config: RunConfig):
-    p = config.params
-    grid = config.grid if config.grid is not None else default_grid(p)
-    breakdown = total_energy(p)
-    coeffs = taylor_coefficients(p)
-    result = require_converged(
-        solve_ground_state(lambda r: veff_series_eval(r, coeffs), grid, p))
-    _emit_mapping(config, _params_header(p), {
-        **_breakdown(breakdown),
-        "oracle_energy": result.energy,
-        "deviation": breakdown.total - result.energy,
-        "overlap": overlap(result, lambda r: wavefunction_eval(r, p)),
-        "error_estimate": result.error_estimate,
-    })
-    return EXIT_OK
-
-
 def _run_sweep(config: RunConfig):
-    spec = SweepSpec(vary=config.sweep_vary, values=config.sweep_values,
-                     fixed=config.params, outputs=config.sweep_outputs,
-                     oracle_grid=config.grid)
+    """``sweep`` prints one row per value; ``oracle`` the one record of its sweep."""
+    spec = config.sweep
     # optional columns are named after the SweepRow fields that fill them
     extra = []
     if "oracle" in spec.outputs:
         extra += ["oracle_energy", "deviation"]
     if "overlap" in spec.outputs:
         extra.append("overlap")
-    rows = [(row.value, *_breakdown(row.breakdown).values(), *(getattr(row, k) for k in extra))
-            for row in run_sweep(spec)]
-    columns = [config.sweep_vary, *_BREAKDOWN_KEYS, *extra]
-    _emit(config, _params_header(config.params), columns, rows)
+    if config.subcommand == "oracle":
+        extra.append("error_estimate")
+    records = [{spec.vary: row.value, **_breakdown(row.breakdown),
+                **{key: getattr(row, key) for key in extra}} for row in run_sweep(spec)]
+    header = _params_header(config.params)
+    if config.subcommand == "oracle":
+        (record,) = records
+        del record[spec.vary]  # the header already holds the field
+        _emit_mapping(config, header, record)
+    else:
+        _emit(config, header, list(records[0]), [tuple(record.values()) for record in records])
     return EXIT_OK
 
 
 def _run_table1(config: RunConfig):
     table = table1_rows()
-    header = {"z": config.params.z, "alpha0": config.params.alpha0}
+    header = {"z": 1.0, "alpha0": TABLE1_ALPHA0}
     _emit(config, header, list(table[0]), [tuple(row.values()) for row in table])
     return EXIT_OK
 
@@ -432,7 +391,7 @@ def _run_figure(config: RunConfig):
 _RUNNERS = {
     "potential": _run_potential,
     "energy": _run_energy,
-    "oracle": _run_oracle,
+    "oracle": _run_sweep,
     "sweep": _run_sweep,
     "table1": _run_table1,
     "figure": _run_figure,

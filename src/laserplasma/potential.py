@@ -25,6 +25,7 @@ All quantities are in atomic units unless the generic ``mu``, ``hbar``,
 to call concurrently.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,18 +57,18 @@ class ModelParams:
     Parameters
     ----------
     lambda_d : float
-        Debye screening length (a.u., > 0).
+        Debye screening length (a.u., > 0; inf is the unscreened limit).
     alpha0 : float
-        Laser quiver amplitude of a free electron (a.u., >= 0).
+        Laser quiver amplitude of a free electron (a.u., finite, >= 0).
         Instead of giving it directly it can be derived from the laser
         angular frequency and field amplitude via `from_laser`.
     field : float
-        Static electric field strength F (a.u., >= 0), entering as +F r.
+        Static electric field strength F (a.u., finite, >= 0), entering as +F r.
     z : float
-        Nuclear charge number (>= 1).
+        Nuclear charge number (finite, >= 1).
     mu, hbar, e_charge : float
         Effective electron mass, reduced Planck constant and elementary
-        charge.  Defaults of 1 select atomic units.
+        charge (finite, > 0).  Defaults of 1 select atomic units.
     omega, e0_amp : float or None
         Optional laser angular frequency and field amplitude.  They are
         stored for provenance only; all formulas depend on them solely
@@ -85,17 +86,19 @@ class ModelParams:
     e0_amp: float | None = None
 
     def __post_init__(self):
+        # written so that NaN fails every comparison; lambda_d = inf is the
+        # unscreened limit and stays allowed
         if not self.lambda_d > 0:
             raise ValueError(f"lambda_d must be > 0, got {self.lambda_d}")
-        if self.alpha0 < 0:
-            raise ValueError(f"alpha0 must be >= 0, got {self.alpha0}")
-        if self.field < 0:
-            raise ValueError(f"field must be >= 0, got {self.field}")
-        if self.z < 1:
-            raise ValueError(f"z must be >= 1, got {self.z}")
+        if not 0 <= self.alpha0 < math.inf:
+            raise ValueError(f"alpha0 must be finite and >= 0, got {self.alpha0}")
+        if not 0 <= self.field < math.inf:
+            raise ValueError(f"field must be finite and >= 0, got {self.field}")
+        if not 1 <= self.z < math.inf:
+            raise ValueError(f"z must be finite and >= 1, got {self.z}")
         for name in ("mu", "hbar", "e_charge"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
     @classmethod
     def from_laser(cls, omega, e0_amp, **kwargs):
@@ -104,8 +107,8 @@ class ModelParams:
             raise ValueError("give either alpha0 or (omega, e0_amp), not both")
         if not omega > 0:
             raise ValueError(f"omega must be > 0, got {omega}")
-        if e0_amp < 0:
-            raise ValueError(f"e0_amp must be >= 0, got {e0_amp}")
+        if not 0 <= e0_amp < math.inf:
+            raise ValueError(f"e0_amp must be finite and >= 0, got {e0_amp}")
         mu = kwargs.get("mu", 1.0)
         e_charge = kwargs.get("e_charge", 1.0)
         alpha0 = e_charge * e0_amp / (mu * omega**2)

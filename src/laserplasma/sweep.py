@@ -7,7 +7,7 @@ regenerates in milliseconds.  Every figure is one entry of a table that
 names its builder and its parameter axes.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,9 +50,11 @@ class SweepSpec:
     """One varying parameter, explicit values, everything else fixed.
 
     outputs selects the optional columns: "breakdown" is always cheap;
-    "oracle" adds the eigensolver energy and its deviation from the
-    closed-form total; "overlap" additionally compares wavefunctions
-    (requires "oracle").
+    "oracle" adds the eigensolver energy, its deviation from the
+    closed-form total and its error estimate; "overlap" additionally
+    compares wavefunctions (requires "oracle").  Each value's parameters
+    are built and validated here, so a value outside the model's domain
+    fails at construction, naming the value.
     """
 
     vary: str
@@ -60,6 +62,7 @@ class SweepSpec:
     fixed: ModelParams
     outputs: frozenset = frozenset({"breakdown"})
     oracle_grid: RadialGrid | None = None
+    _row_params: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.vary not in _VARY_FIELDS:
@@ -78,14 +81,13 @@ class SweepSpec:
         if "overlap" in self.outputs and "oracle" not in self.outputs:
             raise ValueError('the "overlap" output requires "oracle"')
         object.__setattr__(self, "outputs", frozenset(self.outputs))
+        object.__setattr__(self, "_row_params", tuple(self._params_at(v) for v in values))
 
-    @classmethod
-    def linear(cls, vary, start, stop, count, fixed, **kwargs):
-        return cls(vary, tuple(np.linspace(start, stop, count)), fixed, **kwargs)
-
-    @classmethod
-    def geometric(cls, vary, start, stop, count, fixed, **kwargs):
-        return cls(vary, tuple(np.geomspace(start, stop, count)), fixed, **kwargs)
+    def _params_at(self, value: float) -> ModelParams:
+        try:
+            return replace(self.fixed, **{self.vary: value})
+        except ValueError as exc:
+            raise ValueError(f"sweep value {value!r} for {self.vary}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -95,34 +97,27 @@ class SweepRow:
     oracle_energy: float | None = None
     deviation: float | None = None
     overlap: float | None = None
+    error_estimate: float | None = None
 
 
-def _params_at(spec: SweepSpec, value: float) -> ModelParams:
-    try:
-        return replace(spec.fixed, **{spec.vary: value})
-    except ValueError as exc:
-        raise ValueError(f"sweep value {value!r} for {spec.vary}: {exc}") from exc
-
-
-def _row(spec: SweepSpec, value: float) -> SweepRow:
-    p = _params_at(spec, value)
+def _row(spec: SweepSpec, value: float, p: ModelParams) -> SweepRow:
     breakdown = total_energy(p)
-    oracle_energy = deviation = ov = None
-    if "oracle" in spec.outputs:
-        grid = spec.oracle_grid if spec.oracle_grid is not None else default_grid(p)
-        coeffs = taylor_coefficients(p)
-        result = require_converged(
-            solve_ground_state(lambda r: veff_series_eval(r, coeffs), grid, p))
-        oracle_energy = result.energy
-        deviation = breakdown.total - result.energy
-        if "overlap" in spec.outputs:
-            ov = overlap(result, lambda r: wavefunction_eval(r, p))
+    if "oracle" not in spec.outputs:
+        return SweepRow(value=value, breakdown=breakdown)
+    grid = spec.oracle_grid if spec.oracle_grid is not None else default_grid(p)
+    coeffs = taylor_coefficients(p)
+    result = require_converged(
+        solve_ground_state(lambda r: veff_series_eval(r, coeffs), grid, p))
+    ov = None
+    if "overlap" in spec.outputs:
+        ov = overlap(result, lambda r: wavefunction_eval(r, p))
     return SweepRow(
         value=value,
         breakdown=breakdown,
-        oracle_energy=oracle_energy,
-        deviation=deviation,
+        oracle_energy=result.energy,
+        deviation=breakdown.total - result.energy,
         overlap=ov,
+        error_estimate=result.error_estimate,
     )
 
 
@@ -132,7 +127,7 @@ def run_sweep(spec: SweepSpec):
     Oracle rows pass the same convergence verdict as the ``oracle``
     command: a grid too coarse for them raises `ConvergenceError`.
     """
-    return [_row(spec, v) for v in spec.values]
+    return [_row(spec, v, p) for v, p in zip(spec.values, spec._row_params)]
 
 
 def table1_rows():

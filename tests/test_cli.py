@@ -16,7 +16,14 @@ from laserplasma.cli import (
     parse_args,
 )
 from laserplasma.perturbation import total_energy
-from laserplasma.potential import ModelParams
+from laserplasma.potential import (
+    ModelParams,
+    dressed_pair_eval,
+    ecsc_eval,
+    taylor_coefficients,
+    v0_quadrature,
+    veff_series_eval,
+)
 
 
 def run_cli(capsys, argv):
@@ -42,11 +49,14 @@ def test_parse_energy_flags():
     assert config.precision == 7
 
 
-def test_parse_table1_defaults():
+def test_parse_table1_defaults(capsys):
     config = parse_args(["table1"])
     assert config.subcommand == "table1"
-    assert config.params.z == 1.0
-    assert config.params.alpha0 == 1e-4
+    code, out, _ = run_cli(capsys, ["table1"])
+    assert code == EXIT_OK
+    comments = out.splitlines()
+    assert "# z = 1" in comments
+    assert "# alpha0 = 0.0001" in comments
 
 
 def test_parse_rejects_bad_screening_length():
@@ -93,11 +103,26 @@ def test_config_file_seeds_defaults(tmp_path):
     assert config.params.lambda_d == 7.0
 
 
+def test_config_file_sets_output_and_grid_defaults(tmp_path):
+    cfg = tmp_path / "oracle.cfg"
+    cfg.write_text("lambda-d = 100\nout_format = json\ngrid_rmax = 20\n")
+    config = parse_args(["oracle", "--config", str(cfg)])
+    assert config.output_format == "json"
+    assert config.sweep.oracle_grid.r_max == 20.0
+    assert config.sweep.vary == "field" and config.sweep.values == (0.0,)
+    assert parse_args(["oracle", "--config", str(cfg), "--format", "csv"]).output_format == "csv"
+
+
 def test_config_file_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("zeta = 3\n")
     with pytest.raises(UsageError, match="zeta"):
         parse_args(["energy", "--config", str(cfg), "--lambda-d", "5"])
+    # an unparsable value is reported with the file it came from
+    cfg.write_text("lambda_d = 100\nprecision = abc\n")
+    with pytest.raises(UsageError, match="precision") as err:
+        parse_args(["energy", "--config", str(cfg)])
+    assert str(cfg) in str(err.value) and "abc" in str(err.value)
 
 
 def test_runconfig_validation():
@@ -250,6 +275,22 @@ def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(capsys, ["energy", "--lambda-d", "-3"])
     assert code == EXIT_USAGE
     assert "lambda_d" in err
+    code, out, err = run_cli(capsys, ["energy", "--lambda-d", "5", "--field", "nan"])
+    assert code == EXIT_USAGE
+    assert out == "" and "field must be finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--vary", "field", "--values", "0.03,0.01,0.02", "--lambda-d", "100"],
+    ["--vary", "field", "--values", "0.02,-0.01", "--lambda-d", "100"],
+    ["--vary", "lambda-d", "--values", "0,5", "--lambda-d", "1"],
+    ["--vary", "field", "--start", "0.01", "--stop", "0.01", "--count", "3", "--lambda-d", "100"],
+], ids=["non-monotone", "negative-field", "zero-lambda-d", "empty-range"])
+def test_bad_sweep_values_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, ["sweep", *argv])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error: ")
 
 
 def test_oracle_nonconvergence_exit_code(capsys):
@@ -308,3 +349,23 @@ def test_potential_csv_columns(capsys):
     assert len(rows) == 4
     first = dict(zip(header, map(float, rows[0])))
     assert first["effective"] == pytest.approx(first["dressed"] + 0.01 * first["r"], rel=1e-6)
+
+
+def test_potential_columns_match_scalar_evaluation(capsys):
+    # the table is evaluated column-wise on the radius array; each entry
+    # must equal the library's value at that single radius
+    code, out, _ = run_cli(
+        capsys,
+        ["potential", "--lambda-d", "5", "--alpha0", "0.001", "--field", "0.01",
+         "--points", "7", "--log", "--with-quadrature", "--format", "json"],
+    )
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    p = ModelParams(lambda_d=5.0, alpha0=0.001, field=0.01)
+    coeffs = taylor_coefficients(p)
+    for r, screened, dressed, effective, series, cycle_avg in payload["rows"]:
+        assert screened == pytest.approx(ecsc_eval(r, p), rel=1e-15)
+        assert dressed == pytest.approx(dressed_pair_eval(r, p), rel=1e-15)
+        assert effective == pytest.approx(dressed_pair_eval(r, p) + 0.01 * r, rel=1e-15)
+        assert series == pytest.approx(veff_series_eval(r, coeffs), rel=1e-15)
+        assert cycle_avg == pytest.approx(v0_quadrature(r, p), rel=1e-15)

@@ -26,6 +26,23 @@ def test_params_validation():
         ModelParams(lambda_d=1.0, field=-0.5)
     with pytest.raises(ValueError, match="z"):
         ModelParams(lambda_d=1.0, z=0.5)
+    # NaN and infinity are outside the model's domain too; lambda_d = inf
+    # is the unscreened limit and stays accepted
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="alpha0"):
+            ModelParams(lambda_d=1.0, alpha0=bad)
+        with pytest.raises(ValueError, match="field"):
+            ModelParams(lambda_d=1.0, field=bad)
+        with pytest.raises(ValueError, match="z"):
+            ModelParams(lambda_d=1.0, z=bad)
+        for name in ("mu", "hbar", "e_charge"):
+            with pytest.raises(ValueError, match=name):
+                ModelParams(lambda_d=1.0, **{name: bad})
+    with pytest.raises(ValueError, match="lambda_d"):
+        ModelParams(lambda_d=math.nan)
+    assert ModelParams(lambda_d=math.inf).lambda_d == math.inf
+    with pytest.raises(ValueError, match="e0_amp"):
+        ModelParams.from_laser(omega=2.0, e0_amp=math.nan, lambda_d=1.0)
 
 
 def test_derived_quantities():
