@@ -81,8 +81,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_config_file(path):
-    """key = value pairs, one per line, # comments; returns a dict."""
+def _read_config_file(path, subcommand, dests):
+    """key = value pairs, one per line, # comments, each key one of ``dests``."""
     values = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -99,6 +99,8 @@ def _read_config_file(path):
         key = key.replace("-", "_")
         if key not in _CONFIG_KEYS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key not in dests:
+            raise UsageError(f"{path}:{lineno}: {subcommand} takes no config key {key!r}")
         values[key] = value
     return values
 
@@ -215,7 +217,8 @@ def parse_args(argv) -> RunConfig:
     if ns.config is not None:
         # the file's entries become the subcommand's defaults, which argparse
         # converts and checks on a second parse
-        subparsers[ns.subcommand].set_defaults(**_read_config_file(ns.config))
+        entries = _read_config_file(ns.config, ns.subcommand, vars(ns))
+        subparsers[ns.subcommand].set_defaults(**entries)
         try:
             ns = parser.parse_args(argv)
         except UsageError as exc:

@@ -16,11 +16,11 @@ The first three orders close in elementary functions:
               the paper's Table-1 form of E3        (`total_energy`)
 
 The constant c0 enters the total additively.  `total_energy` turns one
-set of coefficients into all five parts, with the Table-1 third order,
-which reproduces the reference energies.  `superpotential_set` holds the
-W1 slope and W2 scale, and `wavefunction_eval` applies the first- and
-second-order superpotentials from it as a multiplicative correction to
-chi0.
+set of coefficients into all five parts through a plain-float kernel that
+sweeps also call directly, with the Table-1 third order, which reproduces
+the reference energies.  `superpotential_set` holds the W1 slope and W2
+scale; `wavefunction_eval` applies W1 and W2 from it as a multiplicative
+correction to chi0.
 """
 
 import math
@@ -137,23 +137,20 @@ def total_energy(p: ModelParams) -> EnergyBreakdown:
     alpha0 = 1e-4, F = 0.04), so it is wrong at second order in the field.
     `e3_hierarchy` is the consistent third order.
     """
-    energy0, _ = zeroth_order(p)
     c = taylor_coefficients(p)
-    sig = p.decay_rate
-    e2 = (
-        3.0 * c.c2 / sig**2
-        - 3.0 * p.hbar**6 * c.c1**2 / (32.0 * p.mu**3 * p.coulomb_strength**4)
-    )
-    term_cubic = 15.0 * c.c3
-    term_cross = 27.0 * p.mu**2 * c.c1**2 / (4.0 * p.hbar**4 * sig**4)
-    term_mixed = 27.0 * p.mu * c.c1 * c.c2 / (2.0 * p.hbar**2 * sig**2)
-    return EnergyBreakdown(
-        e0=energy0,
-        const_shift=c.c0,
-        e1=1.5 * c.c1 / sig,
-        e2=e2,
-        e3=(term_cubic + term_cross - term_mixed) / (2.0 * sig**3),
-    )
+    return EnergyBreakdown(*_ladder(c.c0, c.c1, c.c2, c.c3, p.coulomb_strength, p.mu, p.hbar))
+
+
+def _ladder(c0, c1, c2, c3, a, mu, hbar):
+    """`total_energy`'s (e0, c0, e1, e2, e3) from plain floats, in its exact
+    operation order, so callers that build no ModelParams get the same bits."""
+    sig = 2.0 * mu * a / hbar**2
+    e2 = 3.0 * c2 / sig**2 - 3.0 * hbar**6 * c1**2 / (32.0 * mu**3 * a**4)
+    term_cubic = 15.0 * c3
+    term_cross = 27.0 * mu**2 * c1**2 / (4.0 * hbar**4 * sig**4)
+    term_mixed = 27.0 * mu * c1 * c2 / (2.0 * hbar**2 * sig**2)
+    e3 = (term_cubic + term_cross - term_mixed) / (2.0 * sig**3)
+    return -sig * a, c0, 1.5 * c1 / sig, e2, e3
 
 
 def superpotential_set(p: ModelParams) -> SuperpotentialSet:

@@ -247,16 +247,10 @@ def v0_quadrature(r, p: ModelParams, n_nodes: int = 64):
     return float(out) if scalar else out
 
 
-def taylor_coefficients(p: ModelParams) -> EffectiveCoefficients:
-    """Small-r expansion coefficients of the dressed potential plus field term.
-
-    The expansion is joint in r and alpha0: the Coulomb pole keeps its
-    undressed strength -2A while the analytic remainder is expanded
-    through r^3 and alpha0^8.  The static field contributes F to c1.
-    """
-    a = p.coulomb_strength
-    lam = p.lambda_d
-    a2 = p.alpha0**2
+def _coefficients(a, lambda_d, alpha0, field):
+    """(c_m1, c0, c1, c2, c3) as plain floats for coupling A = a."""
+    lam = lambda_d
+    a2 = alpha0**2
     a4 = a2 * a2
     a6 = a4 * a2
     a8 = a4 * a4
@@ -267,7 +261,7 @@ def taylor_coefficients(p: ModelParams) -> EffectiveCoefficients:
         - 2.0 * a * a2 / (3.0 * lam**3)
         + 2.0 * a / lam
     )
-    c1 = p.field - a * a6 / (180.0 * lam**8) + a * a2 / lam**4
+    c1 = field - a * a6 / (180.0 * lam**8) + a * a2 / lam**4
     c2 = (
         -a * a8 / (13860.0 * lam**11)
         + a * a6 / (405.0 * lam**9)
@@ -276,7 +270,17 @@ def taylor_coefficients(p: ModelParams) -> EffectiveCoefficients:
         - 2.0 * a / (3.0 * lam**3)
     )
     c3 = a * a8 / (22680.0 * lam**12) - a * a4 / (36.0 * lam**8) + a / (3.0 * lam**4)
-    return EffectiveCoefficients(c_m1=-2.0 * a, c0=c0, c1=c1, c2=c2, c3=c3)
+    return -2.0 * a, c0, c1, c2, c3
+
+
+def taylor_coefficients(p: ModelParams) -> EffectiveCoefficients:
+    """Small-r expansion coefficients of the dressed potential plus field term.
+
+    The expansion is joint in r and alpha0: the Coulomb pole keeps its
+    undressed strength -2A while the analytic remainder is expanded
+    through r^3 and alpha0^8.  The static field contributes F to c1.
+    """
+    return EffectiveCoefficients(*_coefficients(p.coulomb_strength, p.lambda_d, p.alpha0, p.field))
 
 
 def veff_series_eval(r, c: EffectiveCoefficients):

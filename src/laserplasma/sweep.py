@@ -1,19 +1,20 @@
 """Parameter sweeps and the datasets behind the reference table and figures.
 
-Rows are a pure function of the sweep specification and are evaluated in
-input order, so reruns are byte-identical.  Oracle columns are opt-in
-because the eigensolver dominates runtime; the closed-form table
-regenerates in milliseconds.  Every figure is one entry of a table that
-names its builder and its parameter axes.
+Rows are a pure function of the sweep specification, evaluated in input
+order, so reruns are byte-identical.  Breakdown rows, the table and the
+energy figures feed plain floats to the closed-form kernel, with no
+ModelParams per point; opt-in oracle rows build theirs.  Every figure is
+one entry of a table that names its builder and its parameter axes.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .oracle import RadialGrid, default_grid, overlap, require_converged, solve_ground_state
-from .perturbation import EnergyBreakdown, total_energy, wavefunction_eval
-from .potential import ModelParams, dressed_pair_eval, taylor_coefficients, veff_series_eval
+from .perturbation import EnergyBreakdown, _ladder, total_energy, wavefunction_eval
+from .potential import (ModelParams, _coefficients, dressed_pair_eval, taylor_coefficients,
+                        veff_series_eval)
 
 __all__ = [
     "SweepSpec",
@@ -52,9 +53,9 @@ class SweepSpec:
     outputs selects the optional columns: "breakdown" is always cheap;
     "oracle" adds the eigensolver energy, its deviation from the
     closed-form total and its error estimate; "overlap" additionally
-    compares wavefunctions (requires "oracle").  Each value's parameters
-    are built and validated here, so a value outside the model's domain
-    fails at construction, naming the value.
+    compares wavefunctions (requires "oracle").  The values are checked
+    against the model's domain here, so a bad value fails at
+    construction, naming the first one in input order.
     """
 
     vary: str
@@ -62,7 +63,6 @@ class SweepSpec:
     fixed: ModelParams
     outputs: frozenset = frozenset({"breakdown"})
     oracle_grid: RadialGrid | None = None
-    _row_params: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.vary not in _VARY_FIELDS:
@@ -81,7 +81,15 @@ class SweepSpec:
         if "overlap" in self.outputs and "oracle" not in self.outputs:
             raise ValueError('the "overlap" output requires "oracle"')
         object.__setattr__(self, "outputs", frozenset(self.outputs))
-        object.__setattr__(self, "_row_params", tuple(self._params_at(v) for v in values))
+        if self.vary == "alpha0" and self.fixed.omega is not None:
+            raise ValueError("an alpha0 sweep cannot keep omega and e0_amp, which fix alpha0")
+        # the values are strictly monotone and every domain is an interval,
+        # so valid endpoints make every value valid
+        try:
+            self._params_at(values[0]), self._params_at(values[-1])
+        except ValueError:
+            for value in values:
+                self._params_at(value)
 
     def _params_at(self, value: float) -> ModelParams:
         try:
@@ -100,25 +108,26 @@ class SweepRow:
     error_estimate: float | None = None
 
 
-def _row(spec: SweepSpec, value: float, p: ModelParams) -> SweepRow:
+def _breakdowns(fixed: ModelParams, vary: str, values):
+    """total_energy(replace(fixed, **{vary: v})) per value, bit for bit, with no ModelParams."""
+    args = {"lambda_d": fixed.lambda_d, "alpha0": fixed.alpha0, "field": fixed.field}
+    a, mu, hbar = fixed.coulomb_strength, fixed.mu, fixed.hbar
+    for value in values:
+        args[vary] = value
+        yield EnergyBreakdown(*_ladder(*_coefficients(a, **args)[1:], a, mu, hbar))
+
+
+def _oracle_row(spec: SweepSpec, value: float) -> SweepRow:
+    p = spec._params_at(value)
     breakdown = total_energy(p)
-    if "oracle" not in spec.outputs:
-        return SweepRow(value=value, breakdown=breakdown)
     grid = spec.oracle_grid if spec.oracle_grid is not None else default_grid(p)
     coeffs = taylor_coefficients(p)
     result = require_converged(
         solve_ground_state(lambda r: veff_series_eval(r, coeffs), grid, p))
-    ov = None
-    if "overlap" in spec.outputs:
-        ov = overlap(result, lambda r: wavefunction_eval(r, p))
-    return SweepRow(
-        value=value,
-        breakdown=breakdown,
-        oracle_energy=result.energy,
-        deviation=breakdown.total - result.energy,
-        overlap=ov,
-        error_estimate=result.error_estimate,
-    )
+    ov = overlap(result, lambda r: wavefunction_eval(r, p)) if "overlap" in spec.outputs else None
+    return SweepRow(value=value, breakdown=breakdown, oracle_energy=result.energy,
+                    deviation=breakdown.total - result.energy, overlap=ov,
+                    error_estimate=result.error_estimate)
 
 
 def run_sweep(spec: SweepSpec):
@@ -127,7 +136,10 @@ def run_sweep(spec: SweepSpec):
     Oracle rows pass the same convergence verdict as the ``oracle``
     command: a grid too coarse for them raises `ConvergenceError`.
     """
-    return [_row(spec, v, p) for v, p in zip(spec.values, spec._row_params)]
+    if "oracle" in spec.outputs:
+        return [_oracle_row(spec, v) for v in spec.values]
+    breakdowns = _breakdowns(spec.fixed, spec.vary, spec.values)
+    return [SweepRow(value=v, breakdown=b) for v, b in zip(spec.values, breakdowns)]
 
 
 def table1_rows():
@@ -143,10 +155,9 @@ def table1_rows():
         ("field", field_fixed, TABLE1_FIELD_VALUES, TABLE1_FIELD_ENERGIES),
         ("lambda_d", lam_fixed, TABLE1_LAMBDA_VALUES, TABLE1_LAMBDA_ENERGIES),
     ):
-        for value, ref in zip(values, refs):
-            total = total_energy(replace(fixed, **{vary: value})).total
-            rows.append({"vary": vary, "value": value, "total": total,
-                         "reference": ref, "deviation": total - ref})
+        for value, ref, b in zip(values, refs, _breakdowns(fixed, vary, values)):
+            rows.append({"vary": vary, "value": value, "total": b.total,
+                         "reference": ref, "deviation": b.total - ref})
     return rows
 
 
@@ -226,9 +237,9 @@ def _energy_figure(tag, fixed, outer, x, about, remark=""):
     (outer_name, outer_values), (x_name, x_values) = outer, x
     rows = []
     for o in outer_values:
-        for v in x_values:
-            p = ModelParams(**fixed, **{outer_name: o, x_name: v})
-            rows.append((f"{_short(outer_name)}={o:g}", float(v), total_energy(p).total))
+        curve = ModelParams(**fixed, **{outer_name: o, x_name: x_values[0]})
+        for v, b in zip(x_values, _breakdowns(curve, x_name, x_values)):
+            rows.append((f"{_short(outer_name)}={o:g}", float(v), b.total))
     at = ", ".join(f"{name}={value:g}" for name, value in fixed.items())
     note = f"energy vs {about} at {at}; {_short(outer_name)} in {outer_values}"
     if remark:

@@ -125,6 +125,20 @@ def test_config_file_rejects_unknown_key(tmp_path):
     assert str(cfg) in str(err.value) and "abc" in str(err.value)
 
 
+@pytest.mark.parametrize("argv, entry, key", [
+    (["energy", "--lambda-d", "5"], "grid_points = abc", "grid_points"),
+    (["table1"], "z = 2", "z"),
+], ids=["energy-grid-points", "table1-z"])
+def test_config_file_rejects_key_the_subcommand_does_not_take(tmp_path, capsys, argv, entry, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(entry + "\n")
+    with pytest.raises(UsageError) as err:
+        parse_args([*argv, "--config", str(cfg)])
+    assert str(cfg) in str(err.value) and repr(key) in str(err.value)
+    code, out, err = run_cli(capsys, [*argv, "--config", str(cfg)])
+    assert code == EXIT_USAGE and out == "" and err.startswith("usage error: ")
+
+
 def test_runconfig_validation():
     with pytest.raises(ValueError):
         RunConfig("bogus", None)
@@ -291,6 +305,15 @@ def test_bad_sweep_values_are_usage_errors(capsys, argv):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("usage error: ")
+
+
+def test_alpha0_sweep_with_laser_pair_is_usage_error(capsys):
+    # omega and e0_amp fix alpha0, so the header would contradict the rows
+    code, out, err = run_cli(capsys, ["sweep", "--vary", "alpha0", "--values", "0.001,0.002",
+                                      "--lambda-d", "5", "--omega", "2", "--e0-amp", "1"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error: ") and "omega" in err
 
 
 def test_oracle_nonconvergence_exit_code(capsys):

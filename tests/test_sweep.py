@@ -1,3 +1,7 @@
+import math
+import random
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,7 @@ from laserplasma.oracle import ConvergenceError, RadialGrid
 from laserplasma.perturbation import total_energy
 from laserplasma.potential import ModelParams
 from laserplasma.sweep import (
+    _FIGURES,
     FIGURE_TAGS,
     SweepSpec,
     TABLE1_FIELD_ENERGIES,
@@ -67,6 +72,49 @@ def test_invalid_value_aborts_with_named_value():
         run_sweep(SweepSpec("lambda_d", (-3.0,), FIXED))
     assert "lambda_d" in str(err.value)
     assert "-3" in str(err.value)
+
+
+def test_first_bad_value_in_input_order_is_named():
+    # the last value fails first at the endpoints, but -0.01 comes before it
+    with pytest.raises(ValueError, match=r"sweep value -0\.01 for field"):
+        SweepSpec("field", (0.02, -0.01, -0.03), FIXED)
+
+
+def test_alpha0_sweep_rejects_laser_pair():
+    fixed = ModelParams.from_laser(2.0, 1.0, lambda_d=5.0)
+    with pytest.raises(ValueError, match="omega"):
+        SweepSpec("alpha0", (0.001, 0.002), fixed)
+    assert len(run_sweep(SweepSpec("field", (0.001, 0.002), fixed))) == 2
+
+
+def test_breakdown_rows_are_bit_identical_to_total_energy():
+    rng = random.Random(7)
+    points = 0
+    for case in range(60):
+        vary = ("field", "lambda_d", "alpha0")[case % 3]
+        fixed = ModelParams(
+            lambda_d=math.inf if case % 5 == 0 else rng.uniform(2.0, 200.0),
+            alpha0=rng.uniform(0.0, 0.05), field=rng.uniform(0.0, 0.1),
+            z=rng.choice((1.0, 2.0)), mu=rng.choice((1.0, 0.75)), hbar=rng.choice((1.0, 1.5)),
+        )
+        lo, hi = {"field": (0.0, 0.1), "lambda_d": (2.0, 200.0), "alpha0": (0.0, 0.05)}[vary]
+        values = sorted({rng.uniform(lo, hi) for _ in range(10)})
+        if vary == "lambda_d" and case % 2:
+            values.append(math.inf)
+        spec = SweepSpec(vary, values, fixed)
+        for value, row in zip(values, run_sweep(spec), strict=True):
+            assert row.value == value
+            assert row.breakdown == total_energy(replace(fixed, **{vary: value}))
+            points += 1
+    assert points >= 500
+
+
+def test_energy_figures_are_bit_identical_to_total_energy():
+    for tag in ("fig2a", "fig2b", "fig2c", "fig2d"):
+        _, fixed, (outer_name, outer_values), (x_name, x_values), *_ = _FIGURES[tag]
+        expected = [total_energy(ModelParams(**fixed, **{outer_name: o, x_name: v})).total
+                    for o in outer_values for v in x_values]
+        assert [energy for _, _, energy in figure_dataset(tag).rows] == expected
 
 
 def test_rerun_identical():
