@@ -9,9 +9,10 @@ parameters and sweep values outside the model's domain), 3 numeric
 failure, 4 I/O failure.
 
 argparse holds every default.  The entries of a ``--config`` file become
-the chosen subcommand's defaults, so flags still win.  ``oracle`` runs a
-one-value ``field`` sweep with the oracle and overlap outputs through the
-same `run_sweep` as ``sweep``.
+the chosen subcommand's defaults, so flags still win.  ``energy`` and
+``oracle`` are one-value ``field`` sweeps at the given parameters through
+the same `run_sweep` as ``sweep``; ``oracle`` adds the oracle and overlap
+outputs.
 """
 
 import argparse
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracle import ConvergenceError, GroundStateError, RadialGrid, default_grid
-from .perturbation import total_energy
 from .potential import (
     ModelParams,
     PoleProximityError,
@@ -74,6 +74,11 @@ class RunConfig:
             raise ValueError(f"output_format must be csv or json, got {self.output_format!r}")
         if not 1 <= self.precision <= 17:
             raise ValueError(f"precision must be in [1, 17], got {self.precision}")
+        if self.sweep is None and self.subcommand in ("energy", "oracle", "sweep"):
+            if self.subcommand != "energy" or self.params is None:
+                raise ValueError(f"{self.subcommand} needs a sweep spec")
+            spec = SweepSpec("field", (self.params.field,), self.params)
+            object.__setattr__(self, "sweep", spec)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -261,8 +266,6 @@ def parse_args(argv) -> RunConfig:
 
 
 def _fmt(value, precision):
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         # below the fixed-point resolution, switch to scientific notation so
         # small deviations stay distinguishable from zero
@@ -272,9 +275,7 @@ def _fmt(value, precision):
     return str(value)
 
 
-def _params_header(p: ModelParams | None):
-    if p is None:
-        return {}
+def _params_header(p: ModelParams):
     header = {"z": p.z, "lambda_d": p.lambda_d, "alpha0": p.alpha0, "field": p.field,
               "mu": p.mu, "hbar": p.hbar, "e_charge": p.e_charge}
     if p.omega is not None:
@@ -299,8 +300,7 @@ def _emit(config: RunConfig, header: dict, columns, rows):
         buf.write(f"# laserplasma {config.subcommand}\n")
         for key, value in header.items():
             buf.write(f"# {key} = {value!r}\n" if isinstance(value, str)
-                      else f"# {key} = {value:.17g}\n" if isinstance(value, float)
-                      else f"# {key} = {value}\n")
+                      else f"# {key} = {value:.17g}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
@@ -314,21 +314,8 @@ def _emit(config: RunConfig, header: dict, columns, rows):
     _write(config, text)
 
 
-def _emit_mapping(config: RunConfig, header: dict, mapping: dict):
-    """Single-record output: one CSV row or a flat JSON object."""
-    if config.output_format == "json":
-        payload = {"subcommand": config.subcommand, "params": header, **mapping}
-        _write(config, json.dumps(payload, indent=2) + "\n")
-    else:
-        _emit(config, header, list(mapping.keys()), [tuple(mapping.values())])
-
-
+# the additive energy parts and their total, in output column order
 _BREAKDOWN_KEYS = ("e0", "const_shift", "e1", "e2", "e3", "total")
-
-
-def _breakdown(b) -> dict:
-    """The additive energy parts and their total, in output column order."""
-    return {key: getattr(b, key) for key in _BREAKDOWN_KEYS}
 
 
 def _run_potential(config: RunConfig):
@@ -348,13 +335,9 @@ def _run_potential(config: RunConfig):
     return EXIT_OK
 
 
-def _run_energy(config: RunConfig):
-    _emit_mapping(config, _params_header(config.params), _breakdown(total_energy(config.params)))
-    return EXIT_OK
-
-
 def _run_sweep(config: RunConfig):
-    """``sweep`` prints one row per value; ``oracle`` the one record of its sweep."""
+    """``sweep`` prints one row per value; ``energy`` and ``oracle`` print
+    the one record of their sweep, as a CSV row or a flat JSON object."""
     spec = config.sweep
     # optional columns are named after the SweepRow fields that fill them
     extra = []
@@ -364,15 +347,17 @@ def _run_sweep(config: RunConfig):
         extra.append("overlap")
     if config.subcommand == "oracle":
         extra.append("error_estimate")
-    records = [{spec.vary: row.value, **_breakdown(row.breakdown),
-                **{key: getattr(row, key) for key in extra}} for row in run_sweep(spec)]
+    records = [{spec.vary: row.value, **{k: getattr(row.breakdown, k) for k in _BREAKDOWN_KEYS},
+                **{k: getattr(row, k) for k in extra}} for row in run_sweep(spec)]
     header = _params_header(config.params)
-    if config.subcommand == "oracle":
+    if config.subcommand != "sweep":
         (record,) = records
         del record[spec.vary]  # the header already holds the field
-        _emit_mapping(config, header, record)
-    else:
-        _emit(config, header, list(records[0]), [tuple(record.values()) for record in records])
+        if config.output_format == "json":
+            payload = {"subcommand": config.subcommand, "params": header, **record}
+            _write(config, json.dumps(payload, indent=2) + "\n")
+            return EXIT_OK
+    _emit(config, header, list(records[0]), [tuple(record.values()) for record in records])
     return EXIT_OK
 
 
@@ -393,7 +378,7 @@ def _run_figure(config: RunConfig):
 
 _RUNNERS = {
     "potential": _run_potential,
-    "energy": _run_energy,
+    "energy": _run_sweep,
     "oracle": _run_sweep,
     "sweep": _run_sweep,
     "table1": _run_table1,

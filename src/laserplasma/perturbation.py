@@ -16,11 +16,12 @@ The first three orders close in elementary functions:
               the paper's Table-1 form of E3        (`total_energy`)
 
 The constant c0 enters the total additively.  `total_energy` turns one
-set of coefficients into all five parts through a plain-float kernel that
-sweeps also call directly, with the Table-1 third order, which reproduces
-the reference energies.  `superpotential_set` holds the W1 slope and W2
-scale; `wavefunction_eval` applies W1 and W2 from it as a multiplicative
-correction to chi0.
+set of coefficients into all five parts through a plain-float kernel,
+with the Table-1 third order, which reproduces the reference energies;
+`_breakdowns` runs the same kernel over one varying parameter, so every
+printed energy comes from here.  `superpotential_set` holds the W1 slope
+and W2 scale; `wavefunction_eval` applies W1 and W2 from it as a
+multiplicative correction to chi0.
 """
 
 import math
@@ -29,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .potential import ModelParams, taylor_coefficients
+from .potential import ModelParams, _coefficients, taylor_coefficients
 
 __all__ = [
     "EnergyBreakdown",
@@ -76,6 +77,16 @@ class SuperpotentialSet:
     w2_scale: float
 
 
+def _radial(f):
+    """f applied to r as a float array: a float for a scalar r, else the array."""
+
+    def evaluate(r):
+        out = f(np.asarray(r, dtype=float))
+        return float(out) if out.ndim == 0 else out
+
+    return evaluate
+
+
 def _s_factor(p: ModelParams) -> float:
     # hbar / sqrt(2 mu): the unit that converts -u'/u into a superpotential
     return p.hbar / math.sqrt(2.0 * p.mu)
@@ -93,12 +104,7 @@ def zeroth_order(p: ModelParams):
     sig = p.decay_rate
     energy = -sig * p.coulomb_strength
     norm = 2.0 * sig**1.5
-
-    def chi0(r):
-        r = np.asarray(r, dtype=float)
-        out = norm * r * np.exp(-sig * r)
-        return float(out) if out.ndim == 0 else out
-
+    chi0 = _radial(lambda r: norm * r * np.exp(-sig * r))
     return energy, chi0
 
 
@@ -153,16 +159,21 @@ def _ladder(c0, c1, c2, c3, a, mu, hbar):
     return -sig * a, c0, 1.5 * c1 / sig, e2, e3
 
 
+def _breakdowns(fixed: ModelParams, vary: str, values):
+    """total_energy(replace(fixed, **{vary: v})) per value, bit for bit, with no ModelParams."""
+    args = {"lambda_d": fixed.lambda_d, "alpha0": fixed.alpha0, "field": fixed.field}
+    a, mu, hbar = fixed.coulomb_strength, fixed.mu, fixed.hbar
+    for value in values:
+        args[vary] = value
+        yield EnergyBreakdown(*_ladder(*_coefficients(a, **args)[1:], a, mu, hbar))
+
+
 def superpotential_set(p: ModelParams) -> SuperpotentialSet:
     """All three superpotential profiles with their analytic coefficients."""
     c = taylor_coefficients(p)
     s = _s_factor(p)
     a = p.coulomb_strength
-
-    def w0(r):
-        r = np.asarray(r, dtype=float)
-        out = -s / r + a / s
-        return float(out) if out.ndim == 0 else out
+    w0 = _radial(lambda r: -s / r + a / s)
 
     sig = p.decay_rate
     # W1 = slope * r solves 2 W0 W1 - (hbar/sqrt(2 mu)) W1' = c1 r - E1, and
@@ -171,17 +182,8 @@ def superpotential_set(p: ModelParams) -> SuperpotentialSet:
     slope = c.c1 / (2.0 * sig * s)
     scale = c.c2 / (2.0 * sig * s) - c.c1**2 / (8.0 * sig**3 * s**3)
     two_over_sig = 2.0 / sig
-
-    def w1(r):
-        r = np.asarray(r, dtype=float)
-        out = slope * r
-        return float(out) if out.ndim == 0 else out
-
-    def w2(r):
-        r = np.asarray(r, dtype=float)
-        out = scale * r * (r + two_over_sig)
-        return float(out) if out.ndim == 0 else out
-
+    w1 = _radial(lambda r: slope * r)
+    w2 = _radial(lambda r: scale * r * (r + two_over_sig))
     return SuperpotentialSet(w0=w0, w1=w1, w2=w2, w1_slope=slope, w2_scale=scale)
 
 

@@ -1,10 +1,12 @@
 """Parameter sweeps and the datasets behind the reference table and figures.
 
 Rows are a pure function of the sweep specification, evaluated in input
-order, so reruns are byte-identical.  Breakdown rows, the table and the
-energy figures feed plain floats to the closed-form kernel, with no
-ModelParams per point; opt-in oracle rows build theirs.  Every figure is
-one entry of a table that names its builder and its parameter axes.
+order, so reruns are byte-identical.  Every row, the table and the
+energy figures take their breakdowns from `perturbation`'s plain-float
+kernel, with no ModelParams per point; opt-in oracle rows build one for
+the solver and add its fields.  The CLI's ``energy`` and ``oracle`` are
+one-value ``field`` sweeps.  Every figure is one entry of a table that
+names its builder and its parameter axes.
 """
 
 from dataclasses import dataclass, replace
@@ -12,9 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .oracle import RadialGrid, default_grid, overlap, require_converged, solve_ground_state
-from .perturbation import EnergyBreakdown, _ladder, total_energy, wavefunction_eval
-from .potential import (ModelParams, _coefficients, dressed_pair_eval, taylor_coefficients,
-                        veff_series_eval)
+from .perturbation import EnergyBreakdown, _breakdowns, wavefunction_eval
+from .potential import ModelParams, dressed_pair_eval, taylor_coefficients, veff_series_eval
 
 __all__ = [
     "SweepSpec",
@@ -108,18 +109,8 @@ class SweepRow:
     error_estimate: float | None = None
 
 
-def _breakdowns(fixed: ModelParams, vary: str, values):
-    """total_energy(replace(fixed, **{vary: v})) per value, bit for bit, with no ModelParams."""
-    args = {"lambda_d": fixed.lambda_d, "alpha0": fixed.alpha0, "field": fixed.field}
-    a, mu, hbar = fixed.coulomb_strength, fixed.mu, fixed.hbar
-    for value in values:
-        args[vary] = value
-        yield EnergyBreakdown(*_ladder(*_coefficients(a, **args)[1:], a, mu, hbar))
-
-
-def _oracle_row(spec: SweepSpec, value: float) -> SweepRow:
+def _oracle_row(spec: SweepSpec, value: float, breakdown: EnergyBreakdown) -> SweepRow:
     p = spec._params_at(value)
-    breakdown = total_energy(p)
     grid = spec.oracle_grid if spec.oracle_grid is not None else default_grid(p)
     coeffs = taylor_coefficients(p)
     result = require_converged(
@@ -136,10 +127,10 @@ def run_sweep(spec: SweepSpec):
     Oracle rows pass the same convergence verdict as the ``oracle``
     command: a grid too coarse for them raises `ConvergenceError`.
     """
+    pairs = zip(spec.values, _breakdowns(spec.fixed, spec.vary, spec.values))
     if "oracle" in spec.outputs:
-        return [_oracle_row(spec, v) for v in spec.values]
-    breakdowns = _breakdowns(spec.fixed, spec.vary, spec.values)
-    return [SweepRow(value=v, breakdown=b) for v, b in zip(spec.values, breakdowns)]
+        return [_oracle_row(spec, v, b) for v, b in pairs]
+    return [SweepRow(value=v, breakdown=b) for v, b in pairs]
 
 
 def table1_rows():
@@ -185,7 +176,7 @@ _FIG1C_FIELDS = (0.1, 10.0)
 _FIG1C_LAMBDAS = (1.0, 100.0)
 _FIG1_ALPHA0 = 1e-3
 _FIG2AB_FIELD_AXIS = ("field", (0.0001, 0.001, 0.01))
-_FIG2AB_ALPHA_AXIS = ("alpha0", np.linspace(0.0, 0.5, 51))
+_FIG2AB_ALPHA_AXIS = ("alpha0", tuple(np.linspace(0.0, 0.5, 51).tolist()))
 _FIG2_ALPHA0 = 1e-4
 _SHORT_NAMES = {"field": "F"}
 
@@ -238,8 +229,9 @@ def _energy_figure(tag, fixed, outer, x, about, remark=""):
     rows = []
     for o in outer_values:
         curve = ModelParams(**fixed, **{outer_name: o, x_name: x_values[0]})
-        for v, b in zip(x_values, _breakdowns(curve, x_name, x_values)):
-            rows.append((f"{_short(outer_name)}={o:g}", float(v), b.total))
+        label = f"{_short(outer_name)}={o:g}"
+        breakdowns = _breakdowns(curve, x_name, x_values)
+        rows.extend((label, v, b.total) for v, b in zip(x_values, breakdowns))
     at = ", ".join(f"{name}={value:g}" for name, value in fixed.items())
     note = f"energy vs {about} at {at}; {_short(outer_name)} in {outer_values}"
     if remark:
@@ -257,9 +249,9 @@ _FIGURES = {
     "fig2b": (_energy_figure, {"lambda_d": 4.0}, _FIG2AB_FIELD_AXIS,
               _FIG2AB_ALPHA_AXIS, "quiver amplitude"),
     "fig2c": (_energy_figure, {"alpha0": _FIG2_ALPHA0}, ("lambda_d", (5.0, 10.0, 50.0, 100.0)),
-              ("field", np.geomspace(1e-4, 4e-2, 25)), "static field"),
+              ("field", tuple(np.geomspace(1e-4, 4e-2, 25).tolist())), "static field"),
     "fig2d": (_energy_figure, {"alpha0": _FIG2_ALPHA0}, ("field", (0.0001, 0.001, 0.01, 0.04)),
-              ("lambda_d", np.linspace(2.0, 100.0, 50)), "screening length",
+              ("lambda_d", tuple(np.linspace(2.0, 100.0, 50).tolist())), "screening length",
               "curves flatten beyond lambda_d ~ 25"),
 }
 

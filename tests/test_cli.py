@@ -14,6 +14,7 @@ from laserplasma.cli import (
     UsageError,
     main,
     parse_args,
+    run,
 )
 from laserplasma.perturbation import total_energy
 from laserplasma.potential import (
@@ -144,6 +145,22 @@ def test_runconfig_validation():
         RunConfig("bogus", None)
     with pytest.raises(ValueError):
         RunConfig("energy", None, output_format="xml")
+
+
+@pytest.mark.parametrize("subcommand", ["energy", "oracle", "sweep"])
+def test_runconfig_without_sweep_spec(capsys, subcommand):
+    p = ModelParams(lambda_d=5.0, omega=2.0, e0_amp=1.0, alpha0=0.25, field=0.002)
+    if subcommand != "energy":
+        # values and outputs cannot be guessed, so construction refuses
+        with pytest.raises(ValueError, match="sweep spec"):
+            RunConfig(subcommand, p)
+        return
+    # energy derives its one-value field sweep and prints what the CLI prints
+    assert run(RunConfig("energy", p, precision=17)) == EXIT_OK
+    hand_built = capsys.readouterr().out
+    code, out, _ = run_cli(capsys, ["energy", "--lambda-d", "5", "--omega", "2", "--e0-amp", "1",
+                                    "--field", "0.002", "--precision", "17"])
+    assert code == EXIT_OK and hand_built == out
 
 
 def test_energy_csv_output_and_roundtrip(capsys):
@@ -305,6 +322,27 @@ def test_bad_sweep_values_are_usage_errors(capsys, argv):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("argv, config_text, message", [
+    (["energy", "--lambda-d", "5", "--config", "CFG"], None, "cannot read config file"),
+    (["energy", "--config", "CFG"], "lambda_d 5\n", "expected 'key = value'"),
+    (["sweep", "--vary", "field", "--values", "0.1,abc", "--lambda-d", "5"], None,
+     "cannot parse --values"),
+    (["potential", "--lambda-d", "5", "--points", "1"], None, "--points must be >= 2"),
+    (["potential", "--lambda-d", "5", "--r-min", "5", "--r-max", "1"], None,
+     "need 0 < --r-min < --r-max"),
+], ids=["unreadable-config", "config-line-without-equals", "unparsable-values",
+        "one-point", "reversed-radii"])
+def test_input_errors_are_usage_errors(tmp_path, capsys, argv, config_text, message):
+    # CFG names a config file, written only when the case gives its text
+    cfg = tmp_path / "run.cfg"
+    if config_text is not None:
+        cfg.write_text(config_text)
+    code, out, err = run_cli(capsys, [str(cfg) if arg == "CFG" else arg for arg in argv])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error: ") and message in err
 
 
 def test_alpha0_sweep_with_laser_pair_is_usage_error(capsys):

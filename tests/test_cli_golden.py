@@ -1,12 +1,13 @@
-"""Byte-identity pins for the CLI's CSV output.
+"""Byte-identity pins for the CLI's CSV output, and one JSON case.
 
 Each digest is the SHA-256 of the CSV that ``laserplasma figure --which
 <tag>`` or ``laserplasma table1`` prints at the default precision, or
 that ``energy`` and ``sweep`` print at ``--precision 17``, which pins
-every breakdown column bit for bit.  The ``oracle``, ``sweep
---with-overlap`` and ``potential --with-quadrature`` cases are pinned at
-the default precision only: LAPACK and numpy's SIMD exp/cos may differ in
-the last bits between builds.
+every breakdown column bit for bit.  One ``energy --format json`` case
+pins the single-record JSON object, whose floats print in full.  The
+``oracle``, ``sweep --with-overlap`` and ``potential --with-quadrature``
+cases are pinned at the default precision only: LAPACK and numpy's SIMD
+exp/cos may differ in the last bits between builds.
 Refactors of the sweep and CLI layers must keep these bytes unchanged; a
 deliberate change of output has to update the digest and say why.
 """
@@ -30,6 +31,10 @@ GOLDEN_SHA256 = {
      "--precision", "17"): "21c901fb12254f32564396da2542b1154a296647eed8358bc16c1fde292d53c4",
     ("energy", "--lambda-d", "5", "--alpha0", "0.01", "--field", "0.002", "--z", "2",
      "--precision", "17"): "2f0c571ccdb45deb345357a5ac65048e5b042799a691111678695f5833013e84",
+    ("energy", "--lambda-d", "5", "--omega", "2", "--e0-amp", "1",
+     "--precision", "17"): "6c0fa7cc99673a96930c3ab4e08b44e4caf6adfe64e3a0acf0472d6f04305cf5",
+    ("energy", "--lambda-d", "100", "--alpha0", "1e-4", "--field", "0.04",
+     "--format", "json"): "6dd1940c4043655043b758efeff6d3779ac73b9248a28f4c1c7741391ff0a4e3",
     ("sweep", "--vary", "field", "--values", "0.0001,0.001,0.01,0.02,0.04",
      "--lambda-d", "20", "--alpha0", "0.001",
      "--precision", "17"): "2f18b9e8b7e94bcde95acd65681425fc440f843a1ab25afa2b504722787f30b2",
