@@ -9,25 +9,25 @@ parameters and sweep values outside the model's domain), 3 numeric
 failure, 4 I/O failure.
 
 argparse holds every default.  The entries of a ``--config`` file become
-the chosen subcommand's defaults, so flags still win.  ``energy`` and
-``oracle`` are one-value ``field`` sweeps at the given parameters through
-the same `run_sweep` as ``sweep``; ``oracle`` adds the oracle and overlap
-outputs.
+the chosen subcommand's defaults, so flags still win.  Each subcommand
+takes one request of a fixed type: ``sweep`` a `SweepSpec`, ``energy`` and
+``oracle`` the one-value ``field`` `SweepSpec` at its own field, ``potential``
+a `PotentialTable`, ``figure`` a tag and ``table1`` None.
 """
 
 import argparse
 import csv
 import io
 import json
+import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .oracle import ConvergenceError, GroundStateError, RadialGrid, default_grid
+from .oracle import ConvergenceError, GroundStateError, default_grid
 from .potential import (
     ModelParams,
-    PoleProximityError,
     dressed_pair_eval,
     ecsc_eval,
     taylor_coefficients,
@@ -36,7 +36,7 @@ from .potential import (
 )
 from .sweep import FIGURE_TAGS, TABLE1_ALPHA0, SweepSpec, figure_dataset, run_sweep, table1_rows
 
-__all__ = ["RunConfig", "UsageError", "parse_args", "run", "main"]
+__all__ = ["RunConfig", "PotentialTable", "UsageError", "parse_args", "run", "main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -55,17 +55,21 @@ class UsageError(Exception):
 
 
 @dataclass(frozen=True)
+class PotentialTable:
+    """``potential``'s request; ``quad_nodes=None`` leaves out the cycle-average column."""
+
+    params: ModelParams
+    radii: tuple
+    quad_nodes: int | None = None
+
+
+@dataclass(frozen=True)
 class RunConfig:
     subcommand: str
-    params: ModelParams | None
+    request: object
     output_format: str = "csv"
     output_path: str | None = None
     precision: int = 7
-    figure_tag: str | None = None
-    sweep: SweepSpec | None = None
-    r_values: tuple = ()
-    with_quadrature: bool = False
-    quad_nodes: int = 64
 
     def __post_init__(self):
         if self.subcommand not in _RUNNERS:
@@ -74,11 +78,12 @@ class RunConfig:
             raise ValueError(f"output_format must be csv or json, got {self.output_format!r}")
         if not 1 <= self.precision <= 17:
             raise ValueError(f"precision must be in [1, 17], got {self.precision}")
-        if self.sweep is None and self.subcommand in ("energy", "oracle", "sweep"):
-            if self.subcommand != "energy" or self.params is None:
-                raise ValueError(f"{self.subcommand} needs a sweep spec")
-            spec = SweepSpec("field", (self.params.field,), self.params)
-            object.__setattr__(self, "sweep", spec)
+        if self.subcommand == "energy" and isinstance(self.request, ModelParams):
+            p = self.request
+            object.__setattr__(self, "request", SweepSpec("field", (p.field,), p))
+        _, accepts, words = _RUNNERS[self.subcommand]
+        if not accepts(self.request):
+            raise ValueError(f"{self.subcommand} takes {words}, got {self.request!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -170,6 +175,9 @@ def _build_parser():
     p_fig = sub.add_parser("figure", parents=[output], help="figure datasets")
     p_fig.add_argument("--which", choices=FIGURE_TAGS, required=True)
 
+    for subparser in sub.choices.values():
+        # "-0.01,0.02" or "-1e-3" is a value for the domain checks, not a flag
+        subparser._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser, sub.choices
 
 
@@ -191,14 +199,9 @@ def _model_params(ns):
 
 def _grid_from(ns, params):
     """Solver box from the grid flags, missing fields taken from default_grid."""
-    if ns.grid_rmin is None and ns.grid_rmax is None and ns.grid_points is None:
-        return None
-    default = default_grid(params)
-    return RadialGrid(
-        default.r_min if ns.grid_rmin is None else ns.grid_rmin,
-        default.r_max if ns.grid_rmax is None else ns.grid_rmax,
-        default.n_points if ns.grid_points is None else ns.grid_points,
-    )
+    flags = zip(("r_min", "r_max", "n_points"), (ns.grid_rmin, ns.grid_rmax, ns.grid_points))
+    given = {field: value for field, value in flags if value is not None}
+    return replace(default_grid(params), **given) if given else None
 
 
 def _sweep_values(ns):
@@ -231,10 +234,8 @@ def parse_args(argv) -> RunConfig:
 
     common = dict(output_format=ns.out_format, output_path=ns.output, precision=ns.precision)
     try:
-        if ns.subcommand == "table1":
-            return RunConfig("table1", None, **common)
-        if ns.subcommand == "figure":
-            return RunConfig("figure", None, figure_tag=ns.which, **common)
+        if ns.subcommand in ("table1", "figure"):  # a figure's request is its tag
+            return RunConfig(ns.subcommand, getattr(ns, "which", None), **common)
         params = _model_params(ns)
         if ns.subcommand == "energy":
             return RunConfig("energy", params, **common)
@@ -247,9 +248,8 @@ def parse_args(argv) -> RunConfig:
                 raise UsageError("need 0 < --r-min < --r-max")
             space = np.geomspace if ns.log else np.linspace
             radii = tuple(float(r) for r in space(ns.r_min, ns.r_max, ns.points))
-            return RunConfig("potential", params, r_values=radii,
-                             with_quadrature=ns.with_quadrature,
-                             quad_nodes=ns.quad_nodes, **common)
+            table = PotentialTable(params, radii, ns.quad_nodes if ns.with_quadrature else None)
+            return RunConfig("potential", table, **common)
         # oracle is the one-value field sweep at the given parameters
         vary, values, outputs = "field", (params.field,), {"breakdown", "oracle", "overlap"}
         if ns.subcommand == "sweep":
@@ -260,7 +260,7 @@ def parse_args(argv) -> RunConfig:
                 outputs.add("overlap")
         spec = SweepSpec(vary, values, params, outputs=frozenset(outputs),
                          oracle_grid=_grid_from(ns, params))
-        return RunConfig(ns.subcommand, params, sweep=spec, **common)
+        return RunConfig(ns.subcommand, spec, **common)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -319,11 +319,11 @@ _BREAKDOWN_KEYS = ("e0", "const_shift", "e1", "e2", "e3", "total")
 
 
 def _run_potential(config: RunConfig):
-    p = config.params
-    r = np.array(config.r_values)
+    table = config.request
+    p, r = table.params, np.array(table.radii)
     # the quadrature runs first, so radii r <= alpha0 are reported as such
     # and not as the dressed form's pole at r = alpha0
-    quadrature = v0_quadrature(r, p, config.quad_nodes) if config.with_quadrature else None
+    quadrature = None if table.quad_nodes is None else v0_quadrature(r, p, table.quad_nodes)
     dressed = dressed_pair_eval(r, p)
     columns = {"r": r, "screened": ecsc_eval(r, p), "dressed": dressed,
                "effective": dressed + p.field * r,
@@ -338,7 +338,7 @@ def _run_potential(config: RunConfig):
 def _run_sweep(config: RunConfig):
     """``sweep`` prints one row per value; ``energy`` and ``oracle`` print
     the one record of their sweep, as a CSV row or a flat JSON object."""
-    spec = config.sweep
+    spec = config.request
     # optional columns are named after the SweepRow fields that fill them
     extra = []
     if "oracle" in spec.outputs:
@@ -349,12 +349,11 @@ def _run_sweep(config: RunConfig):
         extra.append("error_estimate")
     records = [{spec.vary: row.value, **{k: getattr(row.breakdown, k) for k in _BREAKDOWN_KEYS},
                 **{k: getattr(row, k) for k in extra}} for row in run_sweep(spec)]
-    header = _params_header(config.params)
+    header = _params_header(spec.fixed)
     if config.subcommand != "sweep":
-        (record,) = records
-        del record[spec.vary]  # the header already holds the field
+        del records[0]["field"]  # the header already holds the one field value
         if config.output_format == "json":
-            payload = {"subcommand": config.subcommand, "params": header, **record}
+            payload = {"subcommand": config.subcommand, "params": header, **records[0]}
             _write(config, json.dumps(payload, indent=2) + "\n")
             return EXIT_OK
     _emit(config, header, list(records[0]), [tuple(record.values()) for record in records])
@@ -369,31 +368,36 @@ def _run_table1(config: RunConfig):
 
 
 def _run_figure(config: RunConfig):
-    ds = figure_dataset(config.figure_tag)
+    ds = figure_dataset(config.request)
     header = {"figure": ds.tag, "note": ds.note,
               "x_label": ds.x_label, "y_label": ds.y_label}
     _emit(config, header, ["series", ds.x_label, ds.y_label], ds.rows)
     return EXIT_OK
 
 
+def _one_record(q):
+    return isinstance(q, SweepSpec) and q.vary == "field" and q.values == (q.fixed.field,)
+
+
 _RUNNERS = {
-    "potential": _run_potential,
-    "energy": _run_sweep,
-    "oracle": _run_sweep,
-    "sweep": _run_sweep,
-    "table1": _run_table1,
-    "figure": _run_figure,
+    "potential": (_run_potential, lambda q: isinstance(q, PotentialTable), "a PotentialTable"),
+    "energy": (_run_sweep, _one_record, "a one-value field sweep spec at its own field"),
+    "oracle": (_run_sweep, lambda q: _one_record(q) and "oracle" in q.outputs,
+               "a one-value field sweep spec at its own field, with oracle outputs"),
+    "sweep": (_run_sweep, lambda q: isinstance(q, SweepSpec), "a sweep spec"),
+    "table1": (_run_table1, lambda q: q is None, "no request (None)"),
+    "figure": (_run_figure, lambda q: q in FIGURE_TAGS, f"a figure tag in {FIGURE_TAGS}"),
 }
 
 
 def run(config: RunConfig) -> int:
     """Execute a parsed RunConfig; returns the process exit code."""
     try:
-        return _RUNNERS[config.subcommand](config)
+        return _RUNNERS[config.subcommand][0](config)
     except ConvergenceError as exc:
         print(exc, file=sys.stderr)
         return EXIT_NUMERIC
-    except (PoleProximityError, GroundStateError, ValueError) as exc:
+    except (GroundStateError, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -107,9 +107,7 @@ def default_grid(p: ModelParams) -> RadialGrid:
 
 
 def _sample(potential, r):
-    v = np.asarray(potential(r), dtype=float)
-    if v.shape != r.shape:
-        v = np.array([float(potential(x)) for x in r])
+    v = np.broadcast_to(np.asarray(potential(r), dtype=float), r.shape)
     if not np.all(np.isfinite(v)):
         bad = r[~np.isfinite(v)][0]
         raise ValueError(f"potential is not finite at grid point r = {bad:g}")

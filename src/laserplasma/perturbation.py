@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .potential import ModelParams, _coefficients, taylor_coefficients
+from .potential import ModelParams, _coefficients, _radii, taylor_coefficients
 
 __all__ = [
     "EnergyBreakdown",
@@ -197,9 +197,7 @@ def wavefunction_eval(r, p: ModelParams):
     the profile is meaningful where the state actually lives (roughly
     r <~ 10/s at reference parameters).
     """
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0.0):
-        raise ValueError("radial distance must be > 0")
+    r_arr, scalar = _radii(r)
     sp = superpotential_set(p)
     sig = p.decay_rate
     s = _s_factor(p)
@@ -209,4 +207,4 @@ def wavefunction_eval(r, p: ModelParams):
     cubic_coeff = scale / 3.0
     exponent = -sig * r_arr - (quad_coeff * r_arr**2 + cubic_coeff * r_arr**3) / s
     out = 2.0 * sig**1.5 * r_arr * np.exp(exponent)
-    return float(out) if out.ndim == 0 else out
+    return float(out) if scalar else out

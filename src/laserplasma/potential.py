@@ -105,8 +105,8 @@ class ModelParams:
         """Build parameters with alpha0 derived from laser frequency/amplitude."""
         if "alpha0" in kwargs:
             raise ValueError("give either alpha0 or (omega, e0_amp), not both")
-        if not omega > 0:
-            raise ValueError(f"omega must be > 0, got {omega}")
+        if not 0 < omega < math.inf:
+            raise ValueError(f"omega must be finite and > 0, got {omega}")
         if not 0 <= e0_amp < math.inf:
             raise ValueError(f"e0_amp must be finite and >= 0, got {e0_amp}")
         mu = kwargs.get("mu", 1.0)

@@ -10,6 +10,7 @@ from laserplasma.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
+    PotentialTable,
     RunConfig,
     UsageError,
     main,
@@ -25,6 +26,7 @@ from laserplasma.potential import (
     v0_quadrature,
     veff_series_eval,
 )
+from laserplasma.sweep import SweepSpec
 
 
 def run_cli(capsys, argv):
@@ -43,9 +45,9 @@ def parse_csv(text):
 def test_parse_energy_flags():
     config = parse_args(["energy", "--field", "0.01", "--lambda-d", "5", "--alpha0", "0.0001"])
     assert config.subcommand == "energy"
-    assert config.params.field == 0.01
-    assert config.params.lambda_d == 5.0
-    assert config.params.alpha0 == 0.0001
+    assert config.request.fixed.field == 0.01
+    assert config.request.fixed.lambda_d == 5.0
+    assert config.request.fixed.alpha0 == 0.0001
     assert config.output_format == "csv"
     assert config.precision == 7
 
@@ -82,7 +84,7 @@ def test_parse_laser_specification_conflicts():
     with pytest.raises(UsageError, match="together"):
         parse_args(["energy", "--lambda-d", "5", "--omega", "2"])
     config = parse_args(["energy", "--lambda-d", "5", "--omega", "2", "--e0-amp", "1"])
-    assert config.params.alpha0 == pytest.approx(0.25)
+    assert config.request.fixed.alpha0 == pytest.approx(0.25)
 
 
 def test_parse_precision_bounds():
@@ -96,12 +98,12 @@ def test_config_file_seeds_defaults(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# reference setup\nlambda_d = 100\nalpha0 = 0.0001\nprecision = 9\n")
     config = parse_args(["energy", "--config", str(cfg), "--field", "0.01"])
-    assert config.params.lambda_d == 100.0
-    assert config.params.alpha0 == 1e-4
+    assert config.request.fixed.lambda_d == 100.0
+    assert config.request.fixed.alpha0 == 1e-4
     assert config.precision == 9
     # command line wins over the file
     config = parse_args(["energy", "--config", str(cfg), "--lambda-d", "7"])
-    assert config.params.lambda_d == 7.0
+    assert config.request.fixed.lambda_d == 7.0
 
 
 def test_config_file_sets_output_and_grid_defaults(tmp_path):
@@ -109,8 +111,8 @@ def test_config_file_sets_output_and_grid_defaults(tmp_path):
     cfg.write_text("lambda-d = 100\nout_format = json\ngrid_rmax = 20\n")
     config = parse_args(["oracle", "--config", str(cfg)])
     assert config.output_format == "json"
-    assert config.sweep.oracle_grid.r_max == 20.0
-    assert config.sweep.vary == "field" and config.sweep.values == (0.0,)
+    assert config.request.oracle_grid.r_max == 20.0
+    assert config.request.vary == "field" and config.request.values == (0.0,)
     assert parse_args(["oracle", "--config", str(cfg), "--format", "csv"]).output_format == "csv"
 
 
@@ -161,6 +163,40 @@ def test_runconfig_without_sweep_spec(capsys, subcommand):
     code, out, _ = run_cli(capsys, ["energy", "--lambda-d", "5", "--omega", "2", "--e0-amp", "1",
                                     "--field", "0.002", "--precision", "17"])
     assert code == EXIT_OK and hand_built == out
+
+
+P5 = ModelParams(lambda_d=5.0)
+
+
+@pytest.mark.parametrize("subcommand, request_", [
+    ("energy", SweepSpec("field", (0.0, 0.01), P5)),
+    ("oracle", SweepSpec("lambda_d", (5.0,), P5, outputs={"breakdown", "oracle"})),
+    ("energy", SweepSpec("field", (0.01,), P5)),
+    ("oracle", SweepSpec("field", (0.0,), P5)),
+    ("sweep", P5),
+    ("figure", None),
+    ("figure", "fig9"),
+    ("potential", P5),
+    ("table1", P5),
+], ids=["energy-two-values", "oracle-lambda-d", "energy-value-not-its-field",
+        "oracle-without-oracle-output", "sweep-params", "figure-none", "figure-fig9",
+        "potential-params", "table1-params"])
+def test_runconfig_refuses_a_request_of_the_wrong_kind(subcommand, request_):
+    # the subcommand fixes the request's type, so a header printed from the
+    # request cannot contradict the rows
+    with pytest.raises(ValueError, match=f"{subcommand} takes "):
+        RunConfig(subcommand, request_)
+
+
+def test_runconfig_header_comes_from_the_request(capsys):
+    spec = SweepSpec("field", (0.01,), ModelParams(lambda_d=100.0, alpha0=1e-4))
+    assert run(RunConfig("sweep", spec)) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "# lambda_d = 100\n" in out and out.endswith(",-1.9725072\n")
+    table = PotentialTable(P5, (1.0, 2.0), quad_nodes=None)
+    assert run(RunConfig("potential", table)) == EXIT_OK
+    _, header, rows = parse_csv(capsys.readouterr().out)
+    assert header[-1] == "series" and len(rows) == 2
 
 
 def test_energy_csv_output_and_roundtrip(capsys):
@@ -332,8 +368,10 @@ def test_bad_sweep_values_are_usage_errors(capsys, argv):
     (["potential", "--lambda-d", "5", "--points", "1"], None, "--points must be >= 2"),
     (["potential", "--lambda-d", "5", "--r-min", "5", "--r-max", "1"], None,
      "need 0 < --r-min < --r-max"),
+    (["sweep", "--vary", "field", "--values", "-0.01,0.02", "--lambda-d", "5"], None,
+     "sweep value -0.01 for field"),
 ], ids=["unreadable-config", "config-line-without-equals", "unparsable-values",
-        "one-point", "reversed-radii"])
+        "one-point", "reversed-radii", "negative-first-value"])
 def test_input_errors_are_usage_errors(tmp_path, capsys, argv, config_text, message):
     # CFG names a config file, written only when the case gives its text
     cfg = tmp_path / "run.cfg"

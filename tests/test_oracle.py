@@ -117,6 +117,15 @@ def test_nonfinite_potential_rejected():
         )
 
 
+def test_constant_potential_is_broadcast_to_the_grid():
+    # one number for the whole grid is a particle in a box of length 10,
+    # shifted by that number: pi^2 hbar^2 / (2 mu L^2) + 0.25
+    result = solve_ground_state(lambda r: 0.25, RadialGrid(0.0, 10.0, 2000), AU)
+    assert result.energy == pytest.approx(np.pi**2 / 200.0 + 0.25, abs=1e-9)
+    with pytest.raises(ValueError):
+        solve_ground_state(lambda r: np.zeros(3), COULOMB_GRID, AU)
+
+
 def test_interior_node_detection():
     u = np.sin(np.linspace(0.1, 6.0, 500))  # one interior sign change
     assert _interior_sign_changes(u) == 1

@@ -43,6 +43,9 @@ def test_params_validation():
     assert ModelParams(lambda_d=math.inf).lambda_d == math.inf
     with pytest.raises(ValueError, match="e0_amp"):
         ModelParams.from_laser(omega=2.0, e0_amp=math.nan, lambda_d=1.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="omega must be finite and > 0"):
+            ModelParams.from_laser(omega=bad, e0_amp=1.0, lambda_d=1.0)
 
 
 def test_derived_quantities():
