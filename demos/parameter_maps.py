@@ -27,10 +27,9 @@ for tag in FIGURE_TAGS:
     write(tag, ["figure", "--which", tag])
 
 # custom sweep: screening dependence with the eigensolver riding along
-# (--lambda-d is required by the CLI and replaced by each swept value)
 write("screening_sweep", [
     "sweep", "--vary", "lambda-d", "--values", "5,10,20,40,80",
-    "--lambda-d", "1", "--alpha0", "0.0001", "--field", "0.01",
+    "--alpha0", "0.0001", "--field", "0.01",
     "--with-overlap", "--grid-rmax", "20",
 ])
 print("Plot any of these with your tool of choice; every file is self-describing.")

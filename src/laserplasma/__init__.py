@@ -18,56 +18,12 @@ The package has four computational layers:
 `laserplasma.cli` exposes everything on the command line.
 """
 
-from .oracle import OracleResult, RadialGrid, default_grid, overlap, solve_ground_state
-from .perturbation import (
-    EnergyBreakdown,
-    SuperpotentialSet,
-    e3_hierarchy,
-    superpotential_set,
-    total_energy,
-    wavefunction_eval,
-    zeroth_order,
-)
-from .potential import (
-    EffectiveCoefficients,
-    ModelParams,
-    PoleProximityError,
-    dressed_pair_eval,
-    ecsc_eval,
-    taylor_coefficients,
-    v0_quadrature,
-    veff_series_eval,
-)
-from .sweep import FigureDataset, SweepRow, SweepSpec, figure_dataset, run_sweep, table1_rows
+from . import oracle, perturbation, potential, sweep
+from .oracle import *
+from .perturbation import *
+from .potential import *
+from .sweep import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ModelParams",
-    "EffectiveCoefficients",
-    "PoleProximityError",
-    "ecsc_eval",
-    "dressed_pair_eval",
-    "v0_quadrature",
-    "taylor_coefficients",
-    "veff_series_eval",
-    "EnergyBreakdown",
-    "SuperpotentialSet",
-    "zeroth_order",
-    "e3_hierarchy",
-    "superpotential_set",
-    "total_energy",
-    "wavefunction_eval",
-    "RadialGrid",
-    "OracleResult",
-    "default_grid",
-    "solve_ground_state",
-    "overlap",
-    "SweepSpec",
-    "SweepRow",
-    "FigureDataset",
-    "run_sweep",
-    "figure_dataset",
-    "table1_rows",
-    "__version__",
-]
+__all__ = [*potential.__all__, *perturbation.__all__, *oracle.__all__, *sweep.__all__, "__version__"]

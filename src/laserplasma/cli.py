@@ -4,15 +4,17 @@ Subcommands: potential (radial curves), energy (closed-form breakdown),
 oracle (eigensolver cross-check), sweep (one varying parameter), table1
 (reference-energy regeneration with deviations), figure (datasets behind
 the named figures).  Output is CSV with a self-describing ``#`` comment
-header, or JSON.  Exit codes: 0 success, 2 usage error (including
+header, or JSON; ``sweep``'s header leaves out the varied parameter,
+which its rows hold.  Exit codes: 0 success, 2 usage error (including
 parameters and sweep values outside the model's domain), 3 numeric
 failure, 4 I/O failure.
 
-argparse holds every default.  The entries of a ``--config`` file become
-the chosen subcommand's defaults, so flags still win.  Each subcommand
-takes one request of a fixed type: ``sweep`` a `SweepSpec`, ``energy`` and
-``oracle`` the one-value ``field`` `SweepSpec` at its own field, ``potential``
-a `PotentialTable`, ``figure`` a tag and ``table1`` None.
+argparse holds every default.  A ``--config`` file's keys are the dests
+of the shared flags, and its entries become the chosen subcommand's
+defaults, so flags still win.  Each subcommand takes one request of a
+fixed type: ``sweep`` a `SweepSpec`, ``energy`` and ``oracle`` the
+one-value ``field`` `SweepSpec` at its own field, ``potential`` a
+`PotentialTable`, ``figure`` a tag and ``table1`` None.
 """
 
 import argparse
@@ -42,13 +44,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-# a config file's keys are the dests of the flags whose defaults they set
-_CONFIG_KEYS = (
-    "z", "lambda_d", "alpha0", "field", "omega", "e0_amp",
-    "out_format", "output", "precision", "grid_rmin", "grid_rmax", "grid_points",
-)
-
 
 class UsageError(Exception):
     """Bad command line or config file; maps to exit code 2."""
@@ -91,8 +86,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_config_file(path, subcommand, dests):
-    """key = value pairs, one per line, # comments, each key one of ``dests``."""
+def _read_config_file(path, subcommand, keys, dests):
+    """key = value pairs, one per line, # comments; each key a config key in ``dests``."""
     values = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -107,7 +102,7 @@ def _read_config_file(path, subcommand, dests):
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         if key not in dests:
             raise UsageError(f"{path}:{lineno}: {subcommand} takes no config key {key!r}")
@@ -116,7 +111,7 @@ def _read_config_file(path, subcommand, dests):
 
 
 def _build_parser():
-    """The top-level parser and its subcommand parsers by name."""
+    """The top-level parser, its subcommand parsers and the config keys (shared flags' dests)."""
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--config", metavar="PATH", help="key=value file seeding defaults")
     output.add_argument("--format", choices=("csv", "json"), default="csv", dest="out_format")
@@ -135,7 +130,6 @@ def _build_parser():
                         help="laser field amplitude; with --omega derives alpha0")
 
     grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--grid-rmin", type=float, default=None, help="lower wall of the solver box")
     grid.add_argument("--grid-rmax", type=float, default=None, help="upper wall of the solver box")
     grid.add_argument("--grid-points", type=int, default=None, help="interior grid points")
 
@@ -176,12 +170,15 @@ def _build_parser():
     p_fig.add_argument("--which", choices=FIGURE_TAGS, required=True)
 
     for subparser in sub.choices.values():
-        # "-0.01,0.02" or "-1e-3" is a value for the domain checks, not a flag
-        subparser._negative_number_matcher = re.compile(r"^-\.?\d")
-    return parser, sub.choices
+        # "-0.01,0.02", "-1e-3" or "-inf" is a value for the domain checks, not a flag
+        subparser._negative_number_matcher = re.compile(r"^-(\.?\d|(inf|infinity|nan)$)", re.I)
+    keys = {key for parent in (params, output, grid) for key in vars(parent.parse_args([]))}
+    return parser, sub.choices, keys - {"config"}
 
 
 def _model_params(ns):
+    if ns.lambda_d is None and getattr(ns, "vary", None) == "lambda-d":
+        ns.lambda_d = float("inf")  # a valid stand-in, which every row replaces
     if ns.lambda_d is None:
         raise UsageError("missing required parameter lambda_d (--lambda-d)")
     if ns.alpha0 is not None and (ns.omega is not None or ns.e0_amp is not None):
@@ -198,8 +195,9 @@ def _model_params(ns):
 
 
 def _grid_from(ns, params):
-    """Solver box from the grid flags, missing fields taken from default_grid."""
-    flags = zip(("r_min", "r_max", "n_points"), (ns.grid_rmin, ns.grid_rmax, ns.grid_points))
+    """Solver box from the grid flags, the rest from default_grid, whose wall
+    at r = 0 is where the solved cubic series has its pole and u(0) = 0."""
+    flags = zip(("r_max", "n_points"), (ns.grid_rmax, ns.grid_points))
     given = {field: value for field, value in flags if value is not None}
     return replace(default_grid(params), **given) if given else None
 
@@ -220,12 +218,12 @@ def _sweep_values(ns):
 
 def parse_args(argv) -> RunConfig:
     """Parse argv into a validated RunConfig; raises UsageError on bad input."""
-    parser, subparsers = _build_parser()
+    parser, subparsers, keys = _build_parser()
     ns = parser.parse_args(argv)
     if ns.config is not None:
         # the file's entries become the subcommand's defaults, which argparse
         # converts and checks on a second parse
-        entries = _read_config_file(ns.config, ns.subcommand, vars(ns))
+        entries = _read_config_file(ns.config, ns.subcommand, keys, vars(ns))
         subparsers[ns.subcommand].set_defaults(**entries)
         try:
             ns = parser.parse_args(argv)
@@ -350,7 +348,9 @@ def _run_sweep(config: RunConfig):
     records = [{spec.vary: row.value, **{k: getattr(row.breakdown, k) for k in _BREAKDOWN_KEYS},
                 **{k: getattr(row, k) for k in extra}} for row in run_sweep(spec)]
     header = _params_header(spec.fixed)
-    if config.subcommand != "sweep":
+    if config.subcommand == "sweep":
+        del header[spec.vary]  # each row holds its own value
+    else:
         del records[0]["field"]  # the header already holds the one field value
         if config.output_format == "json":
             payload = {"subcommand": config.subcommand, "params": header, **records[0]}

@@ -90,13 +90,12 @@ class OracleResult:
     u_samples lives on ``grid.points`` and is normalized so that
     sum(u^2) h = 1.  ``energy`` is Richardson-extrapolated from the h and
     h/2 solves; ``error_estimate`` is the extrapolation residual
-    |E_{h/2} - E_h| / 3 and ``converged`` records whether it is at most
+    |E_{h/2} - E_h| / 3, which `require_converged` compares with
     `CONVERGENCE_TOL`.
     """
 
     energy: float
     u_samples: np.ndarray
-    converged: bool
     error_estimate: float
     grid: RadialGrid
 
@@ -176,7 +175,6 @@ def solve_ground_state(potential, grid: RadialGrid, p: ModelParams) -> OracleRes
     return OracleResult(
         energy=energy,
         u_samples=u,
-        converged=error_estimate <= CONVERGENCE_TOL,
         error_estimate=error_estimate,
         grid=grid,
     )
@@ -188,7 +186,7 @@ def require_converged(result: OracleResult) -> OracleResult:
     Every printed oracle energy passes through here, so a grid too coarse
     for `CONVERGENCE_TOL` yields a diagnostic instead of a number.
     """
-    if not result.converged:
+    if not result.error_estimate <= CONVERGENCE_TOL:  # a NaN estimate fails too
         raise ConvergenceError(
             f"oracle did not converge: error estimate {result.error_estimate:.3e}"
         )

@@ -309,6 +309,19 @@ def test_sweep_with_oracle_columns(capsys):
     assert row["overlap"] >= 0.999
 
 
+def test_sweep_header_leaves_out_the_varied_parameter(capsys):
+    # each row holds its own lambda_d, so none is needed on the command line
+    argv = ["sweep", "--vary", "lambda-d", "--values", "5,10", "--field", "0.01"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == EXIT_OK
+    comments, header, rows = parse_csv(out)
+    assert not any(c.startswith("lambda_d") for c in comments)
+    assert header[0] == "lambda_d" and [row[0] for row in rows] == ["5.0000000", "10.0000000"]
+    assert run_cli(capsys, [*argv, "--lambda-d", "1"])[1] == out
+    code, out, _ = run_cli(capsys, [*argv, "--format", "json"])
+    assert code == EXIT_OK and "lambda_d" not in json.loads(out)
+
+
 def test_sweep_conflicting_range_flags():
     with pytest.raises(UsageError, match="not both"):
         parse_args(["sweep", "--vary", "field", "--values", "0.1", "--start", "0.0",
@@ -370,8 +383,19 @@ def test_bad_sweep_values_are_usage_errors(capsys, argv):
      "need 0 < --r-min < --r-max"),
     (["sweep", "--vary", "field", "--values", "-0.01,0.02", "--lambda-d", "5"], None,
      "sweep value -0.01 for field"),
+    (["sweep", "--vary", "lambda-d", "--values", "0,5", "--field", "0.01"], None,
+     "sweep value 0.0 for lambda_d: "),
+    (["energy", "--lambda-d", "-inf"], None, "lambda_d must be > 0, got -inf"),
+    (["energy", "--lambda-d", "5", "--field", "-nan"], None,
+     "field must be finite and >= 0, got nan"),
+    (["energy", "--lambda-d", "-information"], None, "argument --lambda-d: expected one argument"),
+    (["oracle", "--lambda-d", "100", "--grid-rmin", "0.5"], None,
+     "unrecognized arguments: --grid-rmin 0.5"),
+    (["oracle", "--config", "CFG"], "lambda_d = 100\ngrid_rmin = 0.5\n",
+     "unknown config key 'grid_rmin'"),
 ], ids=["unreadable-config", "config-line-without-equals", "unparsable-values",
-        "one-point", "reversed-radii", "negative-first-value"])
+        "one-point", "reversed-radii", "negative-first-value", "zero-first-lambda-d",
+        "minus-inf", "minus-nan", "flag-like-word", "grid-rmin-flag", "grid-rmin-key"])
 def test_input_errors_are_usage_errors(tmp_path, capsys, argv, config_text, message):
     # CFG names a config file, written only when the case gives its text
     cfg = tmp_path / "run.cfg"

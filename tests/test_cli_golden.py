@@ -37,12 +37,12 @@ GOLDEN_SHA256 = {
      "--format", "json"): "6dd1940c4043655043b758efeff6d3779ac73b9248a28f4c1c7741391ff0a4e3",
     ("sweep", "--vary", "field", "--values", "0.0001,0.001,0.01,0.02,0.04",
      "--lambda-d", "20", "--alpha0", "0.001",
-     "--precision", "17"): "2f18b9e8b7e94bcde95acd65681425fc440f843a1ab25afa2b504722787f30b2",
+     "--precision", "17"): "1a9b8c9c7ae289ae1abf15891d5f1236cee6626777961f72b9f79f735718268d",
     ("oracle", "--lambda-d", "100", "--alpha0", "1e-4", "--field", "0.01",
      "--grid-rmax", "20"): "b26e7cbcf000f1ab819c66e443f0ef1ffb48cfd0f4c79bf45bed2ac708d779fd",
     ("sweep", "--vary", "field", "--values", "0.0001,0.001,0.01", "--lambda-d", "100",
      "--alpha0", "1e-4", "--with-overlap",
-     "--grid-rmax", "20"): "79d5cd414ac283097fb9739bef2a91d4771bce1330bbaeb439e3bf00c7971264",
+     "--grid-rmax", "20"): "5590af8c3a3200af0c0d34176dc0fdb4ea15669b223cf60f634a60d4047c3c3c",
     ("potential", "--lambda-d", "5", "--alpha0", "0.001", "--field", "0.01",
      "--with-quadrature"): "43c1f5005416217c1357acf2d6d9ed8b3e6adf62b397b47fe5a22840ba57cb51",
 }

@@ -65,7 +65,6 @@ def test_default_grid_scales_with_binding():
 def test_coulomb_ground_state():
     result = solve_ground_state(coulomb, COULOMB_GRID, AU)
     assert result.energy == pytest.approx(-2.0, abs=1e-5)
-    assert result.converged
     assert result.error_estimate < 1e-4
 
 
