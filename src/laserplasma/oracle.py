@@ -4,10 +4,18 @@ Discretizes -(hbar^2 / 2 mu) u'' + V(r) u = E u on a uniform grid with
 Dirichlet walls at both ends of [r_min, r_max] (the l = 0 radial function
 vanishes at the origin, so r_min = 0 is the natural lower wall; interior
 points start one step inside, where 1/r potentials are finite).  The
-3-point stencil gives a symmetric tridiagonal matrix whose lowest
-eigenpair is extracted by bisection / inverse iteration; solving at h and
-h/2 and Richardson-extrapolating cancels the leading O(h^2) error and
-yields an error estimate for free.
+3-point stencil gives a symmetric tridiagonal matrix T whose lowest
+eigenpair comes from shifted inverse iteration; solving at h and h/2 and
+Richardson-extrapolating cancels the leading O(h^2) error and yields an
+error estimate for free.
+
+The shift is certified: it starts below the lowest eigenvalue of the same
+box on a 16x coarser grid and moves down until T - shift I has an LDL^T
+factorization, which proves shift < E_0.  T's off-diagonal is negative,
+so T - shift I is then an M-matrix with an entrywise positive inverse,
+and iterating from a positive vector converges to the nodeless ground
+state, never to an excited one.  scipy (LAPACK) is imported only when a
+solve runs.
 
 This solver shares no code with the closed-form energy ladder in
 `laserplasma.perturbation`, which is exactly what makes it usable as a
@@ -17,7 +25,6 @@ cross-check of those formulas.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .potential import ModelParams
 
@@ -37,6 +44,10 @@ __all__ = [
 
 # Largest Richardson error estimate (a.u.) that counts as converged.
 CONVERGENCE_TOL = 1e-4
+
+# Caps on one eigensolve; reaching either raises GroundStateError.
+_MAX_FACTORIZATIONS = 40
+_MAX_ITERATIONS = 50
 
 
 class GroundStateError(RuntimeError):
@@ -122,22 +133,67 @@ def hamiltonian_arrays(potential, grid: RadialGrid, p: ModelParams):
     return diag, off
 
 
+def _lowest_eigenpair(diag, off, guess):
+    """Lowest eigenpair of the tridiagonal (diag, off < 0) by certified inverse iteration.
+
+    ``guess`` only sets where the shift search starts: the shift moves down
+    from it by growing steps until T - shift I factors, and is bisected
+    towards the current energy (an upper bound of E_0) whenever the
+    iteration contracts slowly.  Returns the energy and a positive unit
+    vector; raises `GroundStateError` when a cap is reached.
+    """
+    from scipy.linalg.lapack import dpttrf, dpttrs
+
+    u = np.full(diag.size, 1.0 / np.sqrt(diag.size))
+    lo, hi, step = -np.inf, np.inf, 1e-3 * max(1.0, abs(guess))
+    shift, energy, changes = guess - step, np.inf, []
+    ulp = np.spacing(np.max(np.abs(diag)))
+    for _ in range(_MAX_FACTORIZATIONS):
+        # on the ulp grid of diag's largest entry, diag - shift is exact
+        # (barring a carry into the next binade), so the factored matrix is
+        # T - shift I itself: eigenvalues agree with a long-double solve to
+        # ~1e-13 instead of ~1e-11
+        shift = ulp * np.round(shift / ulp)
+        d, e, info = dpttrf(diag - shift, off)
+        if info != 0:  # not positive definite: E_0 <= shift
+            hi, step = shift, 4.0 * step
+            shift = guess - step if lo == -np.inf else 0.5 * (lo + hi)
+            continue
+        lo = shift
+        while len(changes) < _MAX_ITERATIONS:
+            y, _ = dpttrs(d, e, u)
+            q = 1.0 / (u @ y)
+            changes.append(abs(shift + q - energy))
+            energy, u = shift + q, y / np.linalg.norm(y)
+            # not the Rayleigh quotient of T, whose terms cancel from ~1e5
+            if changes[-1] <= 1e-15 * (abs(shift) + q):
+                return float(energy), u
+            if len(changes) > 2 and changes[-1] > changes[-2] / 16.0:
+                break  # shift too far below E_0 for the gap: tighten it
+        else:
+            raise GroundStateError(f"inverse iteration did not settle in {len(changes)} steps")
+        hi = min(hi, energy)
+        shift = 0.5 * (lo + hi)
+    raise GroundStateError(f"no certified shift within {_MAX_FACTORIZATIONS} factorizations")
+
+
 def solve_on_grid(potential, grid: RadialGrid, p: ModelParams):
     """Lowest eigenpair on a single grid, no extrapolation.
 
     Returns
     -------
     (float, ndarray)
-        Raw eigenvalue and eigenvector normalized to sum(u^2) h = 1 with
-        positive overall sign.
+        Raw eigenvalue and eigenvector normalized to sum(u^2) h = 1,
+        positive at every node.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     diag, off = hamiltonian_arrays(potential, grid, p)
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-    u = vecs[:, 0]
-    u = u / np.sqrt(np.sum(u * u) * grid.spacing)
-    if u[np.argmax(np.abs(u))] < 0.0:
-        u = -u
-    return float(vals[0]), u
+    coarse = RadialGrid(grid.r_min, grid.r_max, max(100, grid.n_points // 16))
+    guess = eigh_tridiagonal(*hamiltonian_arrays(potential, coarse, p), eigvals_only=True,
+                             select="i", select_range=(0, 0))[0]
+    energy, u = _lowest_eigenpair(diag, off, guess)
+    return energy, u / np.sqrt(np.sum(u * u) * grid.spacing)
 
 
 def _interior_sign_changes(u: np.ndarray) -> int:

@@ -54,7 +54,10 @@ class SweepSpec:
     outputs selects the optional columns: "breakdown" is always cheap;
     "oracle" adds the eigensolver energy, its deviation from the
     closed-form total and its error estimate; "overlap" additionally
-    compares wavefunctions (requires "oracle").  The values are checked
+    compares wavefunctions (requires "oracle").  ``oracle_grid`` must have
+    its wall at r_min = 0: the oracle solves the cubic series, whose
+    Coulomb pole at r = 0 is where u(0) = 0, so any other wall gives a
+    wrong energy with a small error estimate.  The values are checked
     against the model's domain here, so a bad value fails at
     construction, naming the first one in input order.
     """
@@ -81,6 +84,9 @@ class SweepSpec:
             raise ValueError(f"unknown outputs {sorted(unknown)}")
         if "overlap" in self.outputs and "oracle" not in self.outputs:
             raise ValueError('the "overlap" output requires "oracle"')
+        if self.oracle_grid is not None and self.oracle_grid.r_min != 0.0:
+            raise ValueError(
+                f"oracle_grid must have r_min = 0, got r_min = {self.oracle_grid.r_min:g}")
         object.__setattr__(self, "outputs", frozenset(self.outputs))
         if self.vary == "alpha0" and self.fixed.omega is not None:
             raise ValueError("an alpha0 sweep cannot keep omega and e0_amp, which fix alpha0")

@@ -2,9 +2,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import laserplasma
 from laserplasma.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
@@ -492,3 +497,33 @@ def test_potential_columns_match_scalar_evaluation(capsys):
         assert effective == pytest.approx(dressed_pair_eval(r, p) + 0.01 * r, rel=1e-15)
         assert series == pytest.approx(veff_series_eval(r, coeffs), rel=1e-15)
         assert cycle_avg == pytest.approx(v0_quadrature(r, p), rel=1e-15)
+
+
+# Run by a fresh interpreter: one CLI request, then a last line holding its
+# exit code and whether scipy.linalg got imported.
+_SCIPY_PROBE = """
+import sys
+from laserplasma.cli import main
+code = main(sys.argv[1:])
+print(code, "scipy.linalg" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, loads_scipy", [
+    (["energy", "--lambda-d", "100", "--field", "0.01"], False),
+    (["table1"], False),
+    (["figure", "--which", "fig2c"], False),
+    (["potential", "--lambda-d", "5", "--alpha0", "0.001", "--with-quadrature"], False),
+    (["sweep", "--vary", "field", "--values", "0.001,0.01", "--lambda-d", "20"], False),
+    (["oracle", "--lambda-d", "100", "--field", "0.01", "--grid-rmax", "20"], True),
+], ids=lambda value: value[0] if isinstance(value, list) else None)
+def test_only_the_oracle_imports_scipy(argv, loads_scipy):
+    # scipy.linalg takes most of the CLI's import time, so only a request
+    # that runs the eigensolver may load it; the oracle case shows the
+    # probe would see it
+    env = dict(os.environ)
+    src = str(Path(laserplasma.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} {loads_scipy}", proc.stderr

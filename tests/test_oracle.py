@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
+from laserplasma import oracle
 from laserplasma.oracle import (
     GroundStateError,
     OracleResult,
     RadialGrid,
     _interior_sign_changes,
+    _lowest_eigenpair,
     default_grid,
     hamiltonian_arrays,
     overlap,
@@ -30,6 +33,33 @@ def harmonic(r):
 def model_potential(p):
     c = taylor_coefficients(p)
     return lambda r: veff_series_eval(r, c)
+
+
+# corners and middle of the window the benchmark draws its points from
+WINDOW_POINTS = (
+    ModelParams(lambda_d=100.0, field=1e-4, alpha0=1e-4),
+    ModelParams(lambda_d=5.0, field=0.04, alpha0=1e-2),
+    ModelParams(lambda_d=20.0, field=0.004, alpha0=1e-3),
+)
+# (name, potential, params): three shapes with known spectra and the cubic model
+SOLVER_CASES = [
+    ("coulomb", coulomb, AU),
+    ("harmonic", harmonic, AU),
+    ("box", lambda r: 0.25, AU),
+    *((f"model-lambda{p.lambda_d:g}", model_potential(p), p) for p in WINDOW_POINTS),
+]
+
+
+def _bisected_lowest(diag, off):
+    """Lowest eigenvalue by bisection run to full precision."""
+    return eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 0),
+                            tol=2.0 * np.finfo(float).tiny)[0]
+
+
+def _rounding_bound(diag, off):
+    """4 eps |T|_inf: the accuracy any backward-stable eigensolver can claim."""
+    row = np.abs(diag) + np.pad(np.abs(off), (1, 0)) + np.pad(np.abs(off), (0, 1))
+    return 4.0 * np.finfo(float).eps * np.max(row)
 
 
 def test_grid_geometry():
@@ -79,6 +109,39 @@ def test_ground_state_normalization_and_nodelessness():
     assert np.sum(result.u_samples**2) * h == pytest.approx(1.0, abs=1e-10)
     assert _interior_sign_changes(result.u_samples) == 0
     assert np.all(result.u_samples > -1e-12)
+
+
+@pytest.mark.parametrize("name, potential, p", SOLVER_CASES, ids=[c[0] for c in SOLVER_CASES])
+def test_solver_matches_full_precision_bisection(name, potential, p):
+    for grid in (COULOMB_GRID, COULOMB_GRID.refined(), default_grid(p)):
+        diag, off = hamiltonian_arrays(potential, grid, p)
+        energy, u = solve_on_grid(potential, grid, p)
+        assert abs(energy - _bisected_lowest(diag, off)) <= _rounding_bound(diag, off)
+        assert np.all(u > 0.0)  # nodeless at every node, not only up to noise
+
+
+def test_shift_search_is_certified_whatever_the_guess():
+    # a guess above E_1 = -0.5 must not converge to E_1, and one 100 Ha
+    # below E_0 must not stall; both return E_0
+    diag, off = hamiltonian_arrays(coulomb, COULOMB_GRID, AU)
+    exact = _bisected_lowest(diag, off)
+    assert -2.0 < exact < -1.99
+    for guess in (-0.4, exact - 100.0):
+        energy, u = _lowest_eigenpair(diag, off, guess)
+        assert abs(energy - exact) <= _rounding_bound(diag, off)
+        assert np.all(u > 0.0)
+        assert np.linalg.norm(u) == pytest.approx(1.0)
+
+
+def test_solver_caps_raise_instead_of_returning_a_number(monkeypatch):
+    diag, off = hamiltonian_arrays(coulomb, COULOMB_GRID, AU)
+    monkeypatch.setattr(oracle, "_MAX_ITERATIONS", 1)
+    with pytest.raises(GroundStateError, match="did not settle"):
+        _lowest_eigenpair(diag, off, -2.0)
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "_MAX_FACTORIZATIONS", 3)
+    with pytest.raises(GroundStateError, match="no certified shift"):
+        _lowest_eigenpair(diag, off, -0.4)  # three steps down from -0.4 stay above E_0
 
 
 def test_second_order_convergence_ratio():

@@ -143,6 +143,15 @@ def test_oracle_rows_refuse_unconverged_grid():
         run_sweep(spec)
 
 
+def test_oracle_grid_wall_must_be_at_the_origin():
+    # this call used to print an oracle energy of -0.680 with estimate 5.7e-7
+    # next to a closed form of -1.973
+    with pytest.raises(ValueError, match="r_min"):
+        run_sweep(SweepSpec("field", (0.01,), ModelParams(lambda_d=100.0, alpha0=1e-4, field=0.01),
+                            outputs={"breakdown", "oracle"},
+                            oracle_grid=RadialGrid(0.5, 50.0, 8000)))
+
+
 def test_all_figure_tags_build():
     for tag in FIGURE_TAGS:
         ds = figure_dataset(tag)
