@@ -9,12 +9,17 @@ eigenpair comes from shifted inverse iteration; solving at h and h/2 and
 Richardson-extrapolating cancels the leading O(h^2) error and yields an
 error estimate for free.
 
-The shift is certified: it starts below the lowest eigenvalue of the same
-box on a 16x coarser grid and moves down until T - shift I has an LDL^T
-factorization, which proves shift < E_0.  T's off-diagonal is negative,
-so T - shift I is then an M-matrix with an entrywise positive inverse,
-and iterating from a positive vector converges to the nodeless ground
-state, never to an excited one.  scipy (LAPACK) is imported only when a
+The shift is certified: it starts below a guess of the lowest eigenvalue
+and moves down until T - shift I has an LDL^T factorization, which proves
+shift < E_0.  T's off-diagonal is negative, so T - shift I is then an
+M-matrix with an entrywise positive inverse, and iterating from a positive
+vector converges to the nodeless ground state, never to an excited one.
+The h-grid solve takes its guess from the same box on a 16x coarser grid
+and starts from a flat vector.  The h/2 solve is seeded by the h-grid
+eigenpair: its energy is the guess, and since every other h/2 node is an
+h node, the start vector is the h-grid vector there and the mean of its
+neighbours (u = 0 at the walls) in between, positive at every node, so
+the certificate still holds.  scipy (LAPACK) is imported only when a
 solve runs.
 
 This solver shares no code with the closed-form energy ladder in
@@ -133,18 +138,22 @@ def hamiltonian_arrays(potential, grid: RadialGrid, p: ModelParams):
     return diag, off
 
 
-def _lowest_eigenpair(diag, off, guess):
+def _lowest_eigenpair(diag, off, guess, start=None):
     """Lowest eigenpair of the tridiagonal (diag, off < 0) by certified inverse iteration.
 
     ``guess`` only sets where the shift search starts: the shift moves down
     from it by growing steps until T - shift I factors, and is bisected
     towards the current energy (an upper bound of E_0) whenever the
-    iteration contracts slowly.  Returns the energy and a positive unit
-    vector; raises `GroundStateError` when a cap is reached.
+    iteration contracts slowly.  ``start`` (positive at every node; flat
+    when None) is the first iterate.  Returns the energy and a positive
+    unit vector; raises `GroundStateError` when a cap is reached.
     """
     from scipy.linalg.lapack import dpttrf, dpttrs
 
-    u = np.full(diag.size, 1.0 / np.sqrt(diag.size))
+    if start is None:
+        u = np.full(diag.size, 1.0 / np.sqrt(diag.size))
+    else:
+        u = start / np.linalg.norm(start)
     lo, hi, step = -np.inf, np.inf, 1e-3 * max(1.0, abs(guess))
     shift, energy, changes = guess - step, np.inf, []
     ulp = np.spacing(np.max(np.abs(diag)))
@@ -177,8 +186,18 @@ def _lowest_eigenpair(diag, off, guess):
     raise GroundStateError(f"no certified shift within {_MAX_FACTORIZATIONS} factorizations")
 
 
-def solve_on_grid(potential, grid: RadialGrid, p: ModelParams):
+def solve_on_grid(potential, grid: RadialGrid, p: ModelParams, *, seed=None):
     """Lowest eigenpair on a single grid, no extrapolation.
+
+    Parameters
+    ----------
+    seed : (float, ndarray), optional
+        A guess of the energy and a start vector on ``grid.points``,
+        positive at every node.  Without one, the guess is the lowest
+        eigenvalue on a 16x coarser grid and the start vector is flat.
+        Either way the shift is certified below E_0 and the iteration
+        converges to the same eigenpair, so the result does not depend on
+        the seed beyond rounding; a good seed only saves work.
 
     Returns
     -------
@@ -186,14 +205,25 @@ def solve_on_grid(potential, grid: RadialGrid, p: ModelParams):
         Raw eigenvalue and eigenvector normalized to sum(u^2) h = 1,
         positive at every node.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     diag, off = hamiltonian_arrays(potential, grid, p)
-    coarse = RadialGrid(grid.r_min, grid.r_max, max(100, grid.n_points // 16))
-    guess = eigh_tridiagonal(*hamiltonian_arrays(potential, coarse, p), eigvals_only=True,
-                             select="i", select_range=(0, 0))[0]
-    energy, u = _lowest_eigenpair(diag, off, guess)
+    if seed is None:
+        from scipy.linalg import eigh_tridiagonal
+
+        coarse = RadialGrid(grid.r_min, grid.r_max, max(100, grid.n_points // 16))
+        seed = (eigh_tridiagonal(*hamiltonian_arrays(potential, coarse, p), eigvals_only=True,
+                                 select="i", select_range=(0, 0))[0], None)
+    energy, u = _lowest_eigenpair(diag, off, *seed)
     return energy, u / np.sqrt(np.sum(u * u) * grid.spacing)
+
+
+def _prolonged(u: np.ndarray) -> np.ndarray:
+    """``u`` on a grid's nodes, carried to its refinement: kept at the shared
+    nodes, linear between them, with u = 0 at both walls."""
+    walled = np.concatenate(([0.0], u, [0.0]))
+    fine = np.empty(2 * u.size + 1)
+    fine[1::2] = u
+    fine[0::2] = 0.5 * (walled[:-1] + walled[1:])
+    return fine
 
 
 def _interior_sign_changes(u: np.ndarray) -> int:
@@ -217,8 +247,9 @@ def solve_ground_state(potential, grid: RadialGrid, p: ModelParams) -> OracleRes
     grid points that land near the pole produce huge samples that distort
     the low end of the spectrum without tripping the finiteness check.
     """
-    e_coarse, _ = solve_on_grid(potential, grid, p)
-    e_fine, u_fine = solve_on_grid(potential, grid.refined(), p)
+    e_coarse, u_coarse = solve_on_grid(potential, grid, p)
+    e_fine, u_fine = solve_on_grid(potential, grid.refined(), p,
+                                   seed=(e_coarse, _prolonged(u_coarse)))
     energy = (4.0 * e_fine - e_coarse) / 3.0
     error_estimate = abs(e_fine - e_coarse) / 3.0
     # every other fine node coincides with a coarse node
@@ -240,11 +271,17 @@ def require_converged(result: OracleResult) -> OracleResult:
     """The one convergence verdict: ``result``, or `ConvergenceError`.
 
     Every printed oracle energy passes through here, so a grid too coarse
-    for `CONVERGENCE_TOL` yields a diagnostic instead of a number.
+    for `CONVERGENCE_TOL` yields a diagnostic instead of a number.  The
+    message names the grid: `default_grid` keeps 8000 points however
+    tightly the state is bound, so at mu = hbar = 1 its estimate grows
+    like Z^4 and passes 1e-4 just above Z = 1.5.
     """
     if not result.error_estimate <= CONVERGENCE_TOL:  # a NaN estimate fails too
+        grid = result.grid
         raise ConvergenceError(
             f"oracle did not converge: error estimate {result.error_estimate:.3e}"
+            f" on the grid r_max = {grid.r_max:g}, n_points = {grid.n_points}"
+            " (more --grid-points refine it)"
         )
     return result
 

@@ -432,6 +432,18 @@ def test_oracle_nonconvergence_exit_code(capsys):
     assert "did not converge" in err
 
 
+def test_oracle_nonconvergence_names_the_grid(capsys):
+    # at Z = 2 the default grid's estimate is 3.1e-4; four times the points pass
+    model = ["--lambda-d", "100", "--alpha0", "1e-4", "--field", "0.01", "--z", "2"]
+    code, out, err = run_cli(capsys, ["oracle", *model])
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err.startswith("oracle did not converge: error estimate 3.12")
+    assert "r_max = 50, n_points = 8000" in err and "--grid-points" in err
+    code, _, _ = run_cli(capsys, ["oracle", *model, "--grid-points", "32000"])
+    assert code == EXIT_OK
+
+
 def test_sweep_oracle_nonconvergence_matches_oracle_command(capsys):
     # the grid the oracle command refuses must not yield sweep rows either
     model = ["--lambda-d", "100", "--grid-points", "100"]

@@ -46,7 +46,7 @@ GOLDEN_SHA256 = {
      "--grid-rmax", "20"): "b26e7cbcf000f1ab819c66e443f0ef1ffb48cfd0f4c79bf45bed2ac708d779fd",
     ("sweep", "--vary", "field", "--values", "0.0001,0.001,0.01", "--lambda-d", "100",
      "--alpha0", "1e-4", "--with-overlap",
-     "--grid-rmax", "20"): "bd76fb68c447ad1f6cbb9e47dffab1b6523b48502b99fe94a0e2a1a7aaa75d8c",
+     "--grid-rmax", "20"): "34d70b86fed58b299edb5153912a73c133b85ed40380c303a5881916d321b6b9",
     ("potential", "--lambda-d", "5", "--alpha0", "0.001", "--field", "0.01",
      "--with-quadrature"): "43c1f5005416217c1357acf2d6d9ed8b3e6adf62b397b47fe5a22840ba57cb51",
 }

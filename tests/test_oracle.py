@@ -133,6 +133,75 @@ def test_shift_search_is_certified_whatever_the_guess():
         assert np.linalg.norm(u) == pytest.approx(1.0)
 
 
+def test_prolonged_vector_is_linear_between_shared_nodes_and_zero_at_the_walls():
+    grid = RadialGrid(0.0, 10.0, 999)
+    u = np.exp(-grid.points) * grid.points
+    fine = oracle._prolonged(u)
+    walls = [grid.r_min, *grid.points, grid.r_max]
+    assert np.allclose(fine, np.interp(grid.refined().points, walls, [0.0, *u, 0.0]),
+                       rtol=1e-10, atol=0.0)
+    assert fine[0] > 0.0 and fine[-1] > 0.0
+
+
+@pytest.mark.parametrize("name, potential, p", SOLVER_CASES, ids=[c[0] for c in SOLVER_CASES])
+def test_seeded_refined_solve_is_certified(name, potential, p):
+    # the h/2 solve of solve_ground_state, seeded by the h-grid eigenpair
+    for grid in (COULOMB_GRID, default_grid(p)):
+        e_coarse, u_coarse = solve_on_grid(potential, grid, p)
+        fine = grid.refined()
+        diag, off = hamiltonian_arrays(potential, fine, p)
+        energy, u = solve_on_grid(potential, fine, p, seed=(e_coarse, oracle._prolonged(u_coarse)))
+        assert abs(energy - _bisected_lowest(diag, off)) <= _rounding_bound(diag, off)
+        assert np.all(u > 0.0)  # the first and last node included
+        assert np.sum(u * u) * fine.spacing == pytest.approx(1.0)
+
+
+def test_a_wrong_seed_still_returns_the_ground_state():
+    fine = COULOMB_GRID.refined()
+    diag, off = hamiltonian_arrays(coulomb, fine, AU)
+    exact = _bisected_lowest(diag, off)
+    e_harmonic, u_harmonic = solve_on_grid(harmonic, COULOMB_GRID, AU)
+    _, u_coulomb = solve_on_grid(coulomb, COULOMB_GRID, AU)
+    # the harmonic eigenpair (E = 1.5, wrong shape), and the right vector
+    # with an energy above E_1 = -0.5
+    for seed in ((e_harmonic, oracle._prolonged(u_harmonic)),
+                 (-0.4, oracle._prolonged(u_coulomb))):
+        energy, u = solve_on_grid(coulomb, fine, AU, seed=seed)
+        assert abs(energy - exact) <= _rounding_bound(diag, off)
+        assert np.all(u > 0.0)
+
+
+def test_refined_solve_reuses_the_coarse_eigenpair(monkeypatch):
+    # deterministic work count: one coarse-guess bisection per ground state
+    # (for the h grid only), and a refined solve that starts converged
+    # enough to need one factorization and few back-substitutions
+    import scipy.linalg
+    import scipy.linalg.lapack
+
+    calls = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, np.size(args[0])))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(scipy.linalg, "eigh_tridiagonal")
+    counted(scipy.linalg.lapack, "dpttrf")
+    counted(scipy.linalg.lapack, "dpttrs")
+    for p in WINDOW_POINTS:
+        calls.clear()
+        grid = default_grid(p)
+        solve_ground_state(model_potential(p), grid, p)
+        n_fine = grid.refined().n_points
+        assert sum(name == "eigh_tridiagonal" for name, _ in calls) == 1
+        assert calls.count(("dpttrf", n_fine)) == 1
+        assert calls.count(("dpttrs", n_fine)) <= 4
+
+
 def test_solver_caps_raise_instead_of_returning_a_number(monkeypatch):
     diag, off = hamiltonian_arrays(coulomb, COULOMB_GRID, AU)
     monkeypatch.setattr(oracle, "_MAX_ITERATIONS", 1)
