@@ -25,8 +25,6 @@ import re
 import sys
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .oracle import ConvergenceError, GroundStateError, default_grid
 from .potential import (
     ModelParams,
@@ -212,6 +210,8 @@ def _sweep_values(ns):
             raise UsageError(f"cannot parse --values: {exc}") from exc
     if None in (ns.start, ns.stop, ns.count):
         raise UsageError("sweep needs --values or all of --start/--stop/--count")
+    import numpy as np
+
     space = np.geomspace if ns.geometric else np.linspace
     return tuple(float(v) for v in space(ns.start, ns.stop, ns.count))
 
@@ -244,6 +244,8 @@ def parse_args(argv) -> RunConfig:
                 raise UsageError("--quad-nodes must be >= 8")
             if not 0 < ns.r_min < ns.r_max:
                 raise UsageError("need 0 < --r-min < --r-max")
+            import numpy as np
+
             space = np.geomspace if ns.log else np.linspace
             radii = tuple(float(r) for r in space(ns.r_min, ns.r_max, ns.points))
             table = PotentialTable(params, radii, ns.quad_nodes if ns.with_quadrature else None)
@@ -317,6 +319,8 @@ _BREAKDOWN_KEYS = ("e0", "const_shift", "e1", "e2", "e3", "total")
 
 
 def _run_potential(config: RunConfig):
+    import numpy as np
+
     table = config.request
     p, r = table.params, np.array(table.radii)
     # the quadrature runs first, so radii r <= alpha0 are reported as such

@@ -19,8 +19,9 @@ and starts from a flat vector.  The h/2 solve is seeded by the h-grid
 eigenpair: its energy is the guess, and since every other h/2 node is an
 h node, the start vector is the h-grid vector there and the mean of its
 neighbours (u = 0 at the walls) in between, positive at every node, so
-the certificate still holds.  scipy (LAPACK) is imported only when a
-solve runs.
+the certificate still holds.  numpy is imported only by the functions
+that build or read the grid arrays, and scipy (LAPACK) only when a solve
+runs, so importing this module loads neither.
 
 This solver shares no code with the closed-form energy ladder in
 `laserplasma.perturbation`, which is exactly what makes it usable as a
@@ -28,8 +29,6 @@ cross-check of those formulas.
 """
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .potential import ModelParams
 
@@ -91,7 +90,9 @@ class RadialGrid:
         return (self.r_max - self.r_min) / (self.n_points + 1)
 
     @property
-    def points(self) -> np.ndarray:
+    def points(self) -> "np.ndarray":
+        import numpy as np
+
         return self.r_min + self.spacing * np.arange(1, self.n_points + 1)
 
     def refined(self) -> "RadialGrid":
@@ -111,7 +112,7 @@ class OracleResult:
     """
 
     energy: float
-    u_samples: np.ndarray
+    u_samples: "np.ndarray"
     error_estimate: float
     grid: RadialGrid
 
@@ -122,6 +123,8 @@ def default_grid(p: ModelParams) -> RadialGrid:
 
 
 def _sample(potential, r):
+    import numpy as np
+
     v = np.broadcast_to(np.asarray(potential(r), dtype=float), r.shape)
     if not np.all(np.isfinite(v)):
         bad = r[~np.isfinite(v)][0]
@@ -131,6 +134,8 @@ def _sample(potential, r):
 
 def hamiltonian_arrays(potential, grid: RadialGrid, p: ModelParams):
     """Diagonal and off-diagonal of the discretized radial Hamiltonian."""
+    import numpy as np
+
     h = grid.spacing
     kin = p.hbar**2 / (2.0 * p.mu * h * h)
     diag = 2.0 * kin + _sample(potential, grid.points)
@@ -148,6 +153,7 @@ def _lowest_eigenpair(diag, off, guess, start=None):
     when None) is the first iterate.  Returns the energy and a positive
     unit vector; raises `GroundStateError` when a cap is reached.
     """
+    import numpy as np
     from scipy.linalg.lapack import dpttrf, dpttrs
 
     if start is None:
@@ -205,6 +211,8 @@ def solve_on_grid(potential, grid: RadialGrid, p: ModelParams, *, seed=None):
         Raw eigenvalue and eigenvector normalized to sum(u^2) h = 1,
         positive at every node.
     """
+    import numpy as np
+
     diag, off = hamiltonian_arrays(potential, grid, p)
     if seed is None:
         from scipy.linalg import eigh_tridiagonal
@@ -216,9 +224,11 @@ def solve_on_grid(potential, grid: RadialGrid, p: ModelParams, *, seed=None):
     return energy, u / np.sqrt(np.sum(u * u) * grid.spacing)
 
 
-def _prolonged(u: np.ndarray) -> np.ndarray:
+def _prolonged(u: "np.ndarray") -> "np.ndarray":
     """``u`` on a grid's nodes, carried to its refinement: kept at the shared
     nodes, linear between them, with u = 0 at both walls."""
+    import numpy as np
+
     walled = np.concatenate(([0.0], u, [0.0]))
     fine = np.empty(2 * u.size + 1)
     fine[1::2] = u
@@ -226,7 +236,9 @@ def _prolonged(u: np.ndarray) -> np.ndarray:
     return fine
 
 
-def _interior_sign_changes(u: np.ndarray) -> int:
+def _interior_sign_changes(u: "np.ndarray") -> int:
+    import numpy as np
+
     # ignore the noise floor so tail oscillations at machine level don't count
     significant = u[np.abs(u) > 1e-8 * np.max(np.abs(u))]
     return int(np.count_nonzero(np.sign(significant[:-1]) != np.sign(significant[1:])))
@@ -247,6 +259,8 @@ def solve_ground_state(potential, grid: RadialGrid, p: ModelParams) -> OracleRes
     grid points that land near the pole produce huge samples that distort
     the low end of the spectrum without tripping the finiteness check.
     """
+    import numpy as np
+
     e_coarse, u_coarse = solve_on_grid(potential, grid, p)
     e_fine, u_fine = solve_on_grid(potential, grid.refined(), p,
                                    seed=(e_coarse, _prolonged(u_coarse)))
@@ -300,6 +314,8 @@ def overlap(result: OracleResult, psi) -> float:
     float
         Value in [0, 1] up to rounding.
     """
+    import numpy as np
+
     h = result.grid.spacing
     vals = _sample(psi, result.grid.points)
     norm = np.sqrt(np.sum(vals * vals) * h)

@@ -21,14 +21,14 @@ with the Table-1 third order, which reproduces the reference energies;
 `_breakdowns` runs the same kernel over one varying parameter, so every
 printed energy comes from here.  `superpotential_set` holds the W1 slope
 and W2 scale; `wavefunction_eval` applies W1 and W2 from it as a
-multiplicative correction to chi0.
+multiplicative correction to chi0.  The energies are plain floats and
+load no numpy; the radial functions (``chi0``, the superpotentials and
+`wavefunction_eval`) import it when they are built.
 """
 
 import math
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from .potential import ModelParams, _coefficients, _radii, taylor_coefficients
 
@@ -79,6 +79,7 @@ class SuperpotentialSet:
 
 def _radial(f):
     """f applied to r as a float array: a float for a scalar r, else the array."""
+    import numpy as np
 
     def evaluate(r):
         out = f(np.asarray(r, dtype=float))
@@ -101,6 +102,8 @@ def zeroth_order(p: ModelParams):
         Energy ``-s A`` and the unit-normalized radial function
         chi0(r) = 2 s^{3/2} r exp(-s r), with s = 2 mu A / hbar^2.
     """
+    import numpy as np
+
     sig = p.decay_rate
     energy = -sig * p.coulomb_strength
     norm = 2.0 * sig**1.5
@@ -197,6 +200,8 @@ def wavefunction_eval(r, p: ModelParams):
     the profile is meaningful where the state actually lives (roughly
     r <~ 10/s at reference parameters).
     """
+    import numpy as np
+
     r_arr, scalar = _radii(r)
     sp = superpotential_set(p)
     sig = p.decay_rate

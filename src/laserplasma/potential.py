@@ -22,13 +22,13 @@ corrections in `laserplasma.perturbation`.
 
 All quantities are in atomic units unless the generic ``mu``, ``hbar``,
 ``e_charge`` fields are overridden.  Every function here is pure and safe
-to call concurrently.
+to call concurrently.  numpy is imported only by the functions of a radius
+(the evaluators and the quadrature); `ModelParams` and
+`taylor_coefficients` work in plain floats and never load it.
 """
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "ModelParams",
@@ -142,11 +142,15 @@ class EffectiveCoefficients:
 
 def _screened(x, strength, lambda_d):
     """Screened-Coulomb kernel -(A/x) exp(-x/lambda) cos(x/lambda), no checks."""
+    import numpy as np
+
     t = x / lambda_d
     return -(strength / x) * np.exp(-t) * np.cos(t)
 
 
 def _radii(r):
+    import numpy as np
+
     arr = np.asarray(r, dtype=float)
     if np.any(arr <= 0.0):
         raise ValueError("radial distance must be > 0")
@@ -190,6 +194,8 @@ def dressed_pair_eval(r, p: ModelParams):
     -------
     float or ndarray
     """
+    import numpy as np
+
     arr, scalar = _radii(r)
     if p.alpha0 > 0.0:
         guard = POLE_GUARD * max(1.0, p.alpha0)
@@ -230,6 +236,8 @@ def v0_quadrature(r, p: ModelParams, n_nodes: int = 64):
     -------
     float or ndarray
     """
+    import numpy as np
+
     if n_nodes < 8:
         raise ValueError(f"n_nodes must be >= 8, got {n_nodes}")
     arr, scalar = _radii(r)

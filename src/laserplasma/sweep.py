@@ -6,12 +6,13 @@ energy figures take their breakdowns from `perturbation`'s plain-float
 kernel, with no ModelParams per point; opt-in oracle rows build one for
 the solver and add its fields.  The CLI's ``energy`` and ``oracle`` are
 one-value ``field`` sweeps.  Every figure is one entry of a table that
-names its builder and its parameter axes.
+names its builder and its parameter axes.  Sweeps without the oracle, the
+table and the energy figures (fig2a-fig2d) load no numpy; the potential
+figures (fig1a-fig1c) import it for their radius arrays, and oracle rows
+load numpy and scipy through the solver.
 """
 
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .oracle import RadialGrid, default_grid, overlap, require_converged, solve_ground_state
 from .perturbation import EnergyBreakdown, _breakdowns, wavefunction_eval
@@ -75,10 +76,12 @@ class SweepSpec:
         object.__setattr__(self, "values", values)
         if not values:
             raise ValueError("sweep needs at least one value")
-        if len(values) > 1:
-            diffs = np.diff(values)
-            if not (np.all(diffs > 0) or np.all(diffs < 0)):
-                raise ValueError("sweep values must be strictly monotone")
+        pairs = tuple(zip(values, values[1:]))
+        if not (all(a < b for a, b in pairs) or all(a > b for a, b in pairs)):
+            # a value outside the domain (NaN breaks every order) is the real fault
+            for value in values:
+                self._params_at(value)
+            raise ValueError("sweep values must be strictly monotone")
         unknown = set(self.outputs) - set(_OUTPUT_CHOICES)
         if unknown:
             raise ValueError(f"unknown outputs {sorted(unknown)}")
@@ -169,21 +172,39 @@ class FigureDataset:
     rows: tuple
 
 
-def _potential_curve(p: ModelParams, radii) -> np.ndarray:
+def _potential_curve(p: ModelParams, radii) -> "np.ndarray":
     return dressed_pair_eval(radii, p) + p.field * radii
+
+
+def _linspace(start, stop, num):
+    """np.linspace(start, stop, num) as a tuple of floats, equal bit for bit."""
+    step = (stop - start) / (num - 1)
+    return tuple(start + i * step for i in range(num - 1)) + (stop,)
 
 
 # Axis ranges are not pinned by the captions being reproduced; these
 # defaults bracket the described features and are recorded in each
 # dataset's note so files remain self-describing.  An axis is a
 # (parameter name, values) pair; labels and notes use the short names.
-_FIG1_RADII = np.linspace(0.05, 10.0, 120)
+# The energy axes are plain floats, so the energy figures load no numpy.
 _FIG1C_FIELDS = (0.1, 10.0)
 _FIG1C_LAMBDAS = (1.0, 100.0)
 _FIG1_ALPHA0 = 1e-3
 _FIG2AB_FIELD_AXIS = ("field", (0.0001, 0.001, 0.01))
-_FIG2AB_ALPHA_AXIS = ("alpha0", tuple(np.linspace(0.0, 0.5, 51).tolist()))
+_FIG2AB_ALPHA_AXIS = ("alpha0", _linspace(0.0, 0.5, 51))
 _FIG2_ALPHA0 = 1e-4
+# np.geomspace(1e-4, 4e-2, 25), written out: a pow-based formula rounds 15
+# of the 25 values differently
+_FIG2C_FIELD_AXIS = ("field", (
+    0.0001, 0.00012835688421125162, 0.00016475489724420656, 0.00021147425268811283,
+    0.00027144176165949066, 0.00034841418771425404, 0.00044721359549995795,
+    0.0005740294369528563, 0.0007368062997280774, 0.000945741609003176,
+    0.0012139244620058345, 0.0015581556161088884, 0.0020000000000000005,
+    0.0025671376842250327, 0.0032950979448841317, 0.0042294850537622575,
+    0.005428835233189814, 0.006968283754285082, 0.008944271909999161,
+    0.011480588739057126, 0.01473612599456155, 0.01891483218006352,
+    0.024278489240116694, 0.03116311232217777, 0.04,
+))
 _SHORT_NAMES = {"field": "F"}
 
 
@@ -193,13 +214,16 @@ def _short(name):
 
 def _potential_figure(tag, outer, inner):
     """V_eff(r) curves, one per (outer, inner) parameter pair."""
+    import numpy as np
+
     (outer_name, outer_values), (inner_name, inner_values) = outer, inner
+    radii = np.linspace(0.05, 10.0, 120)
     rows = []
     for a in outer_values:
         for b in inner_values:
             p = ModelParams(alpha0=_FIG1_ALPHA0, **{outer_name: a, inner_name: b})
             label = f"{_short(outer_name)}={a:g},{_short(inner_name)}={b:g}"
-            for r, v in zip(_FIG1_RADII, _potential_curve(p, _FIG1_RADII)):
+            for r, v in zip(radii, _potential_curve(p, radii)):
                 rows.append((label, float(r), float(v)))
     return FigureDataset(
         tag, "r", "V_eff",
@@ -210,6 +234,8 @@ def _potential_figure(tag, outer, inner):
 
 
 def _fig1c(tag):
+    import numpy as np
+
     rows = []
     for lam in _FIG1C_LAMBDAS:
         radii = np.linspace(0.02, 1.2 * lam, 60) if lam <= 2.0 else np.linspace(0.05, 10.0, 60)
@@ -255,9 +281,9 @@ _FIGURES = {
     "fig2b": (_energy_figure, {"lambda_d": 4.0}, _FIG2AB_FIELD_AXIS,
               _FIG2AB_ALPHA_AXIS, "quiver amplitude"),
     "fig2c": (_energy_figure, {"alpha0": _FIG2_ALPHA0}, ("lambda_d", (5.0, 10.0, 50.0, 100.0)),
-              ("field", tuple(np.geomspace(1e-4, 4e-2, 25).tolist())), "static field"),
+              _FIG2C_FIELD_AXIS, "static field"),
     "fig2d": (_energy_figure, {"alpha0": _FIG2_ALPHA0}, ("field", (0.0001, 0.001, 0.01, 0.04)),
-              ("lambda_d", tuple(np.linspace(2.0, 100.0, 50).tolist())), "screening length",
+              ("lambda_d", _linspace(2.0, 100.0, 50)), "screening length",
               "curves flatten beyond lambda_d ~ 25"),
 }
 

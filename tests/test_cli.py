@@ -398,9 +398,17 @@ def test_bad_sweep_values_are_usage_errors(capsys, argv):
      "unrecognized arguments: --grid-rmin 0.5"),
     (["oracle", "--config", "CFG"], "lambda_d = 100\ngrid_rmin = 0.5\n",
      "unknown config key 'grid_rmin'"),
+    # NaN breaks every order, but the fault to name is the value outside the domain
+    (["sweep", "--vary", "field", "--values", "0.01,nan", "--lambda-d", "100"], None,
+     "sweep value nan for field: field must be finite and >= 0, got nan"),
+    (["sweep", "--vary", "field", "--values", "nan,0.01", "--lambda-d", "100"], None,
+     "sweep value nan for field: field must be finite and >= 0, got nan"),
+    (["sweep", "--vary", "field", "--values", "0.01,0.01", "--lambda-d", "100"], None,
+     "sweep values must be strictly monotone"),
 ], ids=["unreadable-config", "config-line-without-equals", "unparsable-values",
         "one-point", "reversed-radii", "negative-first-value", "zero-first-lambda-d",
-        "minus-inf", "minus-nan", "flag-like-word", "grid-rmin-flag", "grid-rmin-key"])
+        "minus-inf", "minus-nan", "flag-like-word", "grid-rmin-flag", "grid-rmin-key",
+        "nan-last-value", "nan-first-value", "repeated-value"])
 def test_input_errors_are_usage_errors(tmp_path, capsys, argv, config_text, message):
     # CFG names a config file, written only when the case gives its text
     cfg = tmp_path / "run.cfg"
@@ -511,31 +519,53 @@ def test_potential_columns_match_scalar_evaluation(capsys):
         assert cycle_avg == pytest.approx(v0_quadrature(r, p), rel=1e-15)
 
 
-# Run by a fresh interpreter: one CLI request, then a last line holding its
-# exit code and whether scipy.linalg got imported.
-_SCIPY_PROBE = """
+# Run by a fresh interpreter: import the CLI, run one request if argv gives
+# one, then print a last line holding the exit code and which of numpy and
+# scipy got imported.
+_IMPORT_PROBE = """
 import sys
-from laserplasma.cli import main
-code = main(sys.argv[1:])
-print(code, "scipy.linalg" in sys.modules)
+import laserplasma.cli
+code = laserplasma.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, *(name for name in ("numpy", "scipy") if name in sys.modules))
 """
 
+_NUMPY = ("numpy",)
+_BOTH = ("numpy", "scipy")
 
-@pytest.mark.parametrize("argv, loads_scipy", [
-    (["energy", "--lambda-d", "100", "--field", "0.01"], False),
-    (["table1"], False),
-    (["figure", "--which", "fig2c"], False),
-    (["potential", "--lambda-d", "5", "--alpha0", "0.001", "--with-quadrature"], False),
-    (["sweep", "--vary", "field", "--values", "0.001,0.01", "--lambda-d", "20"], False),
-    (["oracle", "--lambda-d", "100", "--field", "0.01", "--grid-rmax", "20"], True),
-], ids=lambda value: value[0] if isinstance(value, list) else None)
-def test_only_the_oracle_imports_scipy(argv, loads_scipy):
-    # scipy.linalg takes most of the CLI's import time, so only a request
-    # that runs the eigensolver may load it; the oracle case shows the
-    # probe would see it
+
+def _request(name, argv, loaded):
+    # the id names the request and whether it loads scipy
+    return pytest.param(argv, loaded, id=f"{name}-{'scipy' in loaded}")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    _request("energy", ["energy", "--lambda-d", "100", "--field", "0.01"], ()),
+    _request("table1", ["table1"], ()),
+    _request("figure", ["figure", "--which", "fig2c"], ()),
+    *(_request(tag, ["figure", "--which", tag], ()) for tag in ("fig2a", "fig2b", "fig2d")),
+    *(_request(tag, ["figure", "--which", tag], _NUMPY) for tag in ("fig1a", "fig1b", "fig1c")),
+    _request("potential",
+             ["potential", "--lambda-d", "5", "--alpha0", "0.001", "--with-quadrature"], _NUMPY),
+    _request("sweep", ["sweep", "--vary", "field", "--values", "0.001,0.01", "--lambda-d", "20"],
+             ()),
+    _request("sweep-range", ["sweep", "--vary", "field", "--start", "0.001", "--stop", "0.01",
+                             "--count", "3", "--lambda-d", "20"], _NUMPY),
+    _request("sweep-with-oracle", ["sweep", "--vary", "field", "--values", "0.001,0.01",
+                                   "--lambda-d", "20", "--with-oracle", "--grid-rmax", "20"],
+             _BOTH),
+    _request("oracle", ["oracle", "--lambda-d", "100", "--field", "0.01", "--grid-rmax", "20"],
+             _BOTH),
+    _request("import", [], ()),
+])
+def test_only_the_oracle_imports_scipy(argv, loaded):
+    # numpy and scipy.linalg take most of the CLI's import time, so numpy
+    # loads only for a request that builds an array and scipy only for one
+    # that runs the eigensolver; the "import" case imports laserplasma and
+    # laserplasma.cli and runs nothing, and the oracle cases show the probe
+    # would see both
     env = dict(os.environ)
     src = str(Path(laserplasma.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} {loads_scipy}", proc.stderr
+    assert proc.stdout.splitlines()[-1] == " ".join((str(EXIT_OK), *loaded)), proc.stderr

@@ -117,6 +117,17 @@ def test_energy_figures_are_bit_identical_to_total_energy():
         assert [energy for _, _, energy in figure_dataset(tag).rows] == expected
 
 
+def test_figure_axes_equal_numpy_spacing():
+    # the goldens print 7 decimals, so only this pins every axis bit for bit
+    axes = {"fig1a": np.linspace(0.05, 10.0, 120), "fig1b": np.linspace(0.05, 10.0, 120),
+            "fig2a": np.linspace(0.0, 0.5, 51), "fig2b": np.linspace(0.0, 0.5, 51),
+            "fig2c": np.geomspace(1e-4, 4e-2, 25), "fig2d": np.linspace(2.0, 100.0, 50)}
+    for tag, axis in axes.items():
+        rows = figure_dataset(tag).rows
+        for label in dict.fromkeys(label for label, _, _ in rows):
+            assert [x for series, x, _ in rows if series == label] == axis.tolist(), (tag, label)
+
+
 def test_rerun_identical():
     spec = SweepSpec("field", tuple(np.linspace(1e-4, 4e-2, 7)), FIXED)
     assert run_sweep(spec) == run_sweep(spec)
