@@ -34,7 +34,15 @@ from .potential import (
     v0_quadrature,
     veff_series_eval,
 )
-from .sweep import FIGURE_TAGS, TABLE1_ALPHA0, SweepSpec, figure_dataset, run_sweep, table1_rows
+from .sweep import (
+    FIGURE_TAGS,
+    TABLE1_ALPHA0,
+    SweepSpec,
+    _linspace,
+    figure_dataset,
+    run_sweep,
+    table1_rows,
+)
 
 __all__ = ["RunConfig", "PotentialTable", "UsageError", "parse_args", "run", "main"]
 
@@ -210,10 +218,13 @@ def _sweep_values(ns):
             raise UsageError(f"cannot parse --values: {exc}") from exc
     if None in (ns.start, ns.stop, ns.count):
         raise UsageError("sweep needs --values or all of --start/--stop/--count")
-    import numpy as np
+    if ns.count < 1:
+        raise UsageError(f"--count must be >= 1, got {ns.count}")
+    if ns.geometric:
+        import numpy as np
 
-    space = np.geomspace if ns.geometric else np.linspace
-    return tuple(float(v) for v in space(ns.start, ns.stop, ns.count))
+        return tuple(float(v) for v in np.geomspace(ns.start, ns.stop, ns.count))
+    return _linspace(ns.start, ns.stop, ns.count)  # loads no numpy
 
 
 def parse_args(argv) -> RunConfig:

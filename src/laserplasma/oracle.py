@@ -14,11 +14,11 @@ and moves down until T - shift I has an LDL^T factorization, which proves
 shift < E_0.  T's off-diagonal is negative, so T - shift I is then an
 M-matrix with an entrywise positive inverse, and iterating from a positive
 vector converges to the nodeless ground state, never to an excited one.
-The h-grid solve takes its guess from the same box on a 16x coarser grid
-and starts from a flat vector.  The h/2 solve is seeded by the h-grid
-eigenpair: its energy is the guess, and since every other h/2 node is an
-h node, the start vector is the h-grid vector there and the mean of its
-neighbours (u = 0 at the walls) in between, positive at every node, so
+The h-grid solve takes its guess and start vector from the same solve on
+a 16x coarser grid, which starts from a flat vector and the flat vector's
+Rayleigh quotient, an upper bound of E_0.  The h/2 solve is seeded by the
+h-grid eigenpair.  Either way the start vector is carried over by linear
+interpolation with u = 0 at the walls, so it is positive at every node and
 the certificate still holds.  numpy is imported only by the functions
 that build or read the grid arrays, and scipy (LAPACK) only when a solve
 runs, so importing this module loads neither.
@@ -143,23 +143,20 @@ def hamiltonian_arrays(potential, grid: RadialGrid, p: ModelParams):
     return diag, off
 
 
-def _lowest_eigenpair(diag, off, guess, start=None):
+def _lowest_eigenpair(diag, off, guess, start):
     """Lowest eigenpair of the tridiagonal (diag, off < 0) by certified inverse iteration.
 
     ``guess`` only sets where the shift search starts: the shift moves down
     from it by growing steps until T - shift I factors, and is bisected
     towards the current energy (an upper bound of E_0) whenever the
-    iteration contracts slowly.  ``start`` (positive at every node; flat
-    when None) is the first iterate.  Returns the energy and a positive
-    unit vector; raises `GroundStateError` when a cap is reached.
+    iteration contracts slowly.  ``start``, positive at every node, is the
+    first iterate.  Returns the energy and a positive unit vector; raises
+    `GroundStateError` when a cap is reached.
     """
     import numpy as np
     from scipy.linalg.lapack import dpttrf, dpttrs
 
-    if start is None:
-        u = np.full(diag.size, 1.0 / np.sqrt(diag.size))
-    else:
-        u = start / np.linalg.norm(start)
+    u = start / np.linalg.norm(start)
     lo, hi, step = -np.inf, np.inf, 1e-3 * max(1.0, abs(guess))
     shift, energy, changes = guess - step, np.inf, []
     ulp = np.spacing(np.max(np.abs(diag)))
@@ -199,8 +196,8 @@ def solve_on_grid(potential, grid: RadialGrid, p: ModelParams, *, seed=None):
     ----------
     seed : (float, ndarray), optional
         A guess of the energy and a start vector on ``grid.points``,
-        positive at every node.  Without one, the guess is the lowest
-        eigenvalue on a 16x coarser grid and the start vector is flat.
+        positive at every node.  Without one, the seed is the eigenpair
+        on a 16x coarser grid, its vector carried to ``grid``.
         Either way the shift is certified below E_0 and the iteration
         converges to the same eigenpair, so the result does not depend on
         the seed beyond rounding; a good seed only saves work.
@@ -215,25 +212,23 @@ def solve_on_grid(potential, grid: RadialGrid, p: ModelParams, *, seed=None):
 
     diag, off = hamiltonian_arrays(potential, grid, p)
     if seed is None:
-        from scipy.linalg import eigh_tridiagonal
-
         coarse = RadialGrid(grid.r_min, grid.r_max, max(100, grid.n_points // 16))
-        seed = (eigh_tridiagonal(*hamiltonian_arrays(potential, coarse, p), eigvals_only=True,
-                                 select="i", select_range=(0, 0))[0], None)
+        c_diag, c_off = hamiltonian_arrays(potential, coarse, p)
+        # the flat vector's Rayleigh quotient, an upper bound of E_0
+        guess = (c_diag.sum() + 2.0 * c_off.sum()) / c_diag.size
+        e_coarse, u_coarse = _lowest_eigenpair(c_diag, c_off, guess, np.ones(c_diag.size))
+        seed = (e_coarse, _carried(u_coarse, coarse, grid))
     energy, u = _lowest_eigenpair(diag, off, *seed)
     return energy, u / np.sqrt(np.sum(u * u) * grid.spacing)
 
 
-def _prolonged(u: "np.ndarray") -> "np.ndarray":
-    """``u`` on a grid's nodes, carried to its refinement: kept at the shared
-    nodes, linear between them, with u = 0 at both walls."""
+def _carried(u: "np.ndarray", grid: RadialGrid, target: RadialGrid) -> "np.ndarray":
+    """``u`` on ``grid``'s nodes, interpolated linearly onto ``target``'s,
+    with u = 0 at both walls."""
     import numpy as np
 
-    walled = np.concatenate(([0.0], u, [0.0]))
-    fine = np.empty(2 * u.size + 1)
-    fine[1::2] = u
-    fine[0::2] = 0.5 * (walled[:-1] + walled[1:])
-    return fine
+    walls = np.concatenate(([grid.r_min], grid.points, [grid.r_max]))
+    return np.interp(target.points, walls, np.concatenate(([0.0], u, [0.0])))
 
 
 def _interior_sign_changes(u: "np.ndarray") -> int:
@@ -261,9 +256,10 @@ def solve_ground_state(potential, grid: RadialGrid, p: ModelParams) -> OracleRes
     """
     import numpy as np
 
+    fine = grid.refined()
     e_coarse, u_coarse = solve_on_grid(potential, grid, p)
-    e_fine, u_fine = solve_on_grid(potential, grid.refined(), p,
-                                   seed=(e_coarse, _prolonged(u_coarse)))
+    e_fine, u_fine = solve_on_grid(potential, fine, p,
+                                   seed=(e_coarse, _carried(u_coarse, grid, fine)))
     energy = (4.0 * e_fine - e_coarse) / 3.0
     error_estimate = abs(e_fine - e_coarse) / 3.0
     # every other fine node coincides with a coarse node

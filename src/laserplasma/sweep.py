@@ -177,7 +177,9 @@ def _potential_curve(p: ModelParams, radii) -> "np.ndarray":
 
 
 def _linspace(start, stop, num):
-    """np.linspace(start, stop, num) as a tuple of floats, equal bit for bit."""
+    """np.linspace(start, stop, num) as a tuple of floats, equal bit for bit (num >= 1)."""
+    if num == 1:
+        return (float(start),)
     step = (stop - start) / (num - 1)
     return tuple(start + i * step for i in range(num - 1)) + (stop,)
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import laserplasma
@@ -286,6 +287,20 @@ def test_sweep_values_list(capsys):
     assert float(rows[0][header.index("total")]) == pytest.approx(-1.9799255, abs=5e-7)
 
 
+@pytest.mark.parametrize("count", [1, 2, 7])
+def test_linear_sweep_range_is_np_linspace(capsys, count):
+    # the range is built without numpy, and prints the bytes of the same
+    # values given one by one
+    fixed = ["sweep", "--vary", "field", "--lambda-d", "20", "--format", "json"]
+    values = ",".join(repr(float(v)) for v in np.linspace(0.001, 0.037, count))
+    code, expected, _ = run_cli(capsys, [*fixed, "--values", values])
+    assert code == EXIT_OK
+    code, out, _ = run_cli(capsys, [*fixed, "--start", "0.001", "--stop", "0.037",
+                                    "--count", str(count)])
+    assert code == EXIT_OK
+    assert out == expected
+
+
 def test_sweep_range_flags(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -370,7 +385,12 @@ def test_usage_error_exit_code(capsys):
     ["--vary", "field", "--values", "0.02,-0.01", "--lambda-d", "100"],
     ["--vary", "lambda-d", "--values", "0,5", "--lambda-d", "1"],
     ["--vary", "field", "--start", "0.01", "--stop", "0.01", "--count", "3", "--lambda-d", "100"],
-], ids=["non-monotone", "negative-field", "zero-lambda-d", "empty-range"])
+    ["--vary", "field", "--start", "0.01", "--stop", "0.02", "--count", "0", "--lambda-d", "100"],
+    ["--vary", "field", "--start", "0.01", "--stop", "0.02", "--count", "-2", "--lambda-d", "100"],
+    ["--vary", "field", "--start", "0.01", "--stop", "0.02", "--count", "0", "--geometric",
+     "--lambda-d", "100"],
+], ids=["non-monotone", "negative-field", "zero-lambda-d", "empty-range", "zero-count",
+        "negative-count", "zero-count-geometric"])
 def test_bad_sweep_values_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, ["sweep", *argv])
     assert code == EXIT_USAGE
@@ -549,7 +569,9 @@ def _request(name, argv, loaded):
     _request("sweep", ["sweep", "--vary", "field", "--values", "0.001,0.01", "--lambda-d", "20"],
              ()),
     _request("sweep-range", ["sweep", "--vary", "field", "--start", "0.001", "--stop", "0.01",
-                             "--count", "3", "--lambda-d", "20"], _NUMPY),
+                             "--count", "3", "--lambda-d", "20"], ()),
+    _request("sweep-geometric", ["sweep", "--vary", "field", "--start", "0.001", "--stop", "0.01",
+                                 "--count", "3", "--geometric", "--lambda-d", "20"], _NUMPY),
     _request("sweep-with-oracle", ["sweep", "--vary", "field", "--values", "0.001,0.01",
                                    "--lambda-d", "20", "--with-oracle", "--grid-rmax", "20"],
              _BOTH),

@@ -127,20 +127,27 @@ def test_shift_search_is_certified_whatever_the_guess():
     exact = _bisected_lowest(diag, off)
     assert -2.0 < exact < -1.99
     for guess in (-0.4, exact - 100.0):
-        energy, u = _lowest_eigenpair(diag, off, guess)
+        energy, u = _lowest_eigenpair(diag, off, guess, np.ones(diag.size))
         assert abs(energy - exact) <= _rounding_bound(diag, off)
         assert np.all(u > 0.0)
         assert np.linalg.norm(u) == pytest.approx(1.0)
 
 
-def test_prolonged_vector_is_linear_between_shared_nodes_and_zero_at_the_walls():
+def test_carried_vector_keeps_shared_nodes_and_is_zero_at_the_walls():
     grid = RadialGrid(0.0, 10.0, 999)
     u = np.exp(-grid.points) * grid.points
-    fine = oracle._prolonged(u)
-    walls = [grid.r_min, *grid.points, grid.r_max]
-    assert np.allclose(fine, np.interp(grid.refined().points, walls, [0.0, *u, 0.0]),
-                       rtol=1e-10, atol=0.0)
-    assert fine[0] > 0.0 and fine[-1] > 0.0
+    fine = oracle._carried(u, grid, grid.refined())
+    # on a nested refinement: the shared nodes kept, each midpoint the mean
+    # of its neighbours, with u = 0 at the walls
+    walled = np.concatenate(([0.0], u, [0.0]))
+    nested = np.empty(2 * u.size + 1)
+    nested[1::2] = u
+    nested[0::2] = 0.5 * (walled[:-1] + walled[1:])
+    assert np.allclose(fine, nested, rtol=1e-10, atol=0.0)
+    # from the 16x coarser grid of an unseeded solve: positive at every
+    # node, the first and last included
+    grid, coarse = RadialGrid(0.0, 10.0, 8000), RadialGrid(0.0, 10.0, 8000 // 16)
+    assert np.all(oracle._carried(np.exp(-coarse.points) * coarse.points, coarse, grid) > 0.0)
 
 
 @pytest.mark.parametrize("name, potential, p", SOLVER_CASES, ids=[c[0] for c in SOLVER_CASES])
@@ -150,7 +157,8 @@ def test_seeded_refined_solve_is_certified(name, potential, p):
         e_coarse, u_coarse = solve_on_grid(potential, grid, p)
         fine = grid.refined()
         diag, off = hamiltonian_arrays(potential, fine, p)
-        energy, u = solve_on_grid(potential, fine, p, seed=(e_coarse, oracle._prolonged(u_coarse)))
+        energy, u = solve_on_grid(potential, fine, p,
+                                  seed=(e_coarse, oracle._carried(u_coarse, grid, fine)))
         assert abs(energy - _bisected_lowest(diag, off)) <= _rounding_bound(diag, off)
         assert np.all(u > 0.0)  # the first and last node included
         assert np.sum(u * u) * fine.spacing == pytest.approx(1.0)
@@ -164,40 +172,45 @@ def test_a_wrong_seed_still_returns_the_ground_state():
     _, u_coulomb = solve_on_grid(coulomb, COULOMB_GRID, AU)
     # the harmonic eigenpair (E = 1.5, wrong shape), and the right vector
     # with an energy above E_1 = -0.5
-    for seed in ((e_harmonic, oracle._prolonged(u_harmonic)),
-                 (-0.4, oracle._prolonged(u_coulomb))):
+    for seed in ((e_harmonic, oracle._carried(u_harmonic, COULOMB_GRID, fine)),
+                 (-0.4, oracle._carried(u_coulomb, COULOMB_GRID, fine))):
         energy, u = solve_on_grid(coulomb, fine, AU, seed=seed)
         assert abs(energy - exact) <= _rounding_bound(diag, off)
         assert np.all(u > 0.0)
 
 
 def test_refined_solve_reuses_the_coarse_eigenpair(monkeypatch):
-    # deterministic work count: one coarse-guess bisection per ground state
-    # (for the h grid only), and a refined solve that starts converged
-    # enough to need one factorization and few back-substitutions
+    # deterministic work count with one eigensolver: no bisection anywhere,
+    # an h grid that starts from the carried coarse eigenvector in no more
+    # back-substitutions than it took from a flat vector and a bisected
+    # guess (6, 5 and 6), and a refined solve that starts converged enough
+    # to need one factorization and few back-substitutions
     import scipy.linalg
     import scipy.linalg.lapack
 
+    def bisection(*args, **kwargs):
+        raise AssertionError("eigh_tridiagonal called")
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", bisection)
     calls = []
 
-    def counted(module, name):
-        real = getattr(module, name)
+    def counted(name):
+        real = getattr(scipy.linalg.lapack, name)
 
         def wrapper(*args, **kwargs):
             calls.append((name, np.size(args[0])))
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(scipy.linalg.lapack, name, wrapper)
 
-    counted(scipy.linalg, "eigh_tridiagonal")
-    counted(scipy.linalg.lapack, "dpttrf")
-    counted(scipy.linalg.lapack, "dpttrs")
-    for p in WINDOW_POINTS:
+    counted("dpttrf")
+    counted("dpttrs")
+    for p, flat_start_solves in zip(WINDOW_POINTS, (6, 5, 6)):
         calls.clear()
         grid = default_grid(p)
         solve_ground_state(model_potential(p), grid, p)
         n_fine = grid.refined().n_points
-        assert sum(name == "eigh_tridiagonal" for name, _ in calls) == 1
+        assert calls.count(("dpttrs", grid.n_points)) <= flat_start_solves
         assert calls.count(("dpttrf", n_fine)) == 1
         assert calls.count(("dpttrs", n_fine)) <= 4
 
@@ -206,11 +219,12 @@ def test_solver_caps_raise_instead_of_returning_a_number(monkeypatch):
     diag, off = hamiltonian_arrays(coulomb, COULOMB_GRID, AU)
     monkeypatch.setattr(oracle, "_MAX_ITERATIONS", 1)
     with pytest.raises(GroundStateError, match="did not settle"):
-        _lowest_eigenpair(diag, off, -2.0)
+        _lowest_eigenpair(diag, off, -2.0, np.ones(diag.size))
     monkeypatch.undo()
     monkeypatch.setattr(oracle, "_MAX_FACTORIZATIONS", 3)
     with pytest.raises(GroundStateError, match="no certified shift"):
-        _lowest_eigenpair(diag, off, -0.4)  # three steps down from -0.4 stay above E_0
+        # three steps down from -0.4 stay above E_0
+        _lowest_eigenpair(diag, off, -0.4, np.ones(diag.size))
 
 
 def test_second_order_convergence_ratio():
