@@ -412,7 +412,7 @@ def run(config: RunConfig) -> int:
     except ConvergenceError as exc:
         print(exc, file=sys.stderr)
         return EXIT_NUMERIC
-    except (GroundStateError, ValueError) as exc:
+    except (GroundStateError, ValueError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

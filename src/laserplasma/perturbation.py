@@ -16,21 +16,22 @@ The first three orders close in elementary functions:
               the paper's Table-1 form of E3        (`total_energy`)
 
 The constant c0 enters the total additively.  `total_energy` turns one
-set of coefficients into all five parts through a plain-float kernel,
-with the Table-1 third order, which reproduces the reference energies;
-`_breakdowns` runs the same kernel over one varying parameter, so every
-printed energy comes from here.  `superpotential_set` holds the W1 slope
-and W2 scale; `wavefunction_eval` applies W1 and W2 from it as a
-multiplicative correction to chi0.  The energies are plain floats and
-load no numpy; the radial functions (``chi0``, the superpotentials and
-`wavefunction_eval`) import it when they are built.
+set of coefficients into all five parts through a plain-float kernel
+with the Table-1 third order, which reproduces the reference energies.
+`_breakdowns` runs it over one varying parameter and computes once per
+sweep the ladder's (A, mu, hbar) factors and the coefficient part the
+parameter leaves fixed, so every printed energy comes from here.
+`superpotential_set` holds the W1 slope and W2 scale; `wavefunction_eval`
+applies them to chi0 as a multiplicative correction.  The energies are
+plain floats and load no numpy; the radial functions import it.
 """
 
 import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .potential import ModelParams, _coefficients, _radii, taylor_coefficients
+from .potential import (ModelParams, _alpha_terms, _coefficients, _lambda_terms, _radii,
+                        taylor_coefficients)
 
 __all__ = [
     "EnergyBreakdown",
@@ -147,28 +148,36 @@ def total_energy(p: ModelParams) -> EnergyBreakdown:
     `e3_hierarchy` is the consistent third order.
     """
     c = taylor_coefficients(p)
-    return EnergyBreakdown(*_ladder(c.c0, c.c1, c.c2, c.c3, p.coulomb_strength, p.mu, p.hbar))
+    return EnergyBreakdown(*_ladder(_ladder_terms(p), c.c0, c.c1, c.c2, c.c3))
 
 
-def _ladder(c0, c1, c2, c3, a, mu, hbar):
-    """`total_energy`'s (e0, c0, e1, e2, e3) from plain floats, in its exact
-    operation order, so callers that build no ModelParams get the same bits."""
-    sig = 2.0 * mu * a / hbar**2
-    e2 = 3.0 * c2 / sig**2 - 3.0 * hbar**6 * c1**2 / (32.0 * mu**3 * a**4)
-    term_cubic = 15.0 * c3
-    term_cross = 27.0 * mu**2 * c1**2 / (4.0 * hbar**4 * sig**4)
-    term_mixed = 27.0 * mu * c1 * c2 / (2.0 * hbar**2 * sig**2)
-    e3 = (term_cubic + term_cross - term_mixed) / (2.0 * sig**3)
-    return -sig * a, c0, 1.5 * c1 / sig, e2, e3
+def _ladder_terms(p: ModelParams):
+    """The (A, mu, hbar) factors of `_ladder`, computed once per sweep."""
+    sig, a, mu, hbar = p.decay_rate, p.coulomb_strength, p.mu, p.hbar
+    return (sig, -sig * a, sig**2, 3.0 * hbar**6, 32.0 * mu**3 * a**4, 27.0 * mu**2,
+            4.0 * hbar**4 * sig**4, 27.0 * mu, 2.0 * hbar**2 * sig**2, 2.0 * sig**3)
+
+
+def _ladder(terms, c0, c1, c2, c3):
+    """(e0, c0, e1, e2, e3) from the coefficients and the `_ladder_terms` factors."""
+    sig, e0, sig2, k2, q2, k_cross, q_cross, k_mixed, q_mixed, q3 = terms
+    c1_sq = c1**2
+    e2 = 3.0 * c2 / sig2 - k2 * c1_sq / q2
+    e3 = (15.0 * c3 + k_cross * c1_sq / q_cross - k_mixed * c1 * c2 / q_mixed) / q3
+    return e0, c0, 1.5 * c1 / sig, e2, e3
 
 
 def _breakdowns(fixed: ModelParams, vary: str, values):
-    """total_energy(replace(fixed, **{vary: v})) per value, bit for bit, with no ModelParams."""
-    args = {"lambda_d": fixed.lambda_d, "alpha0": fixed.alpha0, "field": fixed.field}
-    a, mu, hbar = fixed.coulomb_strength, fixed.mu, fixed.hbar
+    """total_energy(replace(fixed, **{vary: v})) per value, bit for bit, with no ModelParams;
+    the ladder's factors and each coefficient part ``vary`` leaves fixed are computed once."""
+    ladder, a, field = _ladder_terms(fixed), fixed.coulomb_strength, fixed.field
+    num = None if vary == "alpha0" else _alpha_terms(a, fixed.alpha0)
+    den = None if vary == "lambda_d" else _lambda_terms(fixed.lambda_d)
     for value in values:
-        args[vary] = value
-        yield EnergyBreakdown(*_ladder(*_coefficients(a, **args)[1:], a, mu, hbar))
+        num = _alpha_terms(a, value) if vary == "alpha0" else num
+        den = _lambda_terms(value) if vary == "lambda_d" else den
+        field = value if vary == "field" else field
+        yield EnergyBreakdown(*_ladder(ladder, *_coefficients(num, den, field)))
 
 
 def superpotential_set(p: ModelParams) -> SuperpotentialSet:

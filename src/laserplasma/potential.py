@@ -15,16 +15,16 @@ Chebyshev-weighted integral implemented here by Gauss quadrature so the
 endpoint form can be validated against it.
 
 A static electric field F adds a radial term ``+F r``.  For r well inside
-the screening length the full effective potential is accurately captured
-by a cubic polynomial plus the Coulomb pole; `taylor_coefficients` returns
-those expansion coefficients, which feed the closed-form energy
-corrections in `laserplasma.perturbation`.
+the screening length the effective potential is a cubic polynomial plus
+the Coulomb pole; `taylor_coefficients` returns its coefficients for the
+closed forms of `laserplasma.perturbation`.  Each is a sum of A alpha0^(2k)
+over const lambda_D^n terms, split so that a sweep computes once the
+alpha0 numerators or the lambda_D denominators its parameter leaves fixed.
 
 All quantities are in atomic units unless the generic ``mu``, ``hbar``,
 ``e_charge`` fields are overridden.  Every function here is pure and safe
-to call concurrently.  numpy is imported only by the functions of a radius
-(the evaluators and the quadrature); `ModelParams` and
-`taylor_coefficients` work in plain floats and never load it.
+to call concurrently.  Only the functions of a radius import numpy;
+`ModelParams` and `taylor_coefficients` work in plain floats.
 """
 
 import math
@@ -255,30 +255,31 @@ def v0_quadrature(r, p: ModelParams, n_nodes: int = 64):
     return float(out) if scalar else out
 
 
-def _coefficients(a, lambda_d, alpha0, field):
-    """(c_m1, c0, c1, c2, c3) as plain floats for coupling A = a."""
-    lam = lambda_d
+def _alpha_terms(a, alpha0):
+    """The A alpha0^(2k) numerators of the coefficients, in `_coefficients`' order."""
     a2 = alpha0**2
     a4 = a2 * a2
-    a6 = a4 * a2
-    a8 = a4 * a4
-    c0 = (
-        a * a8 / (11340.0 * lam**9)
-        + a * a6 / (315.0 * lam**7)
-        - a * a4 / (15.0 * lam**5)
-        - 2.0 * a * a2 / (3.0 * lam**3)
-        + 2.0 * a / lam
-    )
-    c1 = field - a * a6 / (180.0 * lam**8) + a * a2 / lam**4
-    c2 = (
-        -a * a8 / (13860.0 * lam**11)
-        + a * a6 / (405.0 * lam**9)
-        + a * a4 / (21.0 * lam**7)
-        - 2.0 * a * a2 / (5.0 * lam**5)
-        - 2.0 * a / (3.0 * lam**3)
-    )
-    c3 = a * a8 / (22680.0 * lam**12) - a * a4 / (36.0 * lam**8) + a / (3.0 * lam**4)
-    return -2.0 * a, c0, c1, c2, c3
+    a6, a8, two_a = a4 * a2, a4 * a4, 2.0 * a
+    return a * a8, a * a6, a * a4, two_a * a2, two_a, a * a2, -a * a8, a
+
+
+def _lambda_terms(lam):
+    """The lambda_D denominators of the coefficients, one pow per distinct power."""
+    l3, l4, l5, l7 = lam**3, lam**4, lam**5, lam**7
+    l8, l9, l11, l12 = lam**8, lam**9, lam**11, lam**12
+    return (11340.0 * l9, 315.0 * l7, 15.0 * l5, 3.0 * l3, lam, 180.0 * l8, l4,
+            13860.0 * l11, 405.0 * l9, 21.0 * l7, 5.0 * l5, 22680.0 * l12, 36.0 * l8, 3.0 * l4)
+
+
+def _coefficients(num, den, field):
+    """c0..c3 from `_alpha_terms` and `_lambda_terms`; k<i>_<n> is c_i's lambda_D^n term."""
+    n8, n6, n4, n2x2, n0x2, n2, neg8, n0 = num
+    k0_9, k0_7, k0_5, k0_3, k0_1, k1_8, k1_4, k2_11, k2_9, k2_7, k2_5, k3_12, k3_8, k3_4 = den
+    c0 = n8 / k0_9 + n6 / k0_7 - n4 / k0_5 - n2x2 / k0_3 + n0x2 / k0_1
+    c1 = field - n6 / k1_8 + n2 / k1_4
+    c2 = neg8 / k2_11 + n6 / k2_9 + n4 / k2_7 - n2x2 / k2_5 - n0x2 / k0_3
+    c3 = n8 / k3_12 - n4 / k3_8 + n0 / k3_4
+    return c0, c1, c2, c3
 
 
 def taylor_coefficients(p: ModelParams) -> EffectiveCoefficients:
@@ -288,7 +289,9 @@ def taylor_coefficients(p: ModelParams) -> EffectiveCoefficients:
     undressed strength -2A while the analytic remainder is expanded
     through r^3 and alpha0^8.  The static field contributes F to c1.
     """
-    return EffectiveCoefficients(*_coefficients(p.coulomb_strength, p.lambda_d, p.alpha0, p.field))
+    a = p.coulomb_strength
+    num, den = _alpha_terms(a, p.alpha0), _lambda_terms(p.lambda_d)
+    return EffectiveCoefficients(-2.0 * a, *_coefficients(num, den, p.field))
 
 
 def veff_series_eval(r, c: EffectiveCoefficients):

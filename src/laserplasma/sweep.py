@@ -133,13 +133,16 @@ def _oracle_row(spec: SweepSpec, value: float, breakdown: EnergyBreakdown) -> Sw
 def run_sweep(spec: SweepSpec):
     """Evaluate every sweep value; one SweepRow per value, input order.
 
-    Oracle rows pass the same convergence verdict as the ``oracle``
-    command: a grid too coarse for them raises `ConvergenceError`.
+    Oracle rows pass the ``oracle`` command's convergence verdict (`ConvergenceError`
+    on a grid too coarse for them); an ArithmeticError is raised again naming its point.
     """
-    pairs = zip(spec.values, _breakdowns(spec.fixed, spec.vary, spec.values))
-    if "oracle" in spec.outputs:
-        return [_oracle_row(spec, v, b) for v, b in pairs]
-    return [SweepRow(value=v, breakdown=b) for v, b in pairs]
+    rows, oracle = [], "oracle" in spec.outputs
+    try:
+        for v, b in zip(spec.values, _breakdowns(spec.fixed, spec.vary, spec.values)):
+            rows.append(_oracle_row(spec, v, b) if oracle else SweepRow(value=v, breakdown=b))
+    except ArithmeticError as exc:
+        raise type(exc)(f"{exc} at {spec._params_at(spec.values[len(rows)])}") from exc
+    return rows
 
 
 def table1_rows():
@@ -225,8 +228,8 @@ def _potential_figure(tag, outer, inner):
         for b in inner_values:
             p = ModelParams(alpha0=_FIG1_ALPHA0, **{outer_name: a, inner_name: b})
             label = f"{_short(outer_name)}={a:g},{_short(inner_name)}={b:g}"
-            for r, v in zip(radii, _potential_curve(p, radii)):
-                rows.append((label, float(r), float(v)))
+            for r, v in zip(radii.tolist(), _potential_curve(p, radii).tolist()):
+                rows.append((label, r, v))
     return FigureDataset(
         tag, "r", "V_eff",
         f"effective potential vs radius; alpha0={_FIG1_ALPHA0:g}, "
@@ -247,7 +250,7 @@ def _fig1c(tag):
                       ("series", veff_series_eval(radii, taylor_coefficients(p))))
             for kind, curve in curves:
                 label = f"{kind},lambda_d={lam:g},F={f:g}"
-                rows.extend((label, float(r), float(v)) for r, v in zip(radii, curve))
+                rows.extend((label, r, v) for r, v in zip(radii.tolist(), curve.tolist()))
     return FigureDataset(
         tag, "r", "V_eff",
         "exact dressed potential vs its cubic expansion; the expansion is "

@@ -505,6 +505,33 @@ def test_numeric_failure_exit_code(capsys):
     assert "numeric failure" in err
 
 
+@pytest.mark.parametrize("argv, point", [
+    (["energy", "--lambda-d", "1e30"], "lambda_d=1e+30"),
+    (["energy", "--lambda-d", "1e-80"], "lambda_d=1e-80"),
+    (["energy", "--lambda-d", "5", "--alpha0", "1e40"], "alpha0=1e+40"),
+    (["energy", "--lambda-d", "5", "--field", "1e300"], "field=1e+300"),
+    (["energy", "--lambda-d", "5", "--z", "1e200"], "z=1e+200"),
+    (["sweep", "--vary", "lambda-d", "--values", "1e25,1e30"], "lambda_d=1e+30"),
+], ids=["lambda-huge", "lambda-tiny", "alpha0-huge", "field-huge", "z-huge", "sweep-lambda"])
+def test_float_overflow_is_a_numeric_failure_naming_the_point(capsys, argv, point):
+    # the plain-float kernel raises OverflowError or ZeroDivisionError here
+    code, out, err = run_cli(capsys, argv)
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+    assert point in err and "lambda_d=1e+25" not in err
+
+
+def test_unscreened_energy_output_is_unchanged(capsys):
+    code, out, _ = run_cli(capsys, ["energy", "--lambda-d", "inf"])
+    assert code == EXIT_OK
+    assert out == (
+        "# laserplasma energy\n# z = 1\n# lambda_d = inf\n# alpha0 = 0\n# field = 0\n"
+        "# mu = 1\n# hbar = 1\n# e_charge = 1\ne0,const_shift,e1,e2,e3,total\n"
+        "-2.0000000,0.0000000,0.0000000,0.0000000,0.0000000,-2.0000000\n"
+    )
+
+
 def test_potential_csv_columns(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -1,4 +1,6 @@
 import math
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from laserplasma.perturbation import (
 )
 from laserplasma.oracle import RadialGrid, solve_ground_state
 from laserplasma.potential import ModelParams, taylor_coefficients, veff_series_eval
+from laserplasma.sweep import SweepSpec, run_sweep
 
 AU = dict(z=1.0, mu=1.0, hbar=1.0, e_charge=1.0)
 
@@ -301,3 +304,80 @@ def test_total_energy_computes_coefficients_once(monkeypatch):
     monkeypatch.setattr(perturbation, "taylor_coefficients", counted)
     total_energy(ModelParams(lambda_d=20.0, alpha0=1e-3, field=0.01))
     assert len(calls) == 1
+
+
+def _reference_coefficients(a, lambda_d, alpha0, field):
+    """The coefficient expressions as one plain-float function: an
+    independent copy, in the kernel's operation order, to compare bits with."""
+    lam = lambda_d
+    a2 = alpha0**2
+    a4 = a2 * a2
+    a6 = a4 * a2
+    a8 = a4 * a4
+    c0 = (
+        a * a8 / (11340.0 * lam**9)
+        + a * a6 / (315.0 * lam**7)
+        - a * a4 / (15.0 * lam**5)
+        - 2.0 * a * a2 / (3.0 * lam**3)
+        + 2.0 * a / lam
+    )
+    c1 = field - a * a6 / (180.0 * lam**8) + a * a2 / lam**4
+    c2 = (
+        -a * a8 / (13860.0 * lam**11)
+        + a * a6 / (405.0 * lam**9)
+        + a * a4 / (21.0 * lam**7)
+        - 2.0 * a * a2 / (5.0 * lam**5)
+        - 2.0 * a / (3.0 * lam**3)
+    )
+    c3 = a * a8 / (22680.0 * lam**12) - a * a4 / (36.0 * lam**8) + a / (3.0 * lam**4)
+    return -2.0 * a, c0, c1, c2, c3
+
+
+def _reference_ladder(c0, c1, c2, c3, a, mu, hbar):
+    """The (e0, c0, e1, e2, e3) expressions as one plain-float function."""
+    sig = 2.0 * mu * a / hbar**2
+    e2 = 3.0 * c2 / sig**2 - 3.0 * hbar**6 * c1**2 / (32.0 * mu**3 * a**4)
+    term_cubic = 15.0 * c3
+    term_cross = 27.0 * mu**2 * c1**2 / (4.0 * hbar**4 * sig**4)
+    term_mixed = 27.0 * mu * c1 * c2 / (2.0 * hbar**2 * sig**2)
+    e3 = (term_cubic + term_cross - term_mixed) / (2.0 * sig**3)
+    return -sig * a, c0, 1.5 * c1 / sig, e2, e3
+
+
+def _reference_sweeps():
+    """(vary, fixed, values): 5 bases per axis, 110 values each, with the
+    edge values lambda_D = inf, alpha0 = 0 and F = 0 on and off the axis."""
+    rng = random.Random(16)
+    laser = ModelParams.from_laser(0.3, 0.002, lambda_d=30.0, field=0.02, z=2.0)
+    ranges = {"lambda_d": (0.5, 1e4), "alpha0": (1e-6, 1.0), "field": (1e-6, 1.0)}
+    edges = {"lambda_d": math.inf, "alpha0": 0.0, "field": 0.0}
+    for vary, (lo, hi) in ranges.items():
+        bases = [
+            ModelParams(lambda_d=7.0, alpha0=0.03, field=0.01),
+            ModelParams(lambda_d=math.inf, alpha0=0.0, field=0.0, z=2.0),
+            ModelParams(lambda_d=2.5, alpha0=0.2, field=0.3, mu=0.75, hbar=1.5),
+            ModelParams(lambda_d=math.inf, alpha0=0.0, field=0.0, z=2.0, mu=0.75, hbar=1.5),
+            laser if vary != "alpha0" else ModelParams(lambda_d=40.0, alpha0=laser.alpha0),
+        ]
+        for fixed in bases:
+            values = sorted({math.exp(rng.uniform(math.log(lo), math.log(hi)))
+                             for _ in range(109)} | {edges[vary]})
+            yield vary, fixed, values
+
+
+def test_kernel_matches_reference_bit_for_bit():
+    points = {"lambda_d": 0, "alpha0": 0, "field": 0}
+    for vary, fixed, values in _reference_sweeps():
+        rows = run_sweep(SweepSpec(vary, values, fixed))
+        for value, row in zip(values, rows, strict=True):
+            p = replace(fixed, **{vary: value})
+            a = p.coulomb_strength
+            coeffs = _reference_coefficients(a, p.lambda_d, p.alpha0, p.field)
+            expected = _reference_ladder(*coeffs[1:], a, p.mu, p.hbar)
+            c = taylor_coefficients(p)
+            assert (c.c_m1, c.c0, c.c1, c.c2, c.c3) == coeffs
+            b = total_energy(p)
+            assert (b.e0, b.const_shift, b.e1, b.e2, b.e3) == expected
+            assert row.breakdown == b
+            points[vary] += 1
+    assert min(points.values()) >= 500

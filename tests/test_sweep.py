@@ -109,6 +109,16 @@ def test_breakdown_rows_are_bit_identical_to_total_energy():
     assert points >= 500
 
 
+def test_fixed_value_of_the_varied_parameter_is_never_evaluated():
+    # the fixed value is a stand-in that every row replaces; its powers would overflow
+    for vary, fixed in (("lambda_d", ModelParams(lambda_d=1e30)),
+                        ("alpha0", ModelParams(lambda_d=5.0, alpha0=1e200))):
+        values = (1e-3, 5.0)
+        rows = run_sweep(SweepSpec(vary, values, fixed))
+        assert [row.breakdown for row in rows] == [
+            total_energy(replace(fixed, **{vary: v})) for v in values]
+
+
 def test_energy_figures_are_bit_identical_to_total_energy():
     for tag in ("fig2a", "fig2b", "fig2c", "fig2d"):
         _, fixed, (outer_name, outer_values), (x_name, x_values), *_ = _FIGURES[tag]
