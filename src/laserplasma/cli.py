@@ -26,6 +26,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from .oracle import ConvergenceError, GroundStateError, default_grid
+from .perturbation import EnergyBreakdown
 from .potential import (
     ModelParams,
     dressed_pair_eval,
@@ -325,8 +326,7 @@ def _emit(config: RunConfig, header: dict, columns, rows):
     _write(config, text)
 
 
-# the additive energy parts and their total, in output column order
-_BREAKDOWN_KEYS = ("e0", "const_shift", "e1", "e2", "e3", "total")
+_BREAKDOWN_KEYS = EnergyBreakdown._fields + ("total",)
 
 
 def _run_potential(config: RunConfig):
@@ -338,9 +338,12 @@ def _run_potential(config: RunConfig):
     # and not as the dressed form's pole at r = alpha0
     quadrature = None if table.quad_nodes is None else v0_quadrature(r, p, table.quad_nodes)
     dressed = dressed_pair_eval(r, p)
+    try:
+        coeffs = taylor_coefficients(p)
+    except ArithmeticError as exc:
+        raise type(exc)(f"{exc} at {p}") from exc
     columns = {"r": r, "screened": ecsc_eval(r, p), "dressed": dressed,
-               "effective": dressed + p.field * r,
-               "series": veff_series_eval(r, taylor_coefficients(p))}
+               "effective": dressed + p.field * r, "series": veff_series_eval(r, coeffs)}
     if quadrature is not None:
         columns["cycle_avg"] = quadrature
     rows = zip(*(column.tolist() for column in columns.values()))

@@ -15,12 +15,11 @@ The first three orders close in elementary functions:
     order 3:  hierarchy E3 = <c3 r^3> - 2 <W1 W2>   (`e3_hierarchy`)
               the paper's Table-1 form of E3        (`total_energy`)
 
-The constant c0 enters the total additively.  `total_energy` turns one
-set of coefficients into all five parts through a plain-float kernel
-with the Table-1 third order, which reproduces the reference energies.
-`_breakdowns` runs it over one varying parameter and computes once per
-sweep the ladder's (A, mu, hbar) factors and the coefficient part the
-parameter leaves fixed, so every printed energy comes from here.
+The constant c0 enters the total additively.  `total_energy` gives the five
+parts as an `EnergyBreakdown` named tuple from a plain-float kernel with the
+Table-1 third order; `_breakdowns` runs it over one varying parameter, with
+the ladder's (A, mu, hbar) factors and the fixed coefficient part computed
+once per sweep, so every printed energy comes from here.
 `superpotential_set` holds the W1 slope and W2 scale; `wavefunction_eval`
 applies them to chi0 as a multiplicative correction.  The energies are
 plain floats and load no numpy; the radial functions import it.
@@ -28,7 +27,7 @@ plain floats and load no numpy; the radial functions import it.
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .potential import (ModelParams, _alpha_terms, _coefficients, _lambda_terms, _radii,
                         taylor_coefficients)
@@ -44,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
+class EnergyBreakdown(NamedTuple):
     """Ground-state energy split into its additive parts (a.u.).
 
     ``total`` is a property so it always equals the component sum exactly.

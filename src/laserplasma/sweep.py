@@ -1,18 +1,19 @@
 """Parameter sweeps and the datasets behind the reference table and figures.
 
 Rows are a pure function of the sweep specification, evaluated in input
-order, so reruns are byte-identical.  Every row, the table and the
-energy figures take their breakdowns from `perturbation`'s plain-float
-kernel, with no ModelParams per point; opt-in oracle rows build one for
-the solver and add its fields.  The CLI's ``energy`` and ``oracle`` are
-one-value ``field`` sweeps.  Every figure is one entry of a table that
-names its builder and its parameter axes.  Sweeps without the oracle, the
-table and the energy figures (fig2a-fig2d) load no numpy; the potential
-figures (fig1a-fig1c) import it for their radius arrays, and oracle rows
-load numpy and scipy through the solver.
+order, so reruns are byte-identical.  A row is a `SweepRow` named tuple
+around the `EnergyBreakdown` named tuple that `perturbation`'s plain-float
+kernel builds with no ModelParams per point, as it does for the table and
+the energy figures; oracle rows build one for the solver and fill the rest.
+The CLI's ``energy`` and ``oracle`` are one-value ``field`` sweeps.  Every
+figure is one entry of a table naming its builder and its parameter axes.
+Sweeps without the oracle, the table and the energy figures (fig2a-fig2d)
+load no numpy; the potential figures (fig1a-fig1c) import it for their
+radius arrays, and oracle rows load numpy and scipy through the solver.
 """
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .oracle import RadialGrid, default_grid, overlap, require_converged, solve_ground_state
 from .perturbation import EnergyBreakdown, _breakdowns, wavefunction_eval
@@ -108,8 +109,7 @@ class SweepSpec:
             raise ValueError(f"sweep value {value!r} for {self.vary}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     value: float
     breakdown: EnergyBreakdown
     oracle_energy: float | None = None
@@ -125,9 +125,8 @@ def _oracle_row(spec: SweepSpec, value: float, breakdown: EnergyBreakdown) -> Sw
     result = require_converged(
         solve_ground_state(lambda r: veff_series_eval(r, coeffs), grid, p))
     ov = overlap(result, lambda r: wavefunction_eval(r, p)) if "overlap" in spec.outputs else None
-    return SweepRow(value=value, breakdown=breakdown, oracle_energy=result.energy,
-                    deviation=breakdown.total - result.energy, overlap=ov,
-                    error_estimate=result.error_estimate)
+    return SweepRow(value, breakdown, result.energy, breakdown.total - result.energy, ov,
+                    result.error_estimate)
 
 
 def run_sweep(spec: SweepSpec):
@@ -139,7 +138,7 @@ def run_sweep(spec: SweepSpec):
     rows, oracle = [], "oracle" in spec.outputs
     try:
         for v, b in zip(spec.values, _breakdowns(spec.fixed, spec.vary, spec.values)):
-            rows.append(_oracle_row(spec, v, b) if oracle else SweepRow(value=v, breakdown=b))
+            rows.append(_oracle_row(spec, v, b) if oracle else SweepRow(v, b))
     except ArithmeticError as exc:
         raise type(exc)(f"{exc} at {spec._params_at(spec.values[len(rows)])}") from exc
     return rows

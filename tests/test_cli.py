@@ -512,7 +512,11 @@ def test_numeric_failure_exit_code(capsys):
     (["energy", "--lambda-d", "5", "--field", "1e300"], "field=1e+300"),
     (["energy", "--lambda-d", "5", "--z", "1e200"], "z=1e+200"),
     (["sweep", "--vary", "lambda-d", "--values", "1e25,1e30"], "lambda_d=1e+30"),
-], ids=["lambda-huge", "lambda-tiny", "alpha0-huge", "field-huge", "z-huge", "sweep-lambda"])
+    (["potential", "--lambda-d", "1e-120", "--alpha0", "1e-3", "--field", "0.01"],
+     "lambda_d=1e-120"),
+    (["potential", "--lambda-d", "1e30"], "lambda_d=1e+30"),
+], ids=["lambda-huge", "lambda-tiny", "alpha0-huge", "field-huge", "z-huge", "sweep-lambda",
+        "potential-lambda-tiny", "potential-lambda-huge"])
 def test_float_overflow_is_a_numeric_failure_naming_the_point(capsys, argv, point):
     # the plain-float kernel raises OverflowError or ZeroDivisionError here
     code, out, err = run_cli(capsys, argv)

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from laserplasma import perturbation
 from laserplasma.perturbation import (
+    EnergyBreakdown,
     e3_hierarchy,
     superpotential_set,
     total_energy,
@@ -237,6 +238,17 @@ def test_total_is_exact_component_sum():
         b = total_energy(p)
         assert b.total == b.e0 + b.const_shift + b.e1 + b.e2 + b.e3
         assert b.e0 < 0.0
+
+
+def test_energy_breakdown_is_an_immutable_hashable_record():
+    p = ModelParams(lambda_d=20.0, alpha0=1e-3, field=0.004)
+    b = total_energy(p)
+    for name in ("e0", "const_shift", "e1", "e2", "e3", "total"):
+        with pytest.raises(AttributeError):
+            setattr(b, name, 0.0)
+    assert hash(b) == hash(total_energy(p))
+    assert b == EnergyBreakdown(b.e0, b.const_shift, b.e1, b.e2, b.e3)
+    assert b.total == b.e0 + b.const_shift + b.e1 + b.e2 + b.e3
 
 
 def test_total_monotonic_in_field_and_screening():

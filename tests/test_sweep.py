@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from laserplasma.oracle import ConvergenceError, RadialGrid
-from laserplasma.perturbation import total_energy
+from laserplasma.perturbation import EnergyBreakdown, total_energy
 from laserplasma.potential import ModelParams
 from laserplasma.sweep import (
     _FIGURES,
     FIGURE_TAGS,
+    SweepRow,
     SweepSpec,
     TABLE1_FIELD_ENERGIES,
     TABLE1_FIELD_VALUES,
@@ -153,6 +154,32 @@ def test_oracle_columns_opt_in():
     assert row.oracle_energy == pytest.approx(-1.9799255, abs=1e-4)
     assert abs(row.deviation) < 1e-4
     assert row.overlap >= 0.999
+
+
+def test_sweep_row_is_an_immutable_hashable_record():
+    b = total_energy(ModelParams(lambda_d=100.0, alpha0=1e-4, field=0.01))
+    row = SweepRow(0.01, b)
+    assert (row.oracle_energy, row.deviation, row.overlap, row.error_estimate) == (None,) * 4
+    for name in ("value", "breakdown", "oracle_energy", "deviation", "overlap", "error_estimate"):
+        with pytest.raises(AttributeError):
+            setattr(row, name, 0.0)
+    assert hash(row) == hash(SweepRow(0.01, b))
+    assert row != SweepRow(0.02, b)
+
+
+def test_rows_hold_energy_breakdowns_on_every_axis_and_with_the_oracle():
+    specs = [
+        SweepSpec("field", (0.001, 0.01), FIXED),
+        SweepSpec("lambda_d", (5.0, 50.0), FIXED),
+        SweepSpec("alpha0", (1e-4, 1e-3), FIXED),
+        SweepSpec("field", (0.0001,), FIXED, outputs=frozenset({"breakdown", "oracle"}),
+                  oracle_grid=RadialGrid(0.0, 20.0, 2000)),
+    ]
+    for spec in specs:
+        for row in run_sweep(spec):
+            b = row.breakdown
+            assert type(row) is SweepRow and type(b) is EnergyBreakdown
+            assert b.total == b.e0 + b.const_shift + b.e1 + b.e2 + b.e3
 
 
 def test_oracle_rows_refuse_unconverged_grid():
