@@ -254,8 +254,8 @@ def parse_args(argv) -> RunConfig:
                 raise UsageError("--points must be >= 2")
             if ns.quad_nodes < 8:
                 raise UsageError("--quad-nodes must be >= 8")
-            if not 0 < ns.r_min < ns.r_max:
-                raise UsageError("need 0 < --r-min < --r-max")
+            if not 0 < ns.r_min < ns.r_max < float("inf"):
+                raise UsageError("need 0 < --r-min < --r-max < inf")
             import numpy as np
 
             space = np.geomspace if ns.log else np.linspace

@@ -80,8 +80,8 @@ class RadialGrid:
     def __post_init__(self):
         if self.r_min < 0:
             raise ValueError(f"r_min must be >= 0, got {self.r_min}")
-        if not self.r_max > self.r_min:
-            raise ValueError("r_max must exceed r_min")
+        if not self.r_min < self.r_max < float("inf"):
+            raise ValueError(f"r_max must be finite and exceed r_min, got r_max = {self.r_max}")
         if self.n_points < 100:
             raise ValueError(f"n_points must be >= 100, got {self.n_points}")
 

@@ -15,11 +15,12 @@ The first three orders close in elementary functions:
     order 3:  hierarchy E3 = <c3 r^3> - 2 <W1 W2>   (`e3_hierarchy`)
               the paper's Table-1 form of E3        (`total_energy`)
 
-The constant c0 enters the total additively.  `total_energy` gives the five
-parts as an `EnergyBreakdown` named tuple from a plain-float kernel with the
-Table-1 third order; `_breakdowns` runs it over one varying parameter, with
-the ladder's (A, mu, hbar) factors and the fixed coefficient part computed
-once per sweep, so every printed energy comes from here.
+The constant c0 enters the total additively.  `_breakdowns` is the one
+plain-float loop from coefficients to energies, with the Table-1 third
+order: over one varying parameter it yields the five parts as
+`EnergyBreakdown` named tuples, with the ladder's (A, mu, hbar) factors and
+the fixed coefficient part computed once per sweep.  `total_energy` is its
+one-value case, so every printed energy comes from here.
 `superpotential_set` holds the W1 slope and W2 scale; `wavefunction_eval`
 applies them to chi0 as a multiplicative correction.  The energies are
 plain floats and load no numpy; the radial functions import it.
@@ -145,37 +146,32 @@ def total_energy(p: ModelParams) -> EnergyBreakdown:
     alpha0 = 1e-4, F = 0.04), so it is wrong at second order in the field.
     `e3_hierarchy` is the consistent third order.
     """
-    c = taylor_coefficients(p)
-    return EnergyBreakdown(*_ladder(_ladder_terms(p), c.c0, c.c1, c.c2, c.c3))
+    return next(_breakdowns(p, "field", (p.field,)))
 
 
 def _ladder_terms(p: ModelParams):
-    """The (A, mu, hbar) factors of `_ladder`, computed once per sweep."""
+    """The (A, mu, hbar) factors of `_breakdowns`' ladder, computed once per sweep."""
     sig, a, mu, hbar = p.decay_rate, p.coulomb_strength, p.mu, p.hbar
     return (sig, -sig * a, sig**2, 3.0 * hbar**6, 32.0 * mu**3 * a**4, 27.0 * mu**2,
             4.0 * hbar**4 * sig**4, 27.0 * mu, 2.0 * hbar**2 * sig**2, 2.0 * sig**3)
 
 
-def _ladder(terms, c0, c1, c2, c3):
-    """(e0, c0, e1, e2, e3) from the coefficients and the `_ladder_terms` factors."""
-    sig, e0, sig2, k2, q2, k_cross, q_cross, k_mixed, q_mixed, q3 = terms
-    c1_sq = c1**2
-    e2 = 3.0 * c2 / sig2 - k2 * c1_sq / q2
-    e3 = (15.0 * c3 + k_cross * c1_sq / q_cross - k_mixed * c1 * c2 / q_mixed) / q3
-    return e0, c0, 1.5 * c1 / sig, e2, e3
-
-
 def _breakdowns(fixed: ModelParams, vary: str, values):
     """total_energy(replace(fixed, **{vary: v})) per value, bit for bit, with no ModelParams;
     the ladder's factors and each coefficient part ``vary`` leaves fixed are computed once."""
-    ladder, a, field = _ladder_terms(fixed), fixed.coulomb_strength, fixed.field
+    sig, e0, sig2, k2, q2, k_cross, q_cross, k_mixed, q_mixed, q3 = _ladder_terms(fixed)
+    a, field, new = fixed.coulomb_strength, fixed.field, tuple.__new__
     num = None if vary == "alpha0" else _alpha_terms(a, fixed.alpha0)
     den = None if vary == "lambda_d" else _lambda_terms(fixed.lambda_d)
     for value in values:
         num = _alpha_terms(a, value) if vary == "alpha0" else num
         den = _lambda_terms(value) if vary == "lambda_d" else den
         field = value if vary == "field" else field
-        yield EnergyBreakdown(*_ladder(ladder, *_coefficients(num, den, field)))
+        c0, c1, c2, c3 = _coefficients(num, den, field)
+        c1_sq = c1**2
+        e2 = 3.0 * c2 / sig2 - k2 * c1_sq / q2
+        e3 = (15.0 * c3 + k_cross * c1_sq / q_cross - k_mixed * c1 * c2 / q_mixed) / q3
+        yield new(EnergyBreakdown, (e0, c0, 1.5 * c1 / sig, e2, e3))
 
 
 def superpotential_set(p: ModelParams) -> SuperpotentialSet:

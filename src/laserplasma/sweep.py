@@ -2,17 +2,20 @@
 
 Rows are a pure function of the sweep specification, evaluated in input
 order, so reruns are byte-identical.  A row is a `SweepRow` named tuple
-around the `EnergyBreakdown` named tuple that `perturbation`'s plain-float
-kernel builds with no ModelParams per point, as it does for the table and
-the energy figures; oracle rows build one for the solver and fill the rest.
-The CLI's ``energy`` and ``oracle`` are one-value ``field`` sweeps.  Every
-figure is one entry of a table naming its builder and its parameter axes.
+around the `EnergyBreakdown` named tuple that `perturbation._breakdowns`, the
+one loop from coefficients to energies, yields with no ModelParams per point,
+as it does for the table and the energy figures; oracle rows build one for
+the solver and fill the rest.  The CLI's ``energy`` and ``oracle`` are
+one-value ``field`` sweeps.  Every figure is one entry of a table naming its
+builder and its parameter axes; the potential figures evaluate the dressed
+potential, which the field leaves fixed, once per screening length.
 Sweeps without the oracle, the table and the energy figures (fig2a-fig2d)
 load no numpy; the potential figures (fig1a-fig1c) import it for their
 radius arrays, and oracle rows load numpy and scipy through the solver.
 """
 
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import NamedTuple
 
 from .oracle import RadialGrid, default_grid, overlap, require_converged, solve_ground_state
@@ -73,12 +76,12 @@ class SweepSpec:
     def __post_init__(self):
         if self.vary not in _VARY_FIELDS:
             raise ValueError(f"vary must be one of {_VARY_FIELDS}, got {self.vary!r}")
-        values = tuple(float(v) for v in self.values)
+        values = tuple(map(float, self.values))
         object.__setattr__(self, "values", values)
         if not values:
             raise ValueError("sweep needs at least one value")
-        pairs = tuple(zip(values, values[1:]))
-        if not (all(a < b for a, b in pairs) or all(a > b for a, b in pairs)):
+        rest = values[1:]
+        if not (all(map(float.__lt__, values, rest)) or all(map(float.__gt__, values, rest))):
             # a value outside the domain (NaN breaks every order) is the real fault
             for value in values:
                 self._params_at(value)
@@ -135,10 +138,11 @@ def run_sweep(spec: SweepSpec):
     Oracle rows pass the ``oracle`` command's convergence verdict (`ConvergenceError`
     on a grid too coarse for them); an ArithmeticError is raised again naming its point.
     """
-    rows, oracle = [], "oracle" in spec.outputs
+    rows, oracle, new = [], "oracle" in spec.outputs, tuple.__new__
     try:
         for v, b in zip(spec.values, _breakdowns(spec.fixed, spec.vary, spec.values)):
-            rows.append(_oracle_row(spec, v, b) if oracle else SweepRow(v, b))
+            rows.append(_oracle_row(spec, v, b) if oracle
+                        else new(SweepRow, (v, b, None, None, None, None)))
     except ArithmeticError as exc:
         raise type(exc)(f"{exc} at {spec._params_at(spec.values[len(rows)])}") from exc
     return rows
@@ -172,10 +176,6 @@ class FigureDataset:
     y_label: str
     note: str
     rows: tuple
-
-
-def _potential_curve(p: ModelParams, radii) -> "np.ndarray":
-    return dressed_pair_eval(radii, p) + p.field * radii
 
 
 def _linspace(start, stop, num):
@@ -217,18 +217,22 @@ def _short(name):
 
 
 def _potential_figure(tag, outer, inner):
-    """V_eff(r) curves, one per (outer, inner) parameter pair."""
+    """V_eff(r) curves, one per (outer, inner) pair of the lambda_d and field
+    axes; the dressed part, which the field leaves fixed, is built once per lambda_d."""
     import numpy as np
 
     (outer_name, outer_values), (inner_name, inner_values) = outer, inner
     radii = np.linspace(0.05, 10.0, 120)
+    r_list, lambdas = radii.tolist(), dict((outer, inner))["lambda_d"]
+    dressed = {lam: dressed_pair_eval(radii, ModelParams(lambda_d=lam, alpha0=_FIG1_ALPHA0))
+               for lam in lambdas}
     rows = []
     for a in outer_values:
         for b in inner_values:
             p = ModelParams(alpha0=_FIG1_ALPHA0, **{outer_name: a, inner_name: b})
             label = f"{_short(outer_name)}={a:g},{_short(inner_name)}={b:g}"
-            for r, v in zip(radii.tolist(), _potential_curve(p, radii).tolist()):
-                rows.append((label, r, v))
+            curve = dressed[p.lambda_d] + p.field * radii
+            rows.extend(zip(repeat(label), r_list, curve.tolist()))
     return FigureDataset(
         tag, "r", "V_eff",
         f"effective potential vs radius; alpha0={_FIG1_ALPHA0:g}, "
@@ -243,13 +247,15 @@ def _fig1c(tag):
     rows = []
     for lam in _FIG1C_LAMBDAS:
         radii = np.linspace(0.02, 1.2 * lam, 60) if lam <= 2.0 else np.linspace(0.05, 10.0, 60)
+        r_list = radii.tolist()
+        dressed = dressed_pair_eval(radii, ModelParams(lambda_d=lam, alpha0=_FIG1_ALPHA0))
         for f in _FIG1C_FIELDS:
             p = ModelParams(lambda_d=lam, alpha0=_FIG1_ALPHA0, field=f)
-            curves = (("exact", _potential_curve(p, radii)),
+            curves = (("exact", dressed + f * radii),
                       ("series", veff_series_eval(radii, taylor_coefficients(p))))
             for kind, curve in curves:
                 label = f"{kind},lambda_d={lam:g},F={f:g}"
-                rows.extend((label, r, v) for r, v in zip(radii.tolist(), curve.tolist()))
+                rows.extend(zip(repeat(label), r_list, curve.tolist()))
     return FigureDataset(
         tag, "r", "V_eff",
         "exact dressed potential vs its cubic expansion; the expansion is "
@@ -266,8 +272,8 @@ def _energy_figure(tag, fixed, outer, x, about, remark=""):
     for o in outer_values:
         curve = ModelParams(**fixed, **{outer_name: o, x_name: x_values[0]})
         label = f"{_short(outer_name)}={o:g}"
-        breakdowns = _breakdowns(curve, x_name, x_values)
-        rows.extend((label, v, b.total) for v, b in zip(x_values, breakdowns))
+        totals = map(EnergyBreakdown.total.fget, _breakdowns(curve, x_name, x_values))
+        rows.extend(zip(repeat(label), x_values, totals))
     at = ", ".join(f"{name}={value:g}" for name, value in fixed.items())
     note = f"energy vs {about} at {at}; {_short(outer_name)} in {outer_values}"
     if remark:

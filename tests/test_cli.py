@@ -406,6 +406,12 @@ def test_bad_sweep_values_are_usage_errors(capsys, argv):
     (["potential", "--lambda-d", "5", "--points", "1"], None, "--points must be >= 2"),
     (["potential", "--lambda-d", "5", "--r-min", "5", "--r-max", "1"], None,
      "need 0 < --r-min < --r-max"),
+    (["potential", "--lambda-d", "20", "--r-max", "inf", "--points", "3"], None,
+     "need 0 < --r-min < --r-max < inf"),
+    (["oracle", "--lambda-d", "20", "--grid-rmax", "inf"], None,
+     "r_max must be finite and exceed r_min, got r_max = inf"),
+    (["sweep", "--vary", "field", "--values", "0.01", "--lambda-d", "20", "--with-oracle",
+      "--grid-rmax", "inf"], None, "r_max must be finite and exceed r_min, got r_max = inf"),
     (["sweep", "--vary", "field", "--values", "-0.01,0.02", "--lambda-d", "5"], None,
      "sweep value -0.01 for field"),
     (["sweep", "--vary", "lambda-d", "--values", "0,5", "--field", "0.01"], None,
@@ -426,7 +432,8 @@ def test_bad_sweep_values_are_usage_errors(capsys, argv):
     (["sweep", "--vary", "field", "--values", "0.01,0.01", "--lambda-d", "100"], None,
      "sweep values must be strictly monotone"),
 ], ids=["unreadable-config", "config-line-without-equals", "unparsable-values",
-        "one-point", "reversed-radii", "negative-first-value", "zero-first-lambda-d",
+        "one-point", "reversed-radii", "infinite-r-max", "oracle-infinite-grid-rmax",
+        "sweep-infinite-grid-rmax", "negative-first-value", "zero-first-lambda-d",
         "minus-inf", "minus-nan", "flag-like-word", "grid-rmin-flag", "grid-rmin-key",
         "nan-last-value", "nan-first-value", "repeated-value"])
 def test_input_errors_are_usage_errors(tmp_path, capsys, argv, config_text, message):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -84,6 +86,10 @@ def test_grid_validation():
         RadialGrid(5.0, 5.0, 500)
     with pytest.raises(ValueError):
         RadialGrid(0.0, 10.0, 50)
+    # an infinite box has no spacing: its nodes would sample V at r = inf
+    for r_max in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="r_max must be finite"):
+            RadialGrid(0.0, r_max, 500)
 
 
 def test_default_grid_scales_with_binding():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -222,6 +223,45 @@ def test_e3_hierarchy_total_matches_oracle():
     assert abs(closed - oracle.energy) <= 2e-7
 
 
+def _by_the_scaling_law(energy, p):
+    """E_h * energy(p in reduced units): the model's one exact symmetry,
+    E(A, mu, hbar; lambda_D, alpha0, F) = E_h E(1, 1, 1; lambda_D/a0, alpha0/a0, F a0/E_h),
+    with A = Z e^2, a0 = hbar^2/(mu A) and E_h = mu A^2/hbar^2."""
+    a = p.coulomb_strength
+    a0, e_h = p.hbar**2 / (p.mu * a), p.mu * a**2 / p.hbar**2
+    reduced = ModelParams(lambda_d=p.lambda_d / a0, alpha0=p.alpha0 / a0,
+                          field=p.field * a0 / e_h)
+    return e_h * energy(reduced)
+
+
+def _hierarchy_total(p):
+    b = total_energy(p)
+    return b.total - b.e3 + e3_hierarchy(p)
+
+
+def _printed_total(p):
+    return total_energy(p).total
+
+
+@pytest.mark.parametrize("z, hbar, mu", itertools.product((1.0, 2.0, 1.3), (1.0, 1.5), (1.0, 0.7)))
+def test_hierarchy_total_obeys_the_scaling_law(z, hbar, mu):
+    for lambda_d, alpha0, field in ((20.0, 1e-3, 0.01), (5.0, 1e-2, 0.04), (100.0, 1e-4, 1e-4)):
+        p = ModelParams(lambda_d=lambda_d, alpha0=alpha0, field=field, z=z, mu=mu, hbar=hbar,
+                        e_charge=1.2)
+        expected = _by_the_scaling_law(_hierarchy_total, p)
+        assert _hierarchy_total(p) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("scale, low, high", [({"hbar": 1.5}, 1.5e-4, 1.7e-4),
+                                              ({"z": 2.0}, 1.7e-8, 2.0e-8)])
+def test_total_energy_breaks_the_scaling_law(scale, low, high):
+    # the Table-1 e3's c1^2 term has the units of a length, so the printed
+    # total misses the law wherever a0 != 1, while the hierarchy total keeps it
+    p = ModelParams(lambda_d=20.0, alpha0=1e-3, field=0.01, **scale)
+    assert low < abs(_printed_total(p) / _by_the_scaling_law(_printed_total, p) - 1.0) < high
+    assert abs(_hierarchy_total(p) / _by_the_scaling_law(_hierarchy_total, p) - 1.0) < 1e-15
+
+
 def test_total_energy_reference_values():
     cases = [
         (0.0001, 100.0, -1.9799255),
@@ -307,15 +347,23 @@ def test_wavefunction_matches_explicit_moderating_factor():
 
 
 def test_total_energy_computes_coefficients_once(monkeypatch):
+    # total_energy is the one-value sweep of the one kernel loop, so it builds
+    # the alpha0 numerators and the lambda_D denominators once each
     calls = []
 
-    def counted(p):
-        calls.append(p)
-        return taylor_coefficients(p)
+    def counted(name):
+        original = getattr(perturbation, name)
 
-    monkeypatch.setattr(perturbation, "taylor_coefficients", counted)
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    for name in ("_alpha_terms", "_lambda_terms"):
+        monkeypatch.setattr(perturbation, name, counted(name))
     total_energy(ModelParams(lambda_d=20.0, alpha0=1e-3, field=0.01))
-    assert len(calls) == 1
+    assert sorted(calls) == ["_alpha_terms", "_lambda_terms"]
 
 
 def _reference_coefficients(a, lambda_d, alpha0, field):
