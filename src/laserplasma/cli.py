@@ -334,18 +334,23 @@ def _run_potential(config: RunConfig):
 
     table = config.request
     p, r = table.params, np.array(table.radii)
-    # the quadrature runs first, so radii r <= alpha0 are reported as such
-    # and not as the dressed form's pole at r = alpha0
-    quadrature = None if table.quad_nodes is None else v0_quadrature(r, p, table.quad_nodes)
-    dressed = dressed_pair_eval(r, p)
-    try:
-        coeffs = taylor_coefficients(p)
-    except ArithmeticError as exc:
-        raise type(exc)(f"{exc} at {p}") from exc
-    columns = {"r": r, "screened": ecsc_eval(r, p), "dressed": dressed,
-               "effective": dressed + p.field * r, "series": veff_series_eval(r, coeffs)}
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by column and radius
+        # the quadrature runs first, so radii r <= alpha0 are reported as such
+        # and not as the dressed form's pole at r = alpha0
+        quadrature = None if table.quad_nodes is None else v0_quadrature(r, p, table.quad_nodes)
+        dressed = dressed_pair_eval(r, p)
+        try:
+            coeffs = taylor_coefficients(p)
+        except ArithmeticError as exc:
+            raise type(exc)(f"{exc} at {p}") from exc
+        columns = {"r": r, "screened": ecsc_eval(r, p), "dressed": dressed,
+                   "effective": dressed + p.field * r, "series": veff_series_eval(r, coeffs)}
     if quadrature is not None:
         columns["cycle_avg"] = quadrature
+    for name, column in columns.items():
+        finite = np.isfinite(column)
+        if not finite.all():
+            raise ValueError(f"{name} is not finite at r = {r[~finite][0]:g}")
     rows = zip(*(column.tolist() for column in columns.values()))
     _emit(config, _params_header(p), list(columns), rows)
     return EXIT_OK

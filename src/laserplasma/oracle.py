@@ -28,6 +28,7 @@ This solver shares no code with the closed-form energy ladder in
 cross-check of those formulas.
 """
 
+import sys
 from dataclasses import dataclass
 
 from .potential import ModelParams
@@ -84,6 +85,11 @@ class RadialGrid:
             raise ValueError(f"r_max must be finite and exceed r_min, got r_max = {self.r_max}")
         if self.n_points < 100:
             raise ValueError(f"n_points must be >= 100, got {self.n_points}")
+        # the kinetic term divides by h^2, which must not underflow
+        if not self.spacing * self.spacing >= sys.float_info.min:
+            raise ValueError(
+                f"grid r_min = {self.r_min:g}, r_max = {self.r_max:g}, n_points = {self.n_points}"
+                f" has spacing {self.spacing:g}, whose square underflows")
 
     @property
     def spacing(self) -> float:
@@ -125,7 +131,8 @@ def default_grid(p: ModelParams) -> RadialGrid:
 def _sample(potential, r):
     import numpy as np
 
-    v = np.broadcast_to(np.asarray(potential(r), dtype=float), r.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by grid point
+        v = np.broadcast_to(np.asarray(potential(r), dtype=float), r.shape)
     if not np.all(np.isfinite(v)):
         bad = r[~np.isfinite(v)][0]
         raise ValueError(f"potential is not finite at grid point r = {bad:g}")

@@ -19,8 +19,12 @@ The constant c0 enters the total additively.  `_breakdowns` is the one
 plain-float loop from coefficients to energies, with the Table-1 third
 order: over one varying parameter it yields the five parts as
 `EnergyBreakdown` named tuples, with the ladder's (A, mu, hbar) factors and
-the fixed coefficient part computed once per sweep.  `total_energy` is its
-one-value case, so every printed energy comes from here.
+the fixed coefficient part computed once per sweep.  The static field
+enters only c1, so the field-free coefficient parts are computed once per
+(lambda_D, alpha0) point and shared by every field value: once in all for
+a field sweep, once per point for a caller with several fields per point.
+`total_energy` is its one-value case, so every printed energy comes from
+here.
 `superpotential_set` holds the W1 slope and W2 scale; `wavefunction_eval`
 applies them to chi0 as a multiplicative correction.  The energies are
 plain floats and load no numpy; the radial functions import it.
@@ -28,6 +32,7 @@ plain floats and load no numpy; the radial functions import it.
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 from .potential import (ModelParams, _alpha_terms, _coefficients, _lambda_terms, _radii,
@@ -156,22 +161,36 @@ def _ladder_terms(p: ModelParams):
             4.0 * hbar**4 * sig**4, 27.0 * mu, 2.0 * hbar**2 * sig**2, 2.0 * sig**3)
 
 
-def _breakdowns(fixed: ModelParams, vary: str, values):
-    """total_energy(replace(fixed, **{vary: v})) per value, bit for bit, with no ModelParams;
-    the ladder's factors and each coefficient part ``vary`` leaves fixed are computed once."""
+def _breakdowns(fixed: ModelParams, vary: str, values, fields=None):
+    """total_energy(replace(fixed, **{vary: v})) per value, bit for bit, with no ModelParams.
+
+    With ``fields``, each value yields one breakdown per field in turn, as if
+    ``fixed.field`` were that field.  The field enters c1 alone, so the
+    field-free coefficient parts are computed once per value (once in all
+    for a ``field`` sweep, whose values are its fields) and shared by every
+    field; the ladder's factors are computed once per call.
+    """
     sig, e0, sig2, k2, q2, k_cross, q_cross, k_mixed, q_mixed, q3 = _ladder_terms(fixed)
-    a, field, new = fixed.coulomb_strength, fixed.field, tuple.__new__
-    num = None if vary == "alpha0" else _alpha_terms(a, fixed.alpha0)
-    den = None if vary == "lambda_d" else _lambda_terms(fixed.lambda_d)
-    for value in values:
-        num = _alpha_terms(a, value) if vary == "alpha0" else num
-        den = _lambda_terms(value) if vary == "lambda_d" else den
-        field = value if vary == "field" else field
-        c0, c1, c2, c3 = _coefficients(num, den, field)
-        c1_sq = c1**2
-        e2 = 3.0 * c2 / sig2 - k2 * c1_sq / q2
-        e3 = (15.0 * c3 + k_cross * c1_sq / q_cross - k_mixed * c1 * c2 / q_mixed) / q3
-        yield new(EnergyBreakdown, (e0, c0, 1.5 * c1 / sig, e2, e3))
+    a, new = fixed.coulomb_strength, tuple.__new__
+    if vary == "field":
+        parts = (_coefficients(_alpha_terms(a, fixed.alpha0), _lambda_terms(fixed.lambda_d)),)
+        fields = values
+    elif vary == "alpha0":
+        parts = map(_coefficients, map(_alpha_terms, repeat(a), values),
+                    repeat(_lambda_terms(fixed.lambda_d)))
+    else:
+        parts = map(_coefficients, repeat(_alpha_terms(a, fixed.alpha0)),
+                    map(_lambda_terms, values))
+    if fields is None:
+        fields = (fixed.field,)
+    for c0, d8, d4, c2, c3 in parts:
+        e2_quad, e3_cubic = 3.0 * c2 / sig2, 15.0 * c3
+        for field in fields:
+            c1 = field - d8 + d4
+            c1_sq = c1**2
+            e2 = e2_quad - k2 * c1_sq / q2
+            e3 = (e3_cubic + k_cross * c1_sq / q_cross - k_mixed * c1 * c2 / q_mixed) / q3
+            yield new(EnergyBreakdown, (e0, c0, 1.5 * c1 / sig, e2, e3))
 
 
 def superpotential_set(p: ModelParams) -> SuperpotentialSet:

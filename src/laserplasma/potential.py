@@ -20,6 +20,9 @@ the Coulomb pole; `taylor_coefficients` returns its coefficients for the
 closed forms of `laserplasma.perturbation`.  Each is a sum of A alpha0^(2k)
 over const lambda_D^n terms, split so that a sweep computes once the
 alpha0 numerators or the lambda_D denominators its parameter leaves fixed.
+The field enters c1 alone, as ``c1 = F - d8 + d4``: `_coefficients`
+returns the field-free parts (c0, d8, d4, c2, c3), and c1 is formed only
+where F is known, so one set of parts serves every field value.
 
 All quantities are in atomic units unless the generic ``mu``, ``hbar``,
 ``e_charge`` fields are overridden.  Every function here is pure and safe
@@ -271,15 +274,15 @@ def _lambda_terms(lam):
             13860.0 * l11, 405.0 * l9, 21.0 * l7, 5.0 * l5, 22680.0 * l12, 36.0 * l8, 3.0 * l4)
 
 
-def _coefficients(num, den, field):
-    """c0..c3 from `_alpha_terms` and `_lambda_terms`; k<i>_<n> is c_i's lambda_D^n term."""
+def _coefficients(num, den):
+    """The field-free parts (c0, d8, d4, c2, c3) from `_alpha_terms` and `_lambda_terms`,
+    with c1 = F - d8 + d4; k<i>_<n> is c_i's lambda_D^n term."""
     n8, n6, n4, n2x2, n0x2, n2, neg8, n0 = num
     k0_9, k0_7, k0_5, k0_3, k0_1, k1_8, k1_4, k2_11, k2_9, k2_7, k2_5, k3_12, k3_8, k3_4 = den
     c0 = n8 / k0_9 + n6 / k0_7 - n4 / k0_5 - n2x2 / k0_3 + n0x2 / k0_1
-    c1 = field - n6 / k1_8 + n2 / k1_4
     c2 = neg8 / k2_11 + n6 / k2_9 + n4 / k2_7 - n2x2 / k2_5 - n0x2 / k0_3
     c3 = n8 / k3_12 - n4 / k3_8 + n0 / k3_4
-    return c0, c1, c2, c3
+    return c0, n6 / k1_8, n2 / k1_4, c2, c3
 
 
 def taylor_coefficients(p: ModelParams) -> EffectiveCoefficients:
@@ -290,8 +293,8 @@ def taylor_coefficients(p: ModelParams) -> EffectiveCoefficients:
     through r^3 and alpha0^8.  The static field contributes F to c1.
     """
     a = p.coulomb_strength
-    num, den = _alpha_terms(a, p.alpha0), _lambda_terms(p.lambda_d)
-    return EffectiveCoefficients(-2.0 * a, *_coefficients(num, den, p.field))
+    c0, d8, d4, c2, c3 = _coefficients(_alpha_terms(a, p.alpha0), _lambda_terms(p.lambda_d))
+    return EffectiveCoefficients(-2.0 * a, c0, p.field - d8 + d4, c2, c3)
 
 
 def veff_series_eval(r, c: EffectiveCoefficients):

@@ -7,8 +7,13 @@ one loop from coefficients to energies, yields with no ModelParams per point,
 as it does for the table and the energy figures; oracle rows build one for
 the solver and fill the rest.  The CLI's ``energy`` and ``oracle`` are
 one-value ``field`` sweeps.  Every figure is one entry of a table naming its
-builder and its parameter axes; the potential figures evaluate the dressed
-potential, which the field leaves fixed, once per screening length.
+builder and its parameter axes.  The field leaves both the dressed
+potential and the field-free coefficient parts unchanged: the potential
+figures evaluate the dressed potential once per screening length, and an
+energy figure whose curves differ in the field (fig2a, fig2b, fig2d)
+passes them all to `_breakdowns` at once, so each x point computes its
+coefficient parts once for every curve; a field sweep (fig2c's curves,
+Table 1's field row) computes them once in all.
 Sweeps without the oracle, the table and the energy figures (fig2a-fig2d)
 load no numpy; the potential figures (fig1a-fig1c) import it for their
 radius arrays, and oracle rows load numpy and scipy through the solver.
@@ -138,13 +143,18 @@ def run_sweep(spec: SweepSpec):
     Oracle rows pass the ``oracle`` command's convergence verdict (`ConvergenceError`
     on a grid too coarse for them); an ArithmeticError is raised again naming its point.
     """
-    rows, oracle, new = [], "oracle" in spec.outputs, tuple.__new__
+    rows, values, none = [], spec.values, repeat(None)
+    breakdowns = _breakdowns(spec.fixed, spec.vary, values)
+    if "oracle" in spec.outputs:
+        made = map(_oracle_row, repeat(spec), values, breakdowns)
+    else:
+        made = map(tuple.__new__, repeat(SweepRow),
+                   zip(values, breakdowns, none, none, none, none))
     try:
-        for v, b in zip(spec.values, _breakdowns(spec.fixed, spec.vary, spec.values)):
-            rows.append(_oracle_row(spec, v, b) if oracle
-                        else new(SweepRow, (v, b, None, None, None, None)))
+        # list.extend keeps the rows made before a failure, so len(rows) names its point
+        rows.extend(made)
     except ArithmeticError as exc:
-        raise type(exc)(f"{exc} at {spec._params_at(spec.values[len(rows)])}") from exc
+        raise type(exc)(f"{exc} at {spec._params_at(values[len(rows)])}") from exc
     return rows
 
 
@@ -266,14 +276,25 @@ def _fig1c(tag):
 
 
 def _energy_figure(tag, fixed, outer, x, about, remark=""):
-    """Closed-form energy against the x axis, one curve per outer value."""
+    """Closed-form energy against the x axis, one curve per outer value.
+
+    An outer field axis is passed to `_breakdowns` whole, so each x point's
+    field-free coefficient parts serve every curve; its totals come point
+    by point, so curve k is every n-th total from the k-th.
+    """
     (outer_name, outer_values), (x_name, x_values) = outer, x
+    total, n = EnergyBreakdown.total.fget, len(outer_values)
+    if outer_name == "field":
+        start = ModelParams(**fixed, **{x_name: x_values[0]})
+        totals = list(map(total, _breakdowns(start, x_name, x_values, outer_values)))
+        curves = [totals[k::n] for k in range(n)]
+    else:
+        starts = (ModelParams(**fixed, **{outer_name: o, x_name: x_values[0]})
+                  for o in outer_values)
+        curves = [map(total, _breakdowns(start, x_name, x_values)) for start in starts]
     rows = []
-    for o in outer_values:
-        curve = ModelParams(**fixed, **{outer_name: o, x_name: x_values[0]})
-        label = f"{_short(outer_name)}={o:g}"
-        totals = map(EnergyBreakdown.total.fget, _breakdowns(curve, x_name, x_values))
-        rows.extend(zip(repeat(label), x_values, totals))
+    for o, curve in zip(outer_values, curves):
+        rows.extend(zip(repeat(f"{_short(outer_name)}={o:g}"), x_values, curve))
     at = ", ".join(f"{name}={value:g}" for name, value in fixed.items())
     note = f"energy vs {about} at {at}; {_short(outer_name)} in {outer_values}"
     if remark:

@@ -512,6 +512,32 @@ def test_numeric_failure_exit_code(capsys):
     assert "numeric failure" in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_potential_overflow_is_a_numeric_failure_naming_the_radius(capsys):
+    # the cubic series overflows at a finite radius; no inf row, no numpy warning
+    code, out, err = run_cli(
+        capsys, ["potential", "--lambda-d", "20", "--r-max", "1e300", "--points", "3"])
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err == "numeric failure: series is not finite at r = 5e+299\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_oracle_grid_out_of_float_range(capsys):
+    # a spacing whose square underflows is refused as a usage error naming the grid
+    code, out, err = run_cli(capsys, ["oracle", "--lambda-d", "20", "--grid-rmax", "1e-300"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error: grid r_min = 0, r_max = 1e-300, n_points = 8000")
+    assert err.endswith("whose square underflows\n") and "ModelParams" not in err
+    # a box whose series overflows gives its one diagnostic and no numpy warning
+    code, out, err = run_cli(capsys, ["oracle", "--lambda-d", "20", "--grid-rmax", "1e308"])
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err.startswith("numeric failure: potential is not finite at grid point r = ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, point", [
     (["energy", "--lambda-d", "1e30"], "lambda_d=1e+30"),
     (["energy", "--lambda-d", "1e-80"], "lambda_d=1e-80"),

@@ -90,6 +90,10 @@ def test_grid_validation():
     for r_max in (math.inf, math.nan):
         with pytest.raises(ValueError, match="r_max must be finite"):
             RadialGrid(0.0, r_max, 500)
+    # the kinetic term divides by h^2, so h^2 must not underflow
+    with pytest.raises(ValueError, match="r_max = 1e-300, n_points = 500 .* underflows"):
+        RadialGrid(0.0, 1e-300, 500)
+    RadialGrid(0.0, 1e-140, 500)
 
 
 def test_default_grid_scales_with_binding():

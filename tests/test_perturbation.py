@@ -18,7 +18,7 @@ from laserplasma.perturbation import (
 )
 from laserplasma.oracle import RadialGrid, solve_ground_state
 from laserplasma.potential import ModelParams, taylor_coefficients, veff_series_eval
-from laserplasma.sweep import SweepSpec, run_sweep
+from laserplasma.sweep import SweepSpec, figure_dataset, run_sweep, table1_rows
 
 AU = dict(z=1.0, mu=1.0, hbar=1.0, e_charge=1.0)
 
@@ -346,9 +346,8 @@ def test_wavefunction_matches_explicit_moderating_factor():
         assert wavefunction_eval(r, p) == pytest.approx(expected, rel=1e-10)
 
 
-def test_total_energy_computes_coefficients_once(monkeypatch):
-    # total_energy is the one-value sweep of the one kernel loop, so it builds
-    # the alpha0 numerators and the lambda_D denominators once each
+def _count_calls(monkeypatch, names):
+    """Wrap each named perturbation global to log its name on every call; returns the log."""
     calls = []
 
     def counted(name):
@@ -360,10 +359,32 @@ def test_total_energy_computes_coefficients_once(monkeypatch):
 
         return wrapper
 
-    for name in ("_alpha_terms", "_lambda_terms"):
+    for name in names:
         monkeypatch.setattr(perturbation, name, counted(name))
+    return calls
+
+
+def test_total_energy_computes_coefficients_once(monkeypatch):
+    # total_energy is the one-value sweep of the one kernel loop, so it builds
+    # the alpha0 numerators, the lambda_D denominators and the coefficient parts once each
+    calls = _count_calls(monkeypatch, ("_alpha_terms", "_lambda_terms", "_coefficients"))
     total_energy(ModelParams(lambda_d=20.0, alpha0=1e-3, field=0.01))
-    assert sorted(calls) == ["_alpha_terms", "_lambda_terms"]
+    assert sorted(calls) == ["_alpha_terms", "_coefficients", "_lambda_terms"]
+    # the field enters c1 alone: a field sweep builds the field-free parts
+    # once, and a figure whose curves differ in the field once per x point
+    calls = _count_calls(monkeypatch, ("_coefficients",))
+    fixed = ModelParams(lambda_d=20.0, alpha0=1e-3)
+    rows = run_sweep(SweepSpec("field", [1e-4 + 1e-5 * i for i in range(1000)], fixed))
+    assert (len(rows), len(calls)) == (1000, 1)
+    counts = {}
+    for tag in ("fig2a", "fig2b", "fig2c", "fig2d"):
+        calls.clear()
+        figure_dataset(tag)
+        counts[tag] = len(calls)
+    calls.clear()
+    table1_rows()
+    counts["table1"] = len(calls)
+    assert counts == {"fig2a": 51, "fig2b": 51, "fig2c": 4, "fig2d": 50, "table1": 7}
 
 
 def _reference_coefficients(a, lambda_d, alpha0, field):
@@ -427,6 +448,7 @@ def _reference_sweeps():
 
 def test_kernel_matches_reference_bit_for_bit():
     points = {"lambda_d": 0, "alpha0": 0, "field": 0}
+    fields, several_points = (0.0, 0.01, 0.3), 0
     for vary, fixed, values in _reference_sweeps():
         rows = run_sweep(SweepSpec(vary, values, fixed))
         for value, row in zip(values, rows, strict=True):
@@ -440,4 +462,16 @@ def test_kernel_matches_reference_bit_for_bit():
             assert (b.e0, b.const_shift, b.e1, b.e2, b.e3) == expected
             assert row.breakdown == b
             points[vary] += 1
+        if vary == "field":
+            continue
+        # with several fields per point, each point's coefficient parts are
+        # shared across the fields without changing a bit
+        several = perturbation._breakdowns(fixed, vary, values, fields)
+        for (value, field), b in zip(itertools.product(values, fields), several, strict=True):
+            p = replace(fixed, **{vary: value})
+            a = p.coulomb_strength
+            coeffs = _reference_coefficients(a, p.lambda_d, p.alpha0, field)
+            assert tuple(b) == _reference_ladder(*coeffs[1:], a, p.mu, p.hbar)
+            several_points += 1
     assert min(points.values()) >= 500
+    assert several_points >= 2 * 500 * len(fields)
