@@ -14,14 +14,11 @@ and moves down until T - shift I has an LDL^T factorization, which proves
 shift < E_0.  T's off-diagonal is negative, so T - shift I is then an
 M-matrix with an entrywise positive inverse, and iterating from a positive
 vector converges to the nodeless ground state, never to an excited one.
-The h-grid solve takes its guess and start vector from the same solve on
-a 16x coarser grid, which starts from a flat vector and the flat vector's
-Rayleigh quotient, an upper bound of E_0.  The h/2 solve is seeded by the
-h-grid eigenpair.  Either way the start vector is carried over by linear
-interpolation with u = 0 at the walls, so it is positive at every node and
-the certificate still holds.  numpy is imported only by the functions
-that build or read the grid arrays, and scipy (LAPACK) only when a solve
-runs, so importing this module loads neither.
+Each grid starts from the Coulomb pole's own state r exp(-s r), s =
+``p.decay_rate``, floored so it is positive at every node, and from its
+Rayleigh quotient, an upper bound of E_0.  numpy is imported only by the
+functions that build or read the grid arrays, and scipy (LAPACK) only
+when a solve runs, so importing this module loads neither.
 
 This solver shares no code with the closed-form energy ladder in
 `laserplasma.perturbation`, which is exactly what makes it usable as a
@@ -39,6 +36,7 @@ __all__ = [
     "GroundStateError",
     "ConvergenceError",
     "CONVERGENCE_TOL",
+    "BOX_DECAY_LENGTHS",
     "default_grid",
     "hamiltonian_arrays",
     "solve_on_grid",
@@ -123,9 +121,13 @@ class OracleResult:
     grid: RadialGrid
 
 
+# Decay lengths 1/s of the state's exp(-s r) tail that a box must span.
+BOX_DECAY_LENGTHS = 20.0
+
+
 def default_grid(p: ModelParams) -> RadialGrid:
     """Box large enough that the exp(-s r) tail is negligible at the wall."""
-    return RadialGrid(0.0, max(50.0, 20.0 / p.decay_rate), 8000)
+    return RadialGrid(0.0, max(50.0, BOX_DECAY_LENGTHS / p.decay_rate), 8000)
 
 
 def _sample(potential, r):
@@ -196,46 +198,26 @@ def _lowest_eigenpair(diag, off, guess, start):
     raise GroundStateError(f"no certified shift within {_MAX_FACTORIZATIONS} factorizations")
 
 
-def solve_on_grid(potential, grid: RadialGrid, p: ModelParams, *, seed=None):
+def solve_on_grid(potential, grid: RadialGrid, p: ModelParams):
     """Lowest eigenpair on a single grid, no extrapolation.
-
-    Parameters
-    ----------
-    seed : (float, ndarray), optional
-        A guess of the energy and a start vector on ``grid.points``,
-        positive at every node.  Without one, the seed is the eigenpair
-        on a 16x coarser grid, its vector carried to ``grid``.
-        Either way the shift is certified below E_0 and the iteration
-        converges to the same eigenpair, so the result does not depend on
-        the seed beyond rounding; a good seed only saves work.
 
     Returns
     -------
     (float, ndarray)
-        Raw eigenvalue and eigenvector normalized to sum(u^2) h = 1,
-        positive at every node.
+        Raw eigenvalue and eigenvector normalized to sum(u^2) h = 1;
+        u >= 0, and positive wherever the state is representable.
     """
     import numpy as np
 
     diag, off = hamiltonian_arrays(potential, grid, p)
-    if seed is None:
-        coarse = RadialGrid(grid.r_min, grid.r_max, max(100, grid.n_points // 16))
-        c_diag, c_off = hamiltonian_arrays(potential, coarse, p)
-        # the flat vector's Rayleigh quotient, an upper bound of E_0
-        guess = (c_diag.sum() + 2.0 * c_off.sum()) / c_diag.size
-        e_coarse, u_coarse = _lowest_eigenpair(c_diag, c_off, guess, np.ones(c_diag.size))
-        seed = (e_coarse, _carried(u_coarse, coarse, grid))
-    energy, u = _lowest_eigenpair(diag, off, *seed)
+    # r exp(-s r), scaled to 1 at its peak node so its squares cannot underflow
+    r = grid.points
+    log_u = np.log(r) - p.decay_rate * r
+    start = np.maximum(np.exp(log_u - np.max(log_u)), sys.float_info.min)
+    # start's Rayleigh quotient, an upper bound of E_0
+    guess = (start @ (diag * start) + 2.0 * (off * start[:-1]) @ start[1:]) / (start @ start)
+    energy, u = _lowest_eigenpair(diag, off, guess, start)
     return energy, u / np.sqrt(np.sum(u * u) * grid.spacing)
-
-
-def _carried(u: "np.ndarray", grid: RadialGrid, target: RadialGrid) -> "np.ndarray":
-    """``u`` on ``grid``'s nodes, interpolated linearly onto ``target``'s,
-    with u = 0 at both walls."""
-    import numpy as np
-
-    walls = np.concatenate(([grid.r_min], grid.points, [grid.r_max]))
-    return np.interp(target.points, walls, np.concatenate(([0.0], u, [0.0])))
 
 
 def _interior_sign_changes(u: "np.ndarray") -> int:
@@ -263,10 +245,8 @@ def solve_ground_state(potential, grid: RadialGrid, p: ModelParams) -> OracleRes
     """
     import numpy as np
 
-    fine = grid.refined()
-    e_coarse, u_coarse = solve_on_grid(potential, grid, p)
-    e_fine, u_fine = solve_on_grid(potential, fine, p,
-                                   seed=(e_coarse, _carried(u_coarse, grid, fine)))
+    e_coarse, _ = solve_on_grid(potential, grid, p)
+    e_fine, u_fine = solve_on_grid(potential, grid.refined(), p)
     energy = (4.0 * e_fine - e_coarse) / 3.0
     error_estimate = abs(e_fine - e_coarse) / 3.0
     # every other fine node coincides with a coarse node

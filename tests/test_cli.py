@@ -431,11 +431,19 @@ def test_bad_sweep_values_are_usage_errors(capsys, argv):
      "sweep value nan for field: field must be finite and >= 0, got nan"),
     (["sweep", "--vary", "field", "--values", "0.01,0.01", "--lambda-d", "100"], None,
      "sweep values must be strictly monotone"),
+    # both Richardson grids share the far wall, so the error estimate cannot
+    # see a box that cuts the state: at 1 it printed -0.476 with estimate 1e-8
+    *((["oracle", "--lambda-d", "100", "--alpha0", "1e-4", "--field", "0.01", "--grid-rmax", r],
+       None, f"oracle_grid r_max = {r} is too small for the bound state, which needs r_max >= 10")
+      for r in ("1e-100", "1e-10", "1", "9.99")),
+    (["sweep", "--vary", "field", "--values", "0.01,0.02", "--lambda-d", "100", "--alpha0", "1e-4",
+      "--with-oracle", "--grid-rmax", "3"], None, "oracle_grid r_max = 3 is too small"),
 ], ids=["unreadable-config", "config-line-without-equals", "unparsable-values",
         "one-point", "reversed-radii", "infinite-r-max", "oracle-infinite-grid-rmax",
         "sweep-infinite-grid-rmax", "negative-first-value", "zero-first-lambda-d",
         "minus-inf", "minus-nan", "flag-like-word", "grid-rmin-flag", "grid-rmin-key",
-        "nan-last-value", "nan-first-value", "repeated-value"])
+        "nan-last-value", "nan-first-value", "repeated-value", "oracle-box-1e-100",
+        "oracle-box-1e-10", "oracle-box-1", "oracle-box-9.99", "sweep-box-3"])
 def test_input_errors_are_usage_errors(tmp_path, capsys, argv, config_text, message):
     # CFG names a config file, written only when the case gives its text
     cfg = tmp_path / "run.cfg"
@@ -536,6 +544,12 @@ def test_oracle_grid_out_of_float_range(capsys):
     assert out == ""
     assert err.startswith("numeric failure: potential is not finite at grid point r = ")
     assert err.count("\n") == 1
+
+
+def test_oracle_box_of_twenty_decay_lengths_is_accepted(capsys):
+    code, _, _ = run_cli(capsys, ["oracle", "--lambda-d", "100", "--alpha0", "1e-4",
+                                  "--field", "0.01", "--grid-rmax", "10"])
+    assert code == EXIT_OK
 
 
 @pytest.mark.parametrize("argv, point", [

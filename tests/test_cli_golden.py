@@ -11,7 +11,7 @@ exp/cos may differ in the last bits between builds.  Even so, the
 ``deviation`` column of oracle rows prints values of about 1e-10 to 8
 digits, so it pins the eigensolver's rounding: a backward-stable solver
 may move it by eps |T| ~ 3e-10 on the refined grid, so any change of
-eigensolver moves those digits.
+eigensolver, or of the start vector it iterates from, moves those digits.
 Refactors of the sweep and CLI layers must keep these bytes unchanged; a
 deliberate change of output has to update the digest and say why.
 """
@@ -46,7 +46,7 @@ GOLDEN_SHA256 = {
      "--grid-rmax", "20"): "b26e7cbcf000f1ab819c66e443f0ef1ffb48cfd0f4c79bf45bed2ac708d779fd",
     ("sweep", "--vary", "field", "--values", "0.0001,0.001,0.01", "--lambda-d", "100",
      "--alpha0", "1e-4", "--with-overlap",
-     "--grid-rmax", "20"): "34d70b86fed58b299edb5153912a73c133b85ed40380c303a5881916d321b6b9",
+     "--grid-rmax", "20"): "ea0030811b033da0a28c392c395fea6c5941b8bf5bfdf57225229935b8e5e00e",
     ("potential", "--lambda-d", "5", "--alpha0", "0.001", "--field", "0.01",
      "--with-quadrature"): "43c1f5005416217c1357acf2d6d9ed8b3e6adf62b397b47fe5a22840ba57cb51",
 }

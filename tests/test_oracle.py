@@ -123,16 +123,25 @@ def test_ground_state_normalization_and_nodelessness():
 
 @pytest.mark.parametrize("name, potential, p", SOLVER_CASES, ids=[c[0] for c in SOLVER_CASES])
 def test_solver_matches_full_precision_bisection(name, potential, p):
-    for grid in (COULOMB_GRID, COULOMB_GRID.refined(), default_grid(p)):
+    for grid in (COULOMB_GRID, COULOMB_GRID.refined(), default_grid(p), default_grid(p).refined()):
         diag, off = hamiltonian_arrays(potential, grid, p)
         energy, u = solve_on_grid(potential, grid, p)
         assert abs(energy - _bisected_lowest(diag, off)) <= _rounding_bound(diag, off)
         assert np.all(u > 0.0)  # nodeless at every node, not only up to noise
+        assert np.sum(u * u) * grid.spacing == pytest.approx(1.0)
+    # a box so large that the start vector r exp(-2 r) underflows to its
+    # floor over most of it, and a steep state's tail to 0
+    grid = RadialGrid(0.0, 1000.0, 8000)
+    diag, off = hamiltonian_arrays(potential, grid, p)
+    energy, u = solve_on_grid(potential, grid, p)
+    assert abs(energy - _bisected_lowest(diag, off)) <= _rounding_bound(diag, off)
+    assert np.all(u >= 0.0)
 
 
 def test_shift_search_is_certified_whatever_the_guess():
     # a guess above E_1 = -0.5 must not converge to E_1, and one 100 Ha
-    # below E_0 must not stall; both return E_0
+    # below E_0 must not stall; both return E_0, from a flat start vector
+    # far from the state's shape
     diag, off = hamiltonian_arrays(coulomb, COULOMB_GRID, AU)
     exact = _bisected_lowest(diag, off)
     assert -2.0 < exact < -1.99
@@ -143,58 +152,11 @@ def test_shift_search_is_certified_whatever_the_guess():
         assert np.linalg.norm(u) == pytest.approx(1.0)
 
 
-def test_carried_vector_keeps_shared_nodes_and_is_zero_at_the_walls():
-    grid = RadialGrid(0.0, 10.0, 999)
-    u = np.exp(-grid.points) * grid.points
-    fine = oracle._carried(u, grid, grid.refined())
-    # on a nested refinement: the shared nodes kept, each midpoint the mean
-    # of its neighbours, with u = 0 at the walls
-    walled = np.concatenate(([0.0], u, [0.0]))
-    nested = np.empty(2 * u.size + 1)
-    nested[1::2] = u
-    nested[0::2] = 0.5 * (walled[:-1] + walled[1:])
-    assert np.allclose(fine, nested, rtol=1e-10, atol=0.0)
-    # from the 16x coarser grid of an unseeded solve: positive at every
-    # node, the first and last included
-    grid, coarse = RadialGrid(0.0, 10.0, 8000), RadialGrid(0.0, 10.0, 8000 // 16)
-    assert np.all(oracle._carried(np.exp(-coarse.points) * coarse.points, coarse, grid) > 0.0)
-
-
-@pytest.mark.parametrize("name, potential, p", SOLVER_CASES, ids=[c[0] for c in SOLVER_CASES])
-def test_seeded_refined_solve_is_certified(name, potential, p):
-    # the h/2 solve of solve_ground_state, seeded by the h-grid eigenpair
-    for grid in (COULOMB_GRID, default_grid(p)):
-        e_coarse, u_coarse = solve_on_grid(potential, grid, p)
-        fine = grid.refined()
-        diag, off = hamiltonian_arrays(potential, fine, p)
-        energy, u = solve_on_grid(potential, fine, p,
-                                  seed=(e_coarse, oracle._carried(u_coarse, grid, fine)))
-        assert abs(energy - _bisected_lowest(diag, off)) <= _rounding_bound(diag, off)
-        assert np.all(u > 0.0)  # the first and last node included
-        assert np.sum(u * u) * fine.spacing == pytest.approx(1.0)
-
-
-def test_a_wrong_seed_still_returns_the_ground_state():
-    fine = COULOMB_GRID.refined()
-    diag, off = hamiltonian_arrays(coulomb, fine, AU)
-    exact = _bisected_lowest(diag, off)
-    e_harmonic, u_harmonic = solve_on_grid(harmonic, COULOMB_GRID, AU)
-    _, u_coulomb = solve_on_grid(coulomb, COULOMB_GRID, AU)
-    # the harmonic eigenpair (E = 1.5, wrong shape), and the right vector
-    # with an energy above E_1 = -0.5
-    for seed in ((e_harmonic, oracle._carried(u_harmonic, COULOMB_GRID, fine)),
-                 (-0.4, oracle._carried(u_coulomb, COULOMB_GRID, fine))):
-        energy, u = solve_on_grid(coulomb, fine, AU, seed=seed)
-        assert abs(energy - exact) <= _rounding_bound(diag, off)
-        assert np.all(u > 0.0)
-
-
-def test_refined_solve_reuses_the_coarse_eigenpair(monkeypatch):
+def test_each_grid_solve_factors_once(monkeypatch):
     # deterministic work count with one eigensolver: no bisection anywhere,
-    # an h grid that starts from the carried coarse eigenvector in no more
-    # back-substitutions than it took from a flat vector and a bisected
-    # guess (6, 5 and 6), and a refined solve that starts converged enough
-    # to need one factorization and few back-substitutions
+    # and each grid of a ground state, started from r exp(-s r) and its
+    # Rayleigh quotient, factors once, with no failed factorization, and
+    # converges in few back-substitutions
     import scipy.linalg
     import scipy.linalg.lapack
 
@@ -208,21 +170,25 @@ def test_refined_solve_reuses_the_coarse_eigenpair(monkeypatch):
         real = getattr(scipy.linalg.lapack, name)
 
         def wrapper(*args, **kwargs):
+            out = real(*args, **kwargs)
             calls.append((name, np.size(args[0])))
-            return real(*args, **kwargs)
+            if name == "dpttrf":
+                assert out[-1] == 0, "dpttrf failed"
+            return out
 
         monkeypatch.setattr(scipy.linalg.lapack, name, wrapper)
 
     counted("dpttrf")
     counted("dpttrs")
-    for p, flat_start_solves in zip(WINDOW_POINTS, (6, 5, 6)):
+    for p in WINDOW_POINTS:
         calls.clear()
         grid = default_grid(p)
         solve_ground_state(model_potential(p), grid, p)
-        n_fine = grid.refined().n_points
-        assert calls.count(("dpttrs", grid.n_points)) <= flat_start_solves
-        assert calls.count(("dpttrf", n_fine)) == 1
-        assert calls.count(("dpttrs", n_fine)) <= 4
+        sizes = {grid.n_points, grid.refined().n_points}
+        assert {n for _, n in calls} == sizes
+        for n in sizes:
+            assert calls.count(("dpttrf", n)) == 1
+            assert calls.count(("dpttrs", n)) <= 4
 
 
 def test_solver_caps_raise_instead_of_returning_a_number(monkeypatch):

@@ -200,6 +200,19 @@ def test_oracle_grid_wall_must_be_at_the_origin():
                             oracle_grid=RadialGrid(0.5, 50.0, 8000)))
 
 
+def test_oracle_grid_must_span_the_box_of_default_grid():
+    # both Richardson grids share the far wall: at r_max = 1 this printed an
+    # oracle energy of -0.476 with estimate 1.05e-8 next to a closed form of
+    # -1.973; the bound is 20 decay lengths, as in default_grid
+    p = ModelParams(lambda_d=100.0, alpha0=1e-4, field=0.01, mu=0.5)  # decay rate 1
+    for r_max in (1.0, 19.99):
+        with pytest.raises(ValueError, match=f"r_max = {r_max:g} .* needs r_max >= 20"):
+            SweepSpec("field", (0.01,), p, outputs={"breakdown", "oracle"},
+                      oracle_grid=RadialGrid(0.0, r_max, 8000))
+    SweepSpec("field", (0.01,), p, outputs={"breakdown", "oracle"},
+              oracle_grid=RadialGrid(0.0, 20.0, 8000))
+
+
 def test_all_figure_tags_build():
     for tag in FIGURE_TAGS:
         ds = figure_dataset(tag)
