@@ -123,7 +123,7 @@ def test_ground_state_normalization_and_nodelessness():
 
 @pytest.mark.parametrize("name, potential, p", SOLVER_CASES, ids=[c[0] for c in SOLVER_CASES])
 def test_solver_matches_full_precision_bisection(name, potential, p):
-    for grid in (COULOMB_GRID, COULOMB_GRID.refined(), default_grid(p), default_grid(p).refined()):
+    for grid in (COULOMB_GRID, COULOMB_GRID.refined(), default_grid(p)):
         diag, off = hamiltonian_arrays(potential, grid, p)
         energy, u = solve_on_grid(potential, grid, p)
         assert abs(energy - _bisected_lowest(diag, off)) <= _rounding_bound(diag, off)
@@ -136,6 +136,19 @@ def test_solver_matches_full_precision_bisection(name, potential, p):
     energy, u = solve_on_grid(potential, grid, p)
     assert abs(energy - _bisected_lowest(diag, off)) <= _rounding_bound(diag, off)
     assert np.all(u >= 0.0)
+
+
+@pytest.mark.parametrize("name, potential, p", SOLVER_CASES, ids=[c[0] for c in SOLVER_CASES])
+def test_seeded_refined_solve_is_certified(name, potential, p):
+    # the h/2 solve of solve_ground_state, which starts from the same
+    # hydrogen-like vector as the h grid rather than from its eigenpair
+    for grid in (COULOMB_GRID, default_grid(p)):
+        fine = grid.refined()
+        diag, off = hamiltonian_arrays(potential, fine, p)
+        energy, u = solve_on_grid(potential, fine, p)
+        assert abs(energy - _bisected_lowest(diag, off)) <= _rounding_bound(diag, off)
+        assert np.all(u > 0.0)  # the first and last node included
+        assert np.sum(u * u) * fine.spacing == pytest.approx(1.0)
 
 
 def test_shift_search_is_certified_whatever_the_guess():
