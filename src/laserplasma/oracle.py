@@ -38,6 +38,7 @@ __all__ = [
     "CONVERGENCE_TOL",
     "BOX_DECAY_LENGTHS",
     "default_grid",
+    "require_box",
     "hamiltonian_arrays",
     "solve_on_grid",
     "solve_ground_state",
@@ -130,6 +131,15 @@ def default_grid(p: ModelParams) -> RadialGrid:
     return RadialGrid(0.0, max(50.0, BOX_DECAY_LENGTHS / p.decay_rate), 8000)
 
 
+def require_box(grid: RadialGrid, p: ModelParams, name: str = "grid") -> None:
+    """Refuse a box shorter than `BOX_DECAY_LENGTHS` decay lengths 1/``p.decay_rate``:
+    both Richardson grids share its far wall, so the error estimate cannot see it."""
+    if grid.r_max * p.decay_rate < BOX_DECAY_LENGTHS:
+        raise ValueError(
+            f"{name} r_max = {grid.r_max:g} is too small for the bound state,"
+            f" which needs r_max >= {BOX_DECAY_LENGTHS / p.decay_rate:g}")
+
+
 def _sample(potential, r):
     import numpy as np
 
@@ -209,6 +219,7 @@ def solve_on_grid(potential, grid: RadialGrid, p: ModelParams):
     """
     import numpy as np
 
+    require_box(grid, p)
     diag, off = hamiltonian_arrays(potential, grid, p)
     # r exp(-s r), scaled to 1 at its peak node so its squares cannot underflow
     r = grid.points
@@ -234,8 +245,8 @@ def solve_ground_state(potential, grid: RadialGrid, p: ModelParams) -> OracleRes
     Solves on ``grid`` and on its half-spacing refinement, extrapolates
     the energy, and returns the eigenvector restricted to the requested
     grid.  Raises `GroundStateError` if the extracted state has an
-    interior node and ValueError if the potential is not finite at every
-    grid point.
+    interior node, and ValueError if the potential is not finite at every
+    grid point or the box is too small for the state (`require_box`).
 
     The cubic truncated potential is finite everywhere on r > 0 and is the
     intended default input.  The exact two-center dressed potential has a

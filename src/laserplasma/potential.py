@@ -276,7 +276,9 @@ def _lambda_terms(lam):
 
 def _coefficients(num, den):
     """The field-free parts (c0, d8, d4, c2, c3) from `_alpha_terms` and `_lambda_terms`,
-    with c1 = F - d8 + d4; k<i>_<n> is c_i's lambda_D^n term."""
+    with c1 = F - d8 + d4; k<i>_<n> is c_i's lambda_D^n term.  The constant of
+    c_i's A alpha0^j / lambda_D^n term is -2 C(i+j, j) a_n, n = i + j + 1, where
+    a_n = Re((1j - 1)^n) / n! is the t^n coefficient of exp(-t) cos(t)."""
     n8, n6, n4, n2x2, n0x2, n2, neg8, n0 = num
     k0_9, k0_7, k0_5, k0_3, k0_1, k1_8, k1_4, k2_11, k2_9, k2_7, k2_5, k3_12, k3_8, k3_4 = den
     c0 = n8 / k0_9 + n6 / k0_7 - n4 / k0_5 - n2x2 / k0_3 + n0x2 / k0_1

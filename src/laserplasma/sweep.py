@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import NamedTuple
 
-from .oracle import (BOX_DECAY_LENGTHS, RadialGrid, default_grid, overlap, require_converged,
+from .oracle import (RadialGrid, default_grid, overlap, require_box, require_converged,
                      solve_ground_state)
 from .perturbation import EnergyBreakdown, _breakdowns, wavefunction_eval
 from .potential import ModelParams, dressed_pair_eval, taylor_coefficients, veff_series_eval
@@ -68,12 +68,10 @@ class SweepSpec:
     compares wavefunctions (requires "oracle").  ``oracle_grid`` must have
     its wall at r_min = 0: the oracle solves the cubic series, whose
     Coulomb pole at r = 0 is where u(0) = 0, so any other wall gives a
-    wrong energy with a small error estimate.  Its r_max must span
-    `BOX_DECAY_LENGTHS` decay lengths 1/``fixed.decay_rate``, as
-    `default_grid`'s does: both Richardson grids share the far wall, so
-    the error estimate cannot see a box too small for the state.  The
-    values are checked against the model's domain here, so a bad value
-    fails at construction, naming the first one in input order.
+    wrong energy with a small error estimate.  Its r_max must pass
+    `require_box` at ``fixed``, as `default_grid`'s does.  The values are
+    checked against the model's domain here, so a bad value fails at
+    construction, naming the first one in input order.
     """
 
     vary: str
@@ -103,10 +101,8 @@ class SweepSpec:
         grid = self.oracle_grid
         if grid is not None and grid.r_min != 0.0:
             raise ValueError(f"oracle_grid must have r_min = 0, got r_min = {grid.r_min:g}")
-        if grid is not None and grid.r_max * self.fixed.decay_rate < BOX_DECAY_LENGTHS:
-            raise ValueError(
-                f"oracle_grid r_max = {grid.r_max:g} is too small for the bound state,"
-                f" which needs r_max >= {BOX_DECAY_LENGTHS / self.fixed.decay_rate:g}")
+        if grid is not None:
+            require_box(grid, self.fixed, "oracle_grid")
         object.__setattr__(self, "outputs", frozenset(self.outputs))
         if self.vary == "alpha0" and self.fixed.omega is not None:
             raise ValueError("an alpha0 sweep cannot keep omega and e0_amp, which fix alpha0")

@@ -17,6 +17,7 @@ oracle.  See README "Known limitations".
 import math
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ from laserplasma.sweep import (
     table1_rows,
 )
 
-from fdfit import fit_expansion_coefficients
+from exact import MANUFACTURED_CASES, exact_coefficient, manufactured
 
 SEED = 20240817
 ORACLE_GRID = RadialGrid(0.0, 20.0, 8000)
@@ -159,21 +160,23 @@ def criterion_4_oracle_cross_validation():
 
 
 def criterion_5_oracle_self_tests():
-    """Known closed-form spectra and the second-order convergence ratio."""
+    """Known closed-form spectra, manufactured eigenpairs and the second-order ratio."""
     p = ModelParams(lambda_d=100.0)
     coulomb = solve_ground_state(lambda r: -2.0 / r, ORACLE_GRID, p)
     harmonic = solve_ground_state(lambda r: 0.5 * r * r, ORACLE_GRID, p)
     dev_c = abs(coulomb.energy + 2.0)
     dev_h = abs(harmonic.energy - 1.5)
+    dev_m = max(abs(solve_ground_state(manufactured(2.0, q, b, -1.9), ORACLE_GRID, p).energy + 1.9)
+                for q, b in MANUFACTURED_CASES)
     energies = [
         solve_on_grid(lambda r: -2.0 / r, RadialGrid(0.0, 20.0, n), p)[0]
         for n in (1000, 2001, 4003)
     ]
     ratio = (energies[0] - energies[1]) / (energies[1] - energies[2])
-    ok = dev_c <= 1e-5 and dev_h <= 1e-5 and 3.7 <= ratio <= 4.3
+    ok = dev_c <= 1e-5 and dev_h <= 1e-5 and dev_m <= 1e-10 and 3.7 <= ratio <= 4.3
     return ok, (
         f"Coulomb dev {dev_c:.1e}, harmonic dev {dev_h:.1e} (tol 1e-5), "
-        f"refinement ratio {ratio:.3f} (4 +/- 0.3)"
+        f"manufactured dev {dev_m:.1e} (tol 1e-10), refinement ratio {ratio:.3f} (4 +/- 0.3)"
     )
 
 
@@ -244,16 +247,16 @@ def criterion_7_figure_behaviors():
 
 
 def criterion_8_expansion_audit():
-    """High-precision fit of the exact dressed potential recovers c0..c3."""
+    """c0..c3 equal the exact expansion series of their own float inputs."""
     worst = 0.0
     for field in (0.0, 0.01):
         p = ModelParams(lambda_d=100.0, alpha0=1e-3, field=field)
         c = taylor_coefficients(p)
-        fit = fit_expansion_coefficients(p.coulomb_strength, p.lambda_d, p.alpha0, p.field)
-        for got, want in zip(fit[:4], (c.c0, c.c1, c.c2, c.c3)):
-            worst = max(worst, abs(got - want) / abs(want))
-    ok = worst <= 1e-4
-    return ok, f"max rel coefficient error {worst:.2e} (tol 1e-4) at F in (0, 0.01)"
+        for k, got in enumerate((c.c0, c.c1, c.c2, c.c3)):
+            want = exact_coefficient(k, p.coulomb_strength, p.lambda_d, p.alpha0, p.field)
+            worst = max(worst, float(abs(Fraction(got) - want) / abs(want)))
+    ok = worst <= 1e-15
+    return ok, f"max rel coefficient error {worst:.2e} (tol 1e-15) at F in (0, 0.01)"
 
 
 CRITERIA = [

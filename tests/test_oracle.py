@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from laserplasma.oracle import (
 )
 from laserplasma.perturbation import wavefunction_eval, zeroth_order
 from laserplasma.potential import ModelParams, taylor_coefficients, veff_series_eval
+
+from exact import MANUFACTURED_CASES, manufactured
 
 COULOMB_GRID = RadialGrid(0.0, 20.0, 8000)
 AU = ModelParams(lambda_d=100.0)
@@ -242,6 +245,37 @@ def test_box_size_independence():
     e20 = solve_ground_state(model_potential(p), RadialGrid(0.0, 20.0, 4000), p).energy
     e30 = solve_ground_state(model_potential(p), RadialGrid(0.0, 30.0, 6000), p).energy
     assert abs(e20 - e30) < 1e-7
+
+
+def test_box_too_small_for_the_state_is_refused_by_the_solver():
+    # the state needs r_max >= 20 / decay_rate = 10: both Richardson grids
+    # share the wall, so a smaller box gives a wrong energy with a tiny
+    # estimate (-0.476 for -1.973 at r_max = 1), or warns and fails to settle
+    p = ModelParams(lambda_d=100.0, alpha0=1e-4, field=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r_max in (1e-100, 1.0, 9.99):
+            grid = RadialGrid(0.0, r_max, 8000)
+            for solve in (solve_on_grid, solve_ground_state):
+                with pytest.raises(ValueError, match=f"r_max = {r_max:g} is too small"):
+                    solve(model_potential(p), grid, p)
+        result = solve_ground_state(model_potential(p), RadialGrid(0.0, 10.0, 8000), p)
+    assert result.energy == pytest.approx(-1.9725072, abs=1e-5)  # Table 1
+
+
+def test_manufactured_ground_states_on_the_default_grid():
+    # exact eigenpairs r exp(-Q) at E_m = -1.9: FD's true error, not an estimate
+    for q, b in MANUFACTURED_CASES:
+        result = solve_ground_state(manufactured(2.0, q, b, -1.9), default_grid(AU), AU)
+        assert abs(result.energy + 1.9) <= 2e-9
+
+
+def test_manufactured_true_error_is_fourth_order():
+    # the Richardson energy's error falls like h^4: 256x per 4x refinement
+    potential = manufactured(2.0, 2e-2, 5e-3, -1.9)
+    errors = [abs(solve_ground_state(potential, RadialGrid(0.0, 50.0, n), AU).energy + 1.9)
+              for n in (2000, 8000)]
+    assert 200.0 <= errors[0] / errors[1] <= 320.0
 
 
 def test_nonfinite_potential_rejected():

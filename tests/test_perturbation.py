@@ -20,6 +20,8 @@ from laserplasma.oracle import RadialGrid, solve_ground_state
 from laserplasma.potential import ModelParams, taylor_coefficients, veff_series_eval
 from laserplasma.sweep import SweepSpec, figure_dataset, run_sweep, table1_rows
 
+from exact import series_terms
+
 AU = dict(z=1.0, mu=1.0, hbar=1.0, e_charge=1.0)
 
 
@@ -388,30 +390,21 @@ def test_total_energy_computes_coefficients_once(monkeypatch):
 
 
 def _reference_coefficients(a, lambda_d, alpha0, field):
-    """The coefficient expressions as one plain-float function: an
-    independent copy, in the kernel's operation order, to compare bits with."""
-    lam = lambda_d
+    """(c_m1, c0, c1, c2, c3) summed in plain floats from the exact table,
+    in the kernel's operation order: descending j, each term
+    (p A alpha0^j) / (q lambda_D^n) for the table's coefficient +-p/q, and
+    A alpha0^j built as `_alpha_terms` builds it.  A factor 1 and
+    lambda_D**1 are exact, so they stand for the kernel's omitted ones."""
     a2 = alpha0**2
     a4 = a2 * a2
-    a6 = a4 * a2
-    a8 = a4 * a4
-    c0 = (
-        a * a8 / (11340.0 * lam**9)
-        + a * a6 / (315.0 * lam**7)
-        - a * a4 / (15.0 * lam**5)
-        - 2.0 * a * a2 / (3.0 * lam**3)
-        + 2.0 * a / lam
-    )
-    c1 = field - a * a6 / (180.0 * lam**8) + a * a2 / lam**4
-    c2 = (
-        -a * a8 / (13860.0 * lam**11)
-        + a * a6 / (405.0 * lam**9)
-        + a * a4 / (21.0 * lam**7)
-        - 2.0 * a * a2 / (5.0 * lam**5)
-        - 2.0 * a / (3.0 * lam**3)
-    )
-    c3 = a * a8 / (22680.0 * lam**12) - a * a4 / (36.0 * lam**8) + a / (3.0 * lam**4)
-    return -2.0 * a, c0, c1, c2, c3
+    numerators = {0: a, 2: a * a2, 4: a * a4, 6: a * (a4 * a2), 8: a * (a4 * a4)}
+    coeffs = [-2.0 * a]
+    for k in range(4):
+        c = field if k == 1 else 0.0
+        for j, n, coef in series_terms(k):
+            c += coef.numerator * numerators[j] / (coef.denominator * lambda_d**n)
+        coeffs.append(c)
+    return tuple(coeffs)
 
 
 def _reference_ladder(c0, c1, c2, c3, a, mu, hbar):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from laserplasma.potential import (
     veff_series_eval,
 )
 
-from fdfit import fit_expansion_coefficients
+from exact import exact_coefficient, series_terms
 
 
 def test_params_validation():
@@ -229,10 +230,33 @@ def test_series_breaks_down_outside_validity_window():
     assert abs(series - exact) > 100.0 * abs(exact)
 
 
-def test_coefficients_against_high_precision_fit():
-    # 5-point fit of the pole-free exact potential, h = 1e-3 lambda_D
-    p = ModelParams(lambda_d=100.0, alpha0=1e-3, field=0.01)
-    c = taylor_coefficients(p)
-    fit = fit_expansion_coefficients(p.coulomb_strength, p.lambda_d, p.alpha0, p.field)
-    for got, want in zip(fit[:4], (c.c0, c.c1, c.c2, c.c3)):
-        assert abs(got - want) <= 1e-4 * abs(want)
+def test_coefficients_equal_the_exact_series():
+    # c0..c3 against the exact series of their own float inputs, through
+    # alpha0^8 as in the kernel; Fraction(got) - want, since got - want
+    # would round to a float first
+    for field in (0.0, 0.01):
+        p = ModelParams(lambda_d=100.0, alpha0=1e-3, field=field)
+        c = taylor_coefficients(p)
+        for k, got in enumerate((c.c0, c.c1, c.c2, c.c3)):
+            want = exact_coefficient(k, p.coulomb_strength, p.lambda_d, p.alpha0, p.field)
+            assert abs(Fraction(got) - want) <= 1e-15 * abs(want)
+
+
+def test_exact_series_sums_to_the_pole_free_potential():
+    # the table through r^14 and alpha0^16 against the dressed potential
+    # with both poles removed, g(r + alpha0) + g(r - alpha0) + F r with
+    # g(x) = -A (exp(-x/lambda_D) cos(x/lambda_D) - 1) / x, in plain floats
+    assert [coef for _, _, coef in series_terms(4)] == [
+        Fraction(-1, 98280), Fraction(-1, 2970), Fraction(1, 162), Fraction(1, 21),
+        Fraction(-1, 15)]
+    for lam, alpha0, field in ((100.0, 1e-3, 0.0), (100.0, 1e-3, 0.01), (5.0, 1e-2, 0.01),
+                               (20.0, 0.1, 0.04), (2.0, 1e-4, 0.0)):
+        coeffs = [exact_coefficient(k, 1.0, lam, alpha0, field, j_max=16) for k in range(15)]
+
+        def g(x):
+            return -(math.exp(-x / lam) * math.cos(x / lam) - 1.0) / x
+
+        for r in (0.01 * lam, 0.03 * lam, 0.1 * lam):
+            exact = g(r + alpha0) + g(r - alpha0) + field * r
+            series = float(sum(c * Fraction(r) ** k for k, c in enumerate(coeffs)))
+            assert abs(series - exact) <= 1e-13 * abs(exact)
