@@ -342,7 +342,7 @@ def _run_potential(config: RunConfig):
         try:
             coeffs = taylor_coefficients(p)
         except ArithmeticError as exc:
-            raise type(exc)(f"{exc} at {p}") from exc
+            raise type(exc)(f"{exc.args[-1]} at {p}") from exc
         columns = {"r": r, "screened": ecsc_eval(r, p), "dressed": dressed,
                    "effective": dressed + p.field * r, "series": veff_series_eval(r, coeffs)}
     if quadrature is not None:

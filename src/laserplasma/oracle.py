@@ -11,14 +11,16 @@ error estimate for free.
 
 The shift is certified: it starts below a guess of the lowest eigenvalue
 and moves down until T - shift I has an LDL^T factorization, which proves
-shift < E_0.  T's off-diagonal is negative, so T - shift I is then an
-M-matrix with an entrywise positive inverse, and iterating from a positive
-vector converges to the nodeless ground state, never to an excited one.
-Each grid starts from the Coulomb pole's own state r exp(-s r), s =
-``p.decay_rate``, floored so it is positive at every node, and from its
-Rayleigh quotient, an upper bound of E_0.  numpy is imported only by the
-functions that build or read the grid arrays, and scipy (LAPACK) only
-when a solve runs, so importing this module loads neither.
+shift < E_0.  T's off-diagonal is negative, so T - shift I is then a
+positive-definite M-matrix, whose factor's off-diagonal is negative too:
+each substitution of a solve only adds nonnegative terms.  Each grid starts
+from the Coulomb pole's own state r exp(-s r), s = ``p.decay_rate``,
+floored so it is positive at every node, and from its Rayleigh quotient, an
+upper bound of E_0, so every iterate is >= 0 exactly, and the iteration
+converges to the nodeless ground state with no node check.  numpy is
+imported only by the functions that build or read the grid arrays, and
+scipy (LAPACK) only when a solve runs, so importing this module loads
+neither.
 
 This solver shares no code with the closed-form energy ladder in
 `laserplasma.perturbation`, which is exactly what makes it usable as a
@@ -55,7 +57,7 @@ _MAX_ITERATIONS = 50
 
 
 class GroundStateError(RuntimeError):
-    """The lowest extracted eigenvector is not a nodeless ground state."""
+    """An eigensolve reached its cap on factorizations or on iterations."""
 
 
 class ConvergenceError(RuntimeError):
@@ -140,14 +142,14 @@ def require_box(grid: RadialGrid, p: ModelParams, name: str = "grid") -> None:
             f" which needs r_max >= {BOX_DECAY_LENGTHS / p.decay_rate:g}")
 
 
-def _sample(potential, r):
+def _sample(function, r, name):
     import numpy as np
 
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, by grid point
-        v = np.broadcast_to(np.asarray(potential(r), dtype=float), r.shape)
+        v = np.broadcast_to(np.asarray(function(r), dtype=float), r.shape)
     if not np.all(np.isfinite(v)):
         bad = r[~np.isfinite(v)][0]
-        raise ValueError(f"potential is not finite at grid point r = {bad:g}")
+        raise ValueError(f"{name} is not finite at grid point r = {bad:g}")
     return v
 
 
@@ -157,7 +159,7 @@ def hamiltonian_arrays(potential, grid: RadialGrid, p: ModelParams):
 
     h = grid.spacing
     kin = p.hbar**2 / (2.0 * p.mu * h * h)
-    diag = 2.0 * kin + _sample(potential, grid.points)
+    diag = 2.0 * kin + _sample(potential, grid.points, "potential")
     off = np.full(grid.n_points - 1, -kin)
     return diag, off
 
@@ -231,21 +233,13 @@ def solve_on_grid(potential, grid: RadialGrid, p: ModelParams):
     return energy, u / np.sqrt(np.sum(u * u) * grid.spacing)
 
 
-def _interior_sign_changes(u: "np.ndarray") -> int:
-    import numpy as np
-
-    # ignore the noise floor so tail oscillations at machine level don't count
-    significant = u[np.abs(u) > 1e-8 * np.max(np.abs(u))]
-    return int(np.count_nonzero(np.sign(significant[:-1]) != np.sign(significant[1:])))
-
-
 def solve_ground_state(potential, grid: RadialGrid, p: ModelParams) -> OracleResult:
     """Richardson-extrapolated ground state of the sampled radial potential.
 
     Solves on ``grid`` and on its half-spacing refinement, extrapolates
     the energy, and returns the eigenvector restricted to the requested
-    grid.  Raises `GroundStateError` if the extracted state has an
-    interior node, and ValueError if the potential is not finite at every
+    grid, >= 0 at every node.  Raises `GroundStateError` when an eigensolve
+    reaches a cap, and ValueError if the potential is not finite at every
     grid point or the box is too small for the state (`require_box`).
 
     The cubic truncated potential is finite everywhere on r > 0 and is the
@@ -261,12 +255,8 @@ def solve_ground_state(potential, grid: RadialGrid, p: ModelParams) -> OracleRes
     energy = (4.0 * e_fine - e_coarse) / 3.0
     error_estimate = abs(e_fine - e_coarse) / 3.0
     # every other fine node coincides with a coarse node
-    u = u_fine[1::2].copy()
+    u = u_fine[1::2]
     u = u / np.sqrt(np.sum(u * u) * grid.spacing)
-    if _interior_sign_changes(u) > 0:
-        raise GroundStateError(
-            "lowest eigenvector has an interior node; ground state not captured"
-        )
     return OracleResult(
         energy=energy,
         u_samples=u,
@@ -311,7 +301,7 @@ def overlap(result: OracleResult, psi) -> float:
     import numpy as np
 
     h = result.grid.spacing
-    vals = _sample(psi, result.grid.points)
+    vals = _sample(psi, result.grid.points, "trial function")
     norm = np.sqrt(np.sum(vals * vals) * h)
     if norm == 0.0:
         raise ValueError("trial function has zero norm on the grid")

@@ -158,7 +158,7 @@ def run_sweep(spec: SweepSpec):
         # list.extend keeps the rows made before a failure, so len(rows) names its point
         rows.extend(made)
     except ArithmeticError as exc:
-        raise type(exc)(f"{exc} at {spec._params_at(values[len(rows)])}") from exc
+        raise type(exc)(f"{exc.args[-1]} at {spec._params_at(values[len(rows)])}") from exc
     return rows
 
 

@@ -546,6 +546,17 @@ def test_oracle_grid_out_of_float_range(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_trial_function_is_named_in_the_oracle_failure(capsys):
+    # the potential is finite on the whole grid, and the solve succeeds (sweep
+    # --with-oracle prints a row here); the perturbed wavefunction of the
+    # overlap overflows, so the failure names it and not the potential
+    code, out, err = run_cli(capsys, ["oracle", "--lambda-d", "0.5", "--field", "0.01"])
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err == "numeric failure: trial function is not finite at grid point r = 8.86764\n"
+
+
 def test_oracle_box_of_twenty_decay_lengths_is_accepted(capsys):
     code, _, _ = run_cli(capsys, ["oracle", "--lambda-d", "100", "--alpha0", "1e-4",
                                   "--field", "0.01", "--grid-rmax", "10"])
@@ -558,12 +569,13 @@ def test_oracle_box_of_twenty_decay_lengths_is_accepted(capsys):
     (["energy", "--lambda-d", "5", "--alpha0", "1e40"], "alpha0=1e+40"),
     (["energy", "--lambda-d", "5", "--field", "1e300"], "field=1e+300"),
     (["energy", "--lambda-d", "5", "--z", "1e200"], "z=1e+200"),
+    (["energy", "--lambda-d", "5", "--z", "1e300"], "z=1e+300"),
     (["sweep", "--vary", "lambda-d", "--values", "1e25,1e30"], "lambda_d=1e+30"),
     (["potential", "--lambda-d", "1e-120", "--alpha0", "1e-3", "--field", "0.01"],
      "lambda_d=1e-120"),
     (["potential", "--lambda-d", "1e30"], "lambda_d=1e+30"),
-], ids=["lambda-huge", "lambda-tiny", "alpha0-huge", "field-huge", "z-huge", "sweep-lambda",
-        "potential-lambda-tiny", "potential-lambda-huge"])
+], ids=["lambda-huge", "lambda-tiny", "alpha0-huge", "field-huge", "z-huge", "z-errno",
+        "sweep-lambda", "potential-lambda-tiny", "potential-lambda-huge"])
 def test_float_overflow_is_a_numeric_failure_naming_the_point(capsys, argv, point):
     # the plain-float kernel raises OverflowError or ZeroDivisionError here
     code, out, err = run_cli(capsys, argv)
@@ -571,6 +583,8 @@ def test_float_overflow_is_a_numeric_failure_naming_the_point(capsys, argv, poin
     assert out == ""
     assert err.startswith("numeric failure: ") and err.count("\n") == 1
     assert point in err and "lambda_d=1e+25" not in err
+    # the message is the error's text, not an (errno, text) tuple
+    assert "(34, " not in err
 
 
 def test_unscreened_energy_output_is_unchanged(capsys):

@@ -15,7 +15,7 @@ from laserplasma.potential import (
     veff_series_eval,
 )
 
-from exact import exact_coefficient, series_terms
+from exact import exact_coefficient, pole_free, series_terms
 
 
 def test_params_validation():
@@ -245,18 +245,19 @@ def test_coefficients_equal_the_exact_series():
 def test_exact_series_sums_to_the_pole_free_potential():
     # the table through r^14 and alpha0^16 against the dressed potential
     # with both poles removed, g(r + alpha0) + g(r - alpha0) + F r with
-    # g(x) = -A (exp(-x/lambda_D) cos(x/lambda_D) - 1) / x, in plain floats
+    # g(x) = -A (exp(-x/lambda_D) cos(x/lambda_D) - 1) / x
     assert [coef for _, _, coef in series_terms(4)] == [
         Fraction(-1, 98280), Fraction(-1, 2970), Fraction(1, 162), Fraction(1, 21),
         Fraction(-1, 15)]
     for lam, alpha0, field in ((100.0, 1e-3, 0.0), (100.0, 1e-3, 0.01), (5.0, 1e-2, 0.01),
                                (20.0, 0.1, 0.04), (2.0, 1e-4, 0.0)):
         coeffs = [exact_coefficient(k, 1.0, lam, alpha0, field, j_max=16) for k in range(15)]
-
-        def g(x):
-            return -(math.exp(-x / lam) * math.cos(x / lam) - 1.0) / x
-
+        potential = pole_free(1.0, lam, alpha0, field)
         for r in (0.01 * lam, 0.03 * lam, 0.1 * lam):
-            exact = g(r + alpha0) + g(r - alpha0) + field * r
+            exact = float(potential(np.array(r))) + 2.0 / r
             series = float(sum(c * Fraction(r) ** k for k, c in enumerate(coeffs)))
             assert abs(series - exact) <= 1e-13 * abs(exact)
+        # g switches to its own series below |x/lambda_D| = 1e-3, continuously
+        r = alpha0 + lam * 1e-3 * np.array([1.0 - 1e-12, 1.0, 1.0 + 1e-12])
+        v = potential(r) + 2.0 / r
+        assert np.ptp(v) <= 1e-12 * abs(v[1])
