@@ -9,7 +9,7 @@ The package has four computational layers:
 - `laserplasma.perturbation`: the closed-form ground-state energy
   (`total_energy`, zeroth through third order from one set of expansion
   coefficients), the hierarchy's third order (`e3_hierarchy`), the
-  superpotentials and the perturbed wavefunction.
+  superpotential coefficients and the perturbed wavefunction.
 - `laserplasma.oracle`: an independent finite-difference eigensolver used
   to cross-validate the closed forms.
 - `laserplasma.sweep`: parameter sweeps and the datasets behind the

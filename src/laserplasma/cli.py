@@ -211,8 +211,8 @@ def _grid_from(ns, params):
 
 def _sweep_values(ns):
     if ns.values is not None:
-        if ns.start is not None or ns.stop is not None or ns.count is not None:
-            raise UsageError("give --values or --start/--stop/--count, not both")
+        if ns.start is not None or ns.stop is not None or ns.count is not None or ns.geometric:
+            raise UsageError("give --values or --start/--stop/--count [--geometric], not both")
         try:
             return tuple(float(v) for v in ns.values.split(","))
         except ValueError as exc:

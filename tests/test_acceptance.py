@@ -4,14 +4,14 @@ Run standalone (``python tests/test_acceptance.py``) for the plain report,
 or through pytest (``pytest tests/test_acceptance.py -v``).
 
 Criterion 2's third-order leg integrates the hierarchy's own moment,
-<c3 r^3 - 2 W1 W2>: the order-3 equation 2 W1 W2 + 2 W0 W3 - s W3' =
-c3 r^3 - E3 carries the same factor 2 from expanding W^2 that gives the
-e2 leg its W1^2 and that criterion 3 checks at orders 1 and 2.  It pins
-`e3_hierarchy`.  The printed energies use the paper's Table-1 third order
-(`total_energy(p).e3`), which criterion 1 pins; the unit suite
-(test_perturbation.py) pins the gap between that form and its own
-factor-1 moment, and the total built on `e3_hierarchy` against the
-oracle.  See README "Known limitations".
+<c3 r^3 - 2 W1 W2>: the order-3 equation 2 W1 W2 + 2 W0 W3 - k W3' =
+c3 r^3 - E3, k = hbar/sqrt(2 mu), carries the same factor 2 from
+expanding W^2 that gives the e2 leg its W1^2 and that criterion 3 checks
+at orders 1 and 2.  It pins `e3_hierarchy`.  The printed energies use
+the paper's Table-1 third order (`total_energy(p).e3`), which criterion 1
+pins; the unit suite (test_perturbation.py) pins the gap between that
+form and its own factor-1 moment, and the total built on `e3_hierarchy`
+against the oracle.  See README "Known limitations".
 """
 
 import math
@@ -97,8 +97,8 @@ def criterion_2_defining_integrals():
     worst = {"e1": 0.0, "e2": 0.0, "e3": 0.0}
     for p in random_parameter_sets():
         c = taylor_coefficients(p)
-        sp = superpotential_set(p)
-        w1, w2 = sp.w1, sp.w2
+        slope, scale = superpotential_set(p)
+        two_over_sig = 2.0 / p.decay_rate
         b = total_energy(p)
         closed = {
             "e1": b.e1,
@@ -107,8 +107,9 @@ def criterion_2_defining_integrals():
         }
         integrals = {
             "e1": weighted_integral(p, lambda r: c.c1 * r),
-            "e2": weighted_integral(p, lambda r: c.c2 * r**2 - w1(r) ** 2),
-            "e3": weighted_integral(p, lambda r: c.c3 * r**3 - 2.0 * w1(r) * w2(r)),
+            "e2": weighted_integral(p, lambda r: c.c2 * r**2 - (slope * r) ** 2),
+            "e3": weighted_integral(
+                p, lambda r: c.c3 * r**3 - 2.0 * (slope * r) * (scale * r * (r + two_over_sig))),
         }
         for key in worst:
             rel = abs(integrals[key] - closed[key]) / max(abs(closed[key]), 1e-18)
@@ -127,15 +128,17 @@ def criterion_3_riccati_residuals():
     worst = 0.0
     for p in random_parameter_sets():
         c = taylor_coefficients(p)
-        sp = superpotential_set(p)
-        s = p.hbar / math.sqrt(2.0 * p.mu)
+        slope, scale = superpotential_set(p)
+        k = p.hbar / math.sqrt(2.0 * p.mu)
         b = total_energy(p)
         e1, e2 = b.e1, b.e2
         two_over_sig = 2.0 / p.decay_rate
-        w0v, w1v, w2v = sp.w0(radii), sp.w1(radii), sp.w2(radii)
-        res1 = np.abs(2.0 * w0v * w1v - s * sp.w1_slope - (c.c1 * radii - e1))
-        dw2 = sp.w2_scale * (2.0 * radii + two_over_sig)
-        res2 = np.abs(w1v**2 + 2.0 * w0v * w2v - s * dw2 - (c.c2 * radii**2 - e2))
+        # W0, W1, W2 and W2' from the coefficients
+        w0v = -k / radii + p.coulomb_strength / k
+        w1v, w2v = slope * radii, scale * radii * (radii + two_over_sig)
+        res1 = np.abs(2.0 * w0v * w1v - k * slope - (c.c1 * radii - e1))
+        dw2 = scale * (2.0 * radii + two_over_sig)
+        res2 = np.abs(w1v**2 + 2.0 * w0v * w2v - k * dw2 - (c.c2 * radii**2 - e2))
         worst = max(worst, float(np.max(res1)), float(np.max(res2)))
     ok = worst < 1e-9
     return ok, f"max pointwise residual {worst:.2e} (tol 1e-9) on r in [1e-3, 20]"

@@ -389,8 +389,9 @@ def test_usage_error_exit_code(capsys):
     ["--vary", "field", "--start", "0.01", "--stop", "0.02", "--count", "-2", "--lambda-d", "100"],
     ["--vary", "field", "--start", "0.01", "--stop", "0.02", "--count", "0", "--geometric",
      "--lambda-d", "100"],
+    ["--vary", "field", "--values", "0.01,0.02", "--lambda-d", "5", "--geometric"],
 ], ids=["non-monotone", "negative-field", "zero-lambda-d", "empty-range", "zero-count",
-        "negative-count", "zero-count-geometric"])
+        "negative-count", "zero-count-geometric", "values-geometric"])
 def test_bad_sweep_values_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, ["sweep", *argv])
     assert code == EXIT_USAGE

@@ -50,6 +50,15 @@ def weighted_integral(p, integrand):
     return val
 
 
+def profiles(p):
+    """W0, W1 and W2 written from the two superpotential coefficients."""
+    slope, scale = superpotential_set(p)
+    k = p.hbar / math.sqrt(2.0 * p.mu)
+    a, two_over_sig = p.coulomb_strength, 2.0 / p.decay_rate
+    return (lambda r: -k / r + a / k, lambda r: slope * r,
+            lambda r: scale * r * (r + two_over_sig))
+
+
 def test_zeroth_order_reference_case():
     energy, chi0 = zeroth_order(ModelParams(lambda_d=100.0))
     assert energy == -2.0
@@ -104,21 +113,21 @@ def test_e1_sign_threshold():
 
 def test_w1_profile():
     p = ModelParams(lambda_d=100.0, field=0.01)
-    w1 = superpotential_set(p).w1
-    # (1/(hbar*s)) sqrt(mu/2) c1 at r=1: 0.01 / (2 * 2 / sqrt(2))
+    _, w1, _ = profiles(p)
+    # (1/(hbar*sigma)) sqrt(mu/2) c1 at r=1: 0.01 / (2 * 2 / sqrt(2))
     assert w1(1.0) == pytest.approx(0.0035355339059327377, rel=1e-14)
-    zero = superpotential_set(ModelParams(lambda_d=1e12)).w1
+    _, zero, _ = profiles(ModelParams(lambda_d=1e12))
     assert zero(3.0) == 0.0
 
 
 def test_w1_riccati_residual():
     for p in random_params(6, seed=11):
         c = taylor_coefficients(p)
-        sp = superpotential_set(p)
-        s = p.hbar / math.sqrt(2.0 * p.mu)
+        w0, w1, _ = profiles(p)
+        k, dw1 = p.hbar / math.sqrt(2.0 * p.mu), superpotential_set(p).w1_slope
         e1 = total_energy(p).e1
         for r in (0.1, 0.5, 1.0, 2.0, 5.0):
-            lhs = 2.0 * sp.w0(r) * sp.w1(r) - s * sp.w1_slope
+            lhs = 2.0 * w0(r) * w1(r) - k * dw1
             assert abs(lhs - (c.c1 * r - e1)) < 1e-10
 
 
@@ -153,20 +162,13 @@ def test_e2_vanishes_in_free_limit():
 def test_e2_matches_defining_integral():
     for p in random_params(6, seed=3):
         c = taylor_coefficients(p)
-        w1 = superpotential_set(p).w1
+        _, w1, _ = profiles(p)
         integral = weighted_integral(p, lambda r: c.c2 * r**2 - w1(r) ** 2)
         assert integral == pytest.approx(total_energy(p).e2, rel=1e-10)
 
 
 def test_w2_structure():
-    p = ModelParams(lambda_d=5.0, alpha0=0.01, field=0.02)
-    w2 = superpotential_set(p).w2
-    assert w2(0.0) == 0.0
-    # quadratic with zero constant term: w2(r)/r is affine
-    r = np.linspace(0.2, 4.0, 9)
-    ratio = w2(r) / r
-    assert np.max(np.abs(np.diff(ratio, 2))) < 1e-12
-    nearly_zero = superpotential_set(ModelParams(lambda_d=1e12)).w2
+    _, _, nearly_zero = profiles(ModelParams(lambda_d=1e12))
     assert abs(nearly_zero(2.0)) < 1e-30
 
 
@@ -174,13 +176,13 @@ def test_w2_riccati_residual():
     # authoritative correctness check for the second-order superpotential
     for p in random_params(8, seed=99):
         c = taylor_coefficients(p)
-        sp = superpotential_set(p)
-        s = p.hbar / math.sqrt(2.0 * p.mu)
+        w0, w1, w2 = profiles(p)
+        k, scale = p.hbar / math.sqrt(2.0 * p.mu), superpotential_set(p).w2_scale
         e2 = total_energy(p).e2
         two_over_sig = 2.0 / p.decay_rate
         for r in (0.1, 0.5, 1.0, 2.0, 5.0):
-            dw2 = sp.w2_scale * (2.0 * r + two_over_sig)
-            lhs = sp.w1(r) ** 2 + 2.0 * sp.w0(r) * sp.w2(r) - s * dw2
+            dw2 = scale * (2.0 * r + two_over_sig)
+            lhs = w1(r) ** 2 + 2.0 * w0(r) * w2(r) - k * dw2
             assert abs(lhs - (c.c2 * r**2 - e2)) < 1e-9
 
 
@@ -198,17 +200,32 @@ def test_e3_gap_to_defining_integral_is_the_known_term():
     # hierarchy's third order (that is <c3 r^3 - 2 w1*w2>, `e3_hierarchy`).
     # The Table-1 form carries a c1^2 cross term where this moment has
     # c1^3, and the same mixed c1*c2 term.  The gap between the two is
-    # therefore exactly (27 mu^2 / (4 hbar^4 s^4)) (c1^2 - c1^3) / (2 s^3);
+    # therefore exactly (27 mu^2 / (4 hbar^4 sigma^4)) (c1^2 - c1^3) / (2 sigma^3);
     # pin it.
     for p in random_params(6, seed=42):
         c = taylor_coefficients(p)
-        sp = superpotential_set(p)
-        integral = weighted_integral(p, lambda r: c.c3 * r**3 - sp.w1(r) * sp.w2(r))
+        _, w1, w2 = profiles(p)
+        integral = weighted_integral(p, lambda r: c.c3 * r**3 - w1(r) * w2(r))
         sig = p.decay_rate
         gap = (
             27.0 * p.mu**2 * (c.c1**2 - c.c1**3) / (4.0 * p.hbar**4 * sig**4)
         ) / (2.0 * sig**3)
         assert total_energy(p).e3 - integral == pytest.approx(gap, rel=1e-9)
+
+
+def test_e3_hierarchy_equals_its_expanded_form():
+    # (7.5 c3 - 27 slope scale) / sigma^3 expanded in mu, hbar and sigma
+    scaled = [ModelParams(lambda_d=lambda_d, alpha0=alpha0, field=field, z=z, mu=0.75,
+                          hbar=1.5, e_charge=1.2)
+              for z in (1.3, 2.0)
+              for lambda_d, alpha0, field in ((20.0, 1e-3, 0.01), (5.0, 1e-2, 0.04),
+                                              (100.0, 1e-4, 1e-4))]
+    for p in random_params(20, seed=23) + scaled:
+        c = taylor_coefficients(p)
+        sig = p.decay_rate
+        expanded = (15.0 * c.c3 - 27.0 * p.mu * c.c1 * c.c2 / (p.hbar**2 * sig**2)
+                    + 27.0 * p.mu**2 * c.c1**3 / (2.0 * p.hbar**4 * sig**4)) / (2.0 * sig**3)
+        assert e3_hierarchy(p) == pytest.approx(expanded, rel=1e-14, abs=0.0)
 
 
 def test_e3_hierarchy_total_matches_oracle():
@@ -339,12 +356,12 @@ def test_wavefunction_positive_and_decaying():
 
 def test_wavefunction_matches_explicit_moderating_factor():
     p = ModelParams(lambda_d=5.0, alpha0=1e-3, field=0.01)
-    sp = superpotential_set(p)
+    _, w1, w2 = profiles(p)
     _, chi0 = zeroth_order(p)
-    s = p.hbar / math.sqrt(2.0 * p.mu)
+    k = p.hbar / math.sqrt(2.0 * p.mu)
     for r in (0.3, 1.0, 2.5):
-        prim, _ = quad(lambda x: sp.w1(x) + sp.w2(x), 0.0, r, epsabs=1e-14)
-        expected = chi0(r) * math.exp(-prim / s)
+        prim, _ = quad(lambda x: w1(x) + w2(x), 0.0, r, epsabs=1e-14)
+        expected = chi0(r) * math.exp(-prim / k)
         assert wavefunction_eval(r, p) == pytest.approx(expected, rel=1e-10)
 
 
