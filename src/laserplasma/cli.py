@@ -151,7 +151,8 @@ def _build_parser():
     p_pot.add_argument("--log", action="store_true", help="log-spaced radii")
     p_pot.add_argument("--with-quadrature", action="store_true",
                        help="add the cycle-average column (needs r > alpha0)")
-    p_pot.add_argument("--quad-nodes", type=int, default=64)
+    p_pot.add_argument("--quad-nodes", type=int, default=None,
+                       help="quadrature nodes of --with-quadrature (default 64)")
 
     sub.add_parser("energy", parents=[params, output],
                    help="closed-form energy breakdown")
@@ -188,17 +189,8 @@ def _model_params(ns):
         ns.lambda_d = float("inf")  # a valid stand-in, which every row replaces
     if ns.lambda_d is None:
         raise UsageError("missing required parameter lambda_d (--lambda-d)")
-    if ns.alpha0 is not None and (ns.omega is not None or ns.e0_amp is not None):
-        raise UsageError(
-            "conflicting laser specification: give either --alpha0 or the "
-            "pair --omega/--e0-amp, not both"
-        )
-    if (ns.omega is None) != (ns.e0_amp is None):
-        raise UsageError("--omega and --e0-amp must be given together")
-    if ns.omega is not None:
-        return ModelParams.from_laser(ns.omega, ns.e0_amp, lambda_d=ns.lambda_d,
-                                      field=ns.field, z=ns.z)
-    return ModelParams(lambda_d=ns.lambda_d, alpha0=ns.alpha0 or 0.0, field=ns.field, z=ns.z)
+    return ModelParams(lambda_d=ns.lambda_d, alpha0=ns.alpha0, field=ns.field, z=ns.z,
+                       omega=ns.omega, e0_amp=ns.e0_amp)
 
 
 def _grid_from(ns, params):
@@ -222,6 +214,9 @@ def _sweep_values(ns):
     if ns.count < 1:
         raise UsageError(f"--count must be >= 1, got {ns.count}")
     if ns.geometric:
+        if not (0 < ns.start < float("inf") and 0 < ns.stop < float("inf")):
+            raise UsageError(f"--geometric needs finite --start and --stop > 0, "
+                             f"got --start {ns.start:g} --stop {ns.stop:g}")
         import numpy as np
 
         return tuple(float(v) for v in np.geomspace(ns.start, ns.stop, ns.count))
@@ -252,7 +247,10 @@ def parse_args(argv) -> RunConfig:
         if ns.subcommand == "potential":
             if ns.points < 2:
                 raise UsageError("--points must be >= 2")
-            if ns.quad_nodes < 8:
+            if ns.quad_nodes is not None and not ns.with_quadrature:
+                raise UsageError("--quad-nodes needs --with-quadrature")
+            nodes = 64 if ns.quad_nodes is None else ns.quad_nodes
+            if nodes < 8:
                 raise UsageError("--quad-nodes must be >= 8")
             if not 0 < ns.r_min < ns.r_max < float("inf"):
                 raise UsageError("need 0 < --r-min < --r-max < inf")
@@ -260,7 +258,7 @@ def parse_args(argv) -> RunConfig:
 
             space = np.geomspace if ns.log else np.linspace
             radii = tuple(float(r) for r in space(ns.r_min, ns.r_max, ns.points))
-            table = PotentialTable(params, radii, ns.quad_nodes if ns.with_quadrature else None)
+            table = PotentialTable(params, radii, nodes if ns.with_quadrature else None)
             return RunConfig("potential", table, **common)
         # oracle is the one-value field sweep at the given parameters
         vary, values, outputs = "field", (params.field,), {"breakdown", "oracle", "overlap"}

@@ -61,10 +61,10 @@ class ModelParams:
     ----------
     lambda_d : float
         Debye screening length (a.u., > 0; inf is the unscreened limit).
-    alpha0 : float
+    alpha0 : float or None
         Laser quiver amplitude of a free electron (a.u., finite, >= 0).
-        Instead of giving it directly it can be derived from the laser
-        angular frequency and field amplitude via `from_laser`.
+        None, the default, stands for 0 without a laser pair and for the
+        derived value with one.
     field : float
         Static electric field strength F (a.u., finite, >= 0), entering as +F r.
     z : float
@@ -73,13 +73,14 @@ class ModelParams:
         Effective electron mass, reduced Planck constant and elementary
         charge (finite, > 0).  Defaults of 1 select atomic units.
     omega, e0_amp : float or None
-        Optional laser angular frequency and field amplitude.  They are
-        stored for provenance only; all formulas depend on them solely
-        through ``alpha0 = e_charge * e0_amp / (mu * omega**2)``.
+        Optional laser angular frequency (finite, > 0) and field amplitude
+        (finite, >= 0), given both or neither.  Every formula depends on
+        them solely through the alpha0 they fix, e E0 / (mu omega^2); an
+        alpha0 given with them must equal it exactly.
     """
 
     lambda_d: float
-    alpha0: float = 0.0
+    alpha0: float | None = None
     field: float = 0.0
     z: float = 1.0
     mu: float = 1.0
@@ -93,8 +94,6 @@ class ModelParams:
         # unscreened limit and stays allowed
         if not self.lambda_d > 0:
             raise ValueError(f"lambda_d must be > 0, got {self.lambda_d}")
-        if not 0 <= self.alpha0 < math.inf:
-            raise ValueError(f"alpha0 must be finite and >= 0, got {self.alpha0}")
         if not 0 <= self.field < math.inf:
             raise ValueError(f"field must be finite and >= 0, got {self.field}")
         if not 1 <= self.z < math.inf:
@@ -102,20 +101,24 @@ class ModelParams:
         for name in ("mu", "hbar", "e_charge"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-
-    @classmethod
-    def from_laser(cls, omega, e0_amp, **kwargs):
-        """Build parameters with alpha0 derived from laser frequency/amplitude."""
-        if "alpha0" in kwargs:
-            raise ValueError("give either alpha0 or (omega, e0_amp), not both")
-        if not 0 < omega < math.inf:
-            raise ValueError(f"omega must be finite and > 0, got {omega}")
-        if not 0 <= e0_amp < math.inf:
-            raise ValueError(f"e0_amp must be finite and >= 0, got {e0_amp}")
-        mu = kwargs.get("mu", 1.0)
-        e_charge = kwargs.get("e_charge", 1.0)
-        alpha0 = e_charge * e0_amp / (mu * omega**2)
-        return cls(alpha0=alpha0, omega=omega, e0_amp=e0_amp, **kwargs)
+        if (self.omega is None) != (self.e0_amp is None):
+            raise ValueError("omega and e0_amp must be given together")
+        if self.omega is not None:
+            if not 0 < self.omega < math.inf:
+                raise ValueError(f"omega must be finite and > 0, got {self.omega}")
+            if not 0 <= self.e0_amp < math.inf:
+                raise ValueError(f"e0_amp must be finite and >= 0, got {self.e0_amp}")
+            try:
+                alpha0 = self.e_charge * self.e0_amp / (self.mu * self.omega**2)
+            except ArithmeticError as exc:  # omega**2 overflows, or underflows to a zero divisor
+                raise ValueError(f"no float alpha0 at omega = {self.omega}: {exc.args[-1]}") from exc
+            if self.alpha0 not in (None, alpha0):
+                raise ValueError(f"alpha0 = {self.alpha0}, but omega and e0_amp fix it at {alpha0}")
+            object.__setattr__(self, "alpha0", alpha0)
+        elif self.alpha0 is None:
+            object.__setattr__(self, "alpha0", 0.0)
+        if not 0 <= self.alpha0 < math.inf:
+            raise ValueError(f"alpha0 must be finite and >= 0, got {self.alpha0}")
 
     @property
     def coulomb_strength(self):

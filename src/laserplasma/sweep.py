@@ -65,13 +65,13 @@ class SweepSpec:
     outputs selects the optional columns: "breakdown" is always cheap;
     "oracle" adds the eigensolver energy, its deviation from the
     closed-form total and its error estimate; "overlap" additionally
-    compares wavefunctions (requires "oracle").  ``oracle_grid`` must have
-    its wall at r_min = 0: the oracle solves the cubic series, whose
-    Coulomb pole at r = 0 is where u(0) = 0, so any other wall gives a
-    wrong energy with a small error estimate.  Its r_max must pass
-    `require_box` at ``fixed``, as `default_grid`'s does.  The values are
-    checked against the model's domain here, so a bad value fails at
-    construction, naming the first one in input order.
+    compares wavefunctions (requires "oracle").  ``oracle_grid`` also
+    requires "oracle", and must have its wall at r_min = 0: the oracle
+    solves the cubic series, whose Coulomb pole at r = 0 is where u(0) = 0,
+    so any other wall gives a wrong energy with a small error estimate.
+    Its r_max must pass `require_box` at ``fixed``, as `default_grid`'s
+    does.  The values are checked against the model's domain here, so a
+    bad value fails at construction, naming the first one in input order.
     """
 
     vary: str
@@ -99,13 +99,13 @@ class SweepSpec:
         if "overlap" in self.outputs and "oracle" not in self.outputs:
             raise ValueError('the "overlap" output requires "oracle"')
         grid = self.oracle_grid
+        if grid is not None and "oracle" not in self.outputs:
+            raise ValueError('an oracle_grid requires the "oracle" output')
         if grid is not None and grid.r_min != 0.0:
             raise ValueError(f"oracle_grid must have r_min = 0, got r_min = {grid.r_min:g}")
         if grid is not None:
             require_box(grid, self.fixed, "oracle_grid")
         object.__setattr__(self, "outputs", frozenset(self.outputs))
-        if self.vary == "alpha0" and self.fixed.omega is not None:
-            raise ValueError("an alpha0 sweep cannot keep omega and e0_amp, which fix alpha0")
         # the values are strictly monotone and every domain is an interval,
         # so valid endpoints make every value valid
         try:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -83,14 +84,27 @@ def test_parse_requires_lambda():
         parse_args(["energy", "--field", "0.01"])
 
 
-def test_parse_laser_specification_conflicts():
-    with pytest.raises(UsageError, match="either --alpha0 or"):
+def test_parse_laser_specification_conflicts(capsys):
+    with pytest.raises(UsageError, match="alpha0 = 0.1, but omega and e0_amp fix it at 0.25"):
         parse_args(["energy", "--lambda-d", "5", "--alpha0", "0.1",
                     "--omega", "2", "--e0-amp", "1"])
     with pytest.raises(UsageError, match="together"):
         parse_args(["energy", "--lambda-d", "5", "--omega", "2"])
     config = parse_args(["energy", "--lambda-d", "5", "--omega", "2", "--e0-amp", "1"])
-    assert config.request.fixed.alpha0 == pytest.approx(0.25)
+    assert config.request.fixed.alpha0 == 0.25
+    # an alpha0 equal to the one the pair fixes is no conflict
+    assert parse_args(["energy", "--lambda-d", "5", "--alpha0", "0.25", "--omega", "2",
+                       "--e0-amp", "1"]) == config
+    # a pair outside the domain, or whose alpha0 leaves the floats, is one usage line
+    for laser, message in ((["--omega", "-1", "--e0-amp", "1", "--alpha0", "0.3"], "got -1"),
+                           (["--omega", "0", "--e0-amp", "1"], "got 0"),
+                           (["--omega", "nan", "--e0-amp", "1"], "got nan"),
+                           (["--omega", "inf", "--e0-amp", "1"], "got inf"),
+                           (["--omega", "1e200", "--e0-amp", "1"], "Numerical result out of range"),
+                           (["--omega", "1e-200", "--e0-amp", "1"], "float division by zero")):
+        code, out, err = run_cli(capsys, ["energy", "--lambda-d", "5", *laser])
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("usage error: ") and message in err and err.count("\n") == 1
 
 
 def test_parse_precision_bounds():
@@ -219,6 +233,25 @@ def test_energy_csv_output_and_roundtrip(capsys):
     b = total_energy(ModelParams(lambda_d=100.0, alpha0=1e-4, field=1e-4))
     for key, attr in (("e0", b.e0), ("total", b.total)):
         assert abs(values[key] - attr) <= 0.5 * 10**-7 + 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ["energy", "--lambda-d", "5", "--omega", "3", "--e0-amp", "1"],
+    ["oracle", "--lambda-d", "100", "--alpha0", "1e-4", "--field", "0.01", "--grid-rmax", "20"],
+    ["potential", "--lambda-d", "5", "--alpha0", "0.001", "--field", "0.01", "--points", "3"],
+], ids=["energy-laser", "oracle", "potential"])
+def test_header_rebuilds_the_request_parameters(capsys, argv):
+    # every artifact is reproducible from its own header; the laser pair's
+    # alpha0 = 1/9 is no dyadic fraction, and its .17g line must still
+    # equal, bit for bit, the value the pair fixes
+    code, out, _ = run_cli(capsys, argv)
+    assert code == EXIT_OK
+    comments, _, _ = parse_csv(out)
+    header = {key: float(value) for key, value in
+              (comment.split(" = ") for comment in comments if " = " in comment)}
+    request = parse_args(argv).request
+    params = request.params if isinstance(request, PotentialTable) else request.fixed
+    assert ModelParams(**header) == params
 
 
 def test_energy_json_schema(capsys):
@@ -390,8 +423,13 @@ def test_usage_error_exit_code(capsys):
     ["--vary", "field", "--start", "0.01", "--stop", "0.02", "--count", "0", "--geometric",
      "--lambda-d", "100"],
     ["--vary", "field", "--values", "0.01,0.02", "--lambda-d", "5", "--geometric"],
+    ["--vary", "lambda-d", "--start", "5", "--stop", "-1", "--count", "3", "--geometric",
+     "--field", "0.01"],
+    ["--vary", "field", "--start", "-0.02", "--stop", "0.01", "--count", "3", "--geometric",
+     "--lambda-d", "5"],
 ], ids=["non-monotone", "negative-field", "zero-lambda-d", "empty-range", "zero-count",
-        "negative-count", "zero-count-geometric", "values-geometric"])
+        "negative-count", "zero-count-geometric", "values-geometric", "geometric-negative-stop",
+        "geometric-negative-start"])
 def test_bad_sweep_values_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, ["sweep", *argv])
     assert code == EXIT_USAGE
@@ -439,12 +477,18 @@ def test_bad_sweep_values_are_usage_errors(capsys, argv):
       for r in ("1e-100", "1e-10", "1", "9.99")),
     (["sweep", "--vary", "field", "--values", "0.01,0.02", "--lambda-d", "100", "--alpha0", "1e-4",
       "--with-oracle", "--grid-rmax", "3"], None, "oracle_grid r_max = 3 is too small"),
+    # flags that no printed column uses
+    (["sweep", "--vary", "field", "--values", "0.01", "--lambda-d", "5", "--grid-points", "20000"],
+     None, 'oracle_grid requires the "oracle" output'),
+    (["potential", "--lambda-d", "5", "--quad-nodes", "32"], None,
+     "--quad-nodes needs --with-quadrature"),
 ], ids=["unreadable-config", "config-line-without-equals", "unparsable-values",
         "one-point", "reversed-radii", "infinite-r-max", "oracle-infinite-grid-rmax",
         "sweep-infinite-grid-rmax", "negative-first-value", "zero-first-lambda-d",
         "minus-inf", "minus-nan", "flag-like-word", "grid-rmin-flag", "grid-rmin-key",
         "nan-last-value", "nan-first-value", "repeated-value", "oracle-box-1e-100",
-        "oracle-box-1e-10", "oracle-box-1", "oracle-box-9.99", "sweep-box-3"])
+        "oracle-box-1e-10", "oracle-box-1", "oracle-box-9.99", "sweep-box-3",
+        "sweep-grid-without-oracle", "quad-nodes-without-quadrature"])
 def test_input_errors_are_usage_errors(tmp_path, capsys, argv, config_text, message):
     # CFG names a config file, written only when the case gives its text
     cfg = tmp_path / "run.cfg"
@@ -684,3 +728,18 @@ def test_only_the_oracle_imports_scipy(argv, loaded):
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.stdout.splitlines()[-1] == " ".join((str(EXIT_OK), *loaded)), proc.stderr
+
+
+@pytest.mark.filterwarnings("error")
+def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    # each "laserplasma ..." line of the README's command-line block runs as printed
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+                if line.startswith("laserplasma ")]
+    assert len(commands) == len(block.splitlines()) > 0
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (EXIT_OK, ""), argv

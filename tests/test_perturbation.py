@@ -439,7 +439,7 @@ def _reference_sweeps():
     """(vary, fixed, values): 5 bases per axis, 110 values each, with the
     edge values lambda_D = inf, alpha0 = 0 and F = 0 on and off the axis."""
     rng = random.Random(16)
-    laser = ModelParams.from_laser(0.3, 0.002, lambda_d=30.0, field=0.02, z=2.0)
+    laser = ModelParams(lambda_d=30.0, field=0.02, z=2.0, omega=0.3, e0_amp=0.002)
     ranges = {"lambda_d": (0.5, 1e4), "alpha0": (1e-6, 1.0), "field": (1e-6, 1.0)}
     edges = {"lambda_d": math.inf, "alpha0": 0.0, "field": 0.0}
     for vary, (lo, hi) in ranges.items():

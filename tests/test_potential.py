@@ -1,4 +1,6 @@
 import math
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -43,10 +45,22 @@ def test_params_validation():
         ModelParams(lambda_d=math.nan)
     assert ModelParams(lambda_d=math.inf).lambda_d == math.inf
     with pytest.raises(ValueError, match="e0_amp"):
-        ModelParams.from_laser(omega=2.0, e0_amp=math.nan, lambda_d=1.0)
+        ModelParams(lambda_d=1.0, omega=2.0, e0_amp=math.nan)
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="omega must be finite and > 0"):
-            ModelParams.from_laser(omega=bad, e0_amp=1.0, lambda_d=1.0)
+            ModelParams(lambda_d=1.0, omega=bad, e0_amp=1.0)
+    with pytest.raises(ValueError, match="omega must be finite and > 0, got -1"):
+        ModelParams(lambda_d=5.0, omega=-1.0, e0_amp=1.0, alpha0=0.3)
+    # the laser pair comes whole, and its alpha0 is a float or refused
+    for half in ({"omega": 2.0}, {"e0_amp": 1.0}):
+        with pytest.raises(ValueError, match="omega and e0_amp must be given together"):
+            ModelParams(lambda_d=5.0, **half)
+    with pytest.raises(ValueError, match="no float alpha0 at omega = 1e[+]200: Numerical result"):
+        ModelParams(lambda_d=5.0, omega=1e200, e0_amp=1.0)
+    with pytest.raises(ValueError, match="no float alpha0 at omega = 1e-200: float division"):
+        ModelParams(lambda_d=5.0, omega=1e-200, e0_amp=1.0)
+    with pytest.raises(ValueError, match="alpha0 must be finite and >= 0, got inf"):
+        ModelParams(lambda_d=5.0, omega=1e-150, e0_amp=1e300)
 
 
 def test_derived_quantities():
@@ -56,11 +70,23 @@ def test_derived_quantities():
 
 
 def test_from_laser_derives_alpha0():
-    p = ModelParams.from_laser(omega=2.0, e0_amp=0.8, lambda_d=10.0)
-    assert p.alpha0 == pytest.approx(0.8 / 4.0)
+    p = ModelParams(lambda_d=10.0, omega=2.0, e0_amp=0.8)
+    assert p.alpha0 == 0.8 / 4.0
     assert p.omega == 2.0 and p.e0_amp == 0.8
-    with pytest.raises(ValueError, match="alpha0"):
-        ModelParams.from_laser(omega=2.0, e0_amp=0.8, lambda_d=10.0, alpha0=0.1)
+    assert ModelParams(lambda_d=10.0).alpha0 == 0.0
+    with pytest.raises(ValueError, match=r"alpha0 = 0\.1, but omega and e0_amp fix it at 0\.2"):
+        ModelParams(lambda_d=10.0, omega=2.0, e0_amp=0.8, alpha0=0.1)
+    # the derived alpha0 is the written-out rule bit for bit, and an alpha0
+    # equal to it is accepted, so replace() keeps a laser point
+    rng = random.Random(24)
+    for _ in range(2000):
+        omega, e0_amp = math.exp(rng.uniform(-5.0, 5.0)), math.exp(rng.uniform(-9.0, 3.0))
+        mu, e_charge = rng.choice((1.0, 0.75, 2.5)), rng.choice((1.0, 0.5, 1.7))
+        p = ModelParams(lambda_d=10.0, omega=omega, e0_amp=e0_amp, mu=mu, e_charge=e_charge)
+        assert p.alpha0 == e_charge * e0_amp / (mu * omega**2)
+        assert replace(p, field=0.02).alpha0 == p.alpha0
+    with pytest.raises(ValueError, match="but omega and e0_amp fix it at"):
+        replace(p, e0_amp=2.0 * e0_amp)
 
 
 def test_ecsc_pure_coulomb_limit():

@@ -66,6 +66,8 @@ def test_sweep_validation():
         SweepSpec("field", (0.1,), FIXED, outputs=frozenset({"breakdown", "overlap"}))
     with pytest.raises(ValueError, match="unknown outputs"):
         SweepSpec("field", (0.1,), FIXED, outputs=frozenset({"banana"}))
+    with pytest.raises(ValueError, match='oracle_grid requires the "oracle" output'):
+        SweepSpec("field", (0.1,), FIXED, oracle_grid=RadialGrid(0.0, 20.0, 2000))
 
 
 def test_invalid_value_aborts_with_named_value():
@@ -82,9 +84,12 @@ def test_first_bad_value_in_input_order_is_named():
 
 
 def test_alpha0_sweep_rejects_laser_pair():
-    fixed = ModelParams.from_laser(2.0, 1.0, lambda_d=5.0)
-    with pytest.raises(ValueError, match="omega"):
+    # omega and e0_amp fix alpha0 = 0.25, so the first other value is named
+    fixed = ModelParams(lambda_d=5.0, omega=2.0, e0_amp=1.0)
+    with pytest.raises(ValueError, match=r"sweep value 0\.001 for alpha0: .* fix it at 0\.25"):
         SweepSpec("alpha0", (0.001, 0.002), fixed)
+    with pytest.raises(ValueError, match=r"sweep value 0\.3 for alpha0"):
+        SweepSpec("alpha0", (0.25, 0.3), fixed)
     assert len(run_sweep(SweepSpec("field", (0.001, 0.002), fixed))) == 2
 
 
