@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -58,11 +59,23 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class PotentialTable:
-    """``potential``'s request; ``quad_nodes=None`` leaves out the cycle-average column."""
+    """``potential``'s request: two or more finite radii > 0, stored as a tuple
+    of floats; ``quad_nodes`` >= 8, or None to leave out the cycle-average column."""
 
     params: ModelParams
     radii: tuple
     quad_nodes: int | None = None
+
+    def __post_init__(self):
+        radii = tuple(map(float, self.radii))
+        object.__setattr__(self, "radii", radii)
+        if len(radii) < 2:
+            raise ValueError(f"potential needs at least 2 radii, got {len(radii)}")
+        for r in radii:
+            if not 0.0 < r < float("inf"):
+                raise ValueError(f"radii must be finite and > 0, got {r}")
+        if self.quad_nodes is not None and self.quad_nodes < 8:
+            raise ValueError(f"quad_nodes must be >= 8, got {self.quad_nodes}")
 
 
 @dataclass(frozen=True)
@@ -194,8 +207,7 @@ def _model_params(ns):
 
 
 def _grid_from(ns, params):
-    """Solver box from the grid flags, the rest from default_grid, whose wall
-    at r = 0 is where the solved cubic series has its pole and u(0) = 0."""
+    """Solver box from the grid flags, the rest from default_grid."""
     flags = zip(("r_max", "n_points"), (ns.grid_rmax, ns.grid_points))
     given = {field: value for field, value in flags if value is not None}
     return replace(default_grid(params), **given) if given else None
@@ -213,9 +225,12 @@ def _sweep_values(ns):
         raise UsageError("sweep needs --values or all of --start/--stop/--count")
     if ns.count < 1:
         raise UsageError(f"--count must be >= 1, got {ns.count}")
+    if not (math.isfinite(ns.start) and math.isfinite(ns.stop)):
+        raise UsageError(f"--start and --stop must be finite, "
+                         f"got --start {ns.start:g} --stop {ns.stop:g}")
     if ns.geometric:
-        if not (0 < ns.start < float("inf") and 0 < ns.stop < float("inf")):
-            raise UsageError(f"--geometric needs finite --start and --stop > 0, "
+        if not (ns.start > 0 and ns.stop > 0):
+            raise UsageError(f"--geometric needs --start and --stop > 0, "
                              f"got --start {ns.start:g} --stop {ns.stop:g}")
         import numpy as np
 
@@ -245,20 +260,16 @@ def parse_args(argv) -> RunConfig:
         if ns.subcommand == "energy":
             return RunConfig("energy", params, **common)
         if ns.subcommand == "potential":
-            if ns.points < 2:
-                raise UsageError("--points must be >= 2")
             if ns.quad_nodes is not None and not ns.with_quadrature:
                 raise UsageError("--quad-nodes needs --with-quadrature")
             nodes = 64 if ns.quad_nodes is None else ns.quad_nodes
-            if nodes < 8:
-                raise UsageError("--quad-nodes must be >= 8")
             if not 0 < ns.r_min < ns.r_max < float("inf"):
                 raise UsageError("need 0 < --r-min < --r-max < inf")
             import numpy as np
 
             space = np.geomspace if ns.log else np.linspace
-            radii = tuple(float(r) for r in space(ns.r_min, ns.r_max, ns.points))
-            table = PotentialTable(params, radii, nodes if ns.with_quadrature else None)
+            table = PotentialTable(params, space(ns.r_min, ns.r_max, ns.points),
+                                   nodes if ns.with_quadrature else None)
             return RunConfig("potential", table, **common)
         # oracle is the one-value field sweep at the given parameters
         vary, values, outputs = "field", (params.field,), {"breakdown", "oracle", "overlap"}

@@ -1,9 +1,9 @@
 """Independent finite-difference ground-state solver for radial potentials.
 
 Discretizes -(hbar^2 / 2 mu) u'' + V(r) u = E u on a uniform grid with
-Dirichlet walls at both ends of [r_min, r_max] (the l = 0 radial function
-vanishes at the origin, so r_min = 0 is the natural lower wall; interior
-points start one step inside, where 1/r potentials are finite).  The
+Dirichlet walls at r = 0, where the l = 0 radial function vanishes, and at
+r_max; interior points start one step inside, where 1/r potentials are
+finite.  The
 3-point stencil gives a symmetric tridiagonal matrix T whose lowest
 eigenpair comes from shifted inverse iteration; solving at h and h/2 and
 Richardson-extrapolating cancels the leading O(h^2) error and yields an
@@ -66,13 +66,14 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform radial grid with Dirichlet walls at r_min and r_max.
+    """Uniform radial grid with Dirichlet walls at r = 0 and r_max.
 
-    The n_points interior (unknown) nodes sit at r_k = r_min + k h,
-    k = 1..n_points, with h = (r_max - r_min) / (n_points + 1).  r_min = 0
-    is allowed and is the right choice for potentials with a Coulomb pole:
-    the wall then coincides with the true u(0) = 0 condition and the
-    potential is only ever evaluated at r >= h.
+    The n_points interior (unknown) nodes sit at r_k = k h, k = 1..n_points,
+    with h = r_max / (n_points + 1).  The wall at the origin is the true
+    u(0) = 0 condition of the l = 0 equation, and a Coulomb pole is only
+    ever evaluated at r >= h; any other wall gives a wrong energy with a
+    small error estimate, so ``r_min`` must be 0.
+    ``r_min`` remains a field only because bench/workloads.py builds and reads it.
     """
 
     r_min: float
@@ -80,9 +81,9 @@ class RadialGrid:
     n_points: int
 
     def __post_init__(self):
-        if self.r_min < 0:
-            raise ValueError(f"r_min must be >= 0, got {self.r_min}")
-        if not self.r_min < self.r_max < float("inf"):
+        if self.r_min != 0.0:
+            raise ValueError(f"r_min must be 0, the wall where u(0) = 0, got r_min = {self.r_min}")
+        if not 0.0 < self.r_max < float("inf"):
             raise ValueError(f"r_max must be finite and exceed r_min, got r_max = {self.r_max}")
         if self.n_points < 100:
             raise ValueError(f"n_points must be >= 100, got {self.n_points}")
@@ -94,13 +95,13 @@ class RadialGrid:
 
     @property
     def spacing(self) -> float:
-        return (self.r_max - self.r_min) / (self.n_points + 1)
+        return self.r_max / (self.n_points + 1)
 
     @property
     def points(self) -> "np.ndarray":
         import numpy as np
 
-        return self.r_min + self.spacing * np.arange(1, self.n_points + 1)
+        return self.spacing * np.arange(1, self.n_points + 1)
 
     def refined(self) -> "RadialGrid":
         """Same interval at half the spacing (interior count 2 n + 1)."""
@@ -242,11 +243,8 @@ def solve_ground_state(potential, grid: RadialGrid, p: ModelParams) -> OracleRes
     reaches a cap, and ValueError if the potential is not finite at every
     grid point or the box is too small for the state (`require_box`).
 
-    The cubic truncated potential is finite everywhere on r > 0 and is the
-    intended default input.  The exact two-center dressed potential has a
-    pole at r = alpha0, so solving it directly requires r_min > alpha0;
-    grid points that land near the pole produce huge samples that distort
-    the low end of the spectrum without tripping the finiteness check.
+    The exact dressed potential is not a valid input: its pole at
+    r = alpha0 > 0 lies inside the box whenever alpha0 < r_max.
     """
     import numpy as np
 

@@ -66,12 +66,10 @@ class SweepSpec:
     "oracle" adds the eigensolver energy, its deviation from the
     closed-form total and its error estimate; "overlap" additionally
     compares wavefunctions (requires "oracle").  ``oracle_grid`` also
-    requires "oracle", and must have its wall at r_min = 0: the oracle
-    solves the cubic series, whose Coulomb pole at r = 0 is where u(0) = 0,
-    so any other wall gives a wrong energy with a small error estimate.
-    Its r_max must pass `require_box` at ``fixed``, as `default_grid`'s
-    does.  The values are checked against the model's domain here, so a
-    bad value fails at construction, naming the first one in input order.
+    requires "oracle", and its r_max must pass `require_box` at ``fixed``,
+    as `default_grid`'s does.  The values are checked against the model's
+    domain here, so a bad value fails at construction, naming the first one
+    in input order.
     """
 
     vary: str
@@ -101,8 +99,6 @@ class SweepSpec:
         grid = self.oracle_grid
         if grid is not None and "oracle" not in self.outputs:
             raise ValueError('an oracle_grid requires the "oracle" output')
-        if grid is not None and grid.r_min != 0.0:
-            raise ValueError(f"oracle_grid must have r_min = 0, got r_min = {grid.r_min:g}")
         if grid is not None:
             require_box(grid, self.fixed, "oracle_grid")
         object.__setattr__(self, "outputs", frozenset(self.outputs))

@@ -442,7 +442,8 @@ def test_bad_sweep_values_are_usage_errors(capsys, argv):
     (["energy", "--config", "CFG"], "lambda_d 5\n", "expected 'key = value'"),
     (["sweep", "--vary", "field", "--values", "0.1,abc", "--lambda-d", "5"], None,
      "cannot parse --values"),
-    (["potential", "--lambda-d", "5", "--points", "1"], None, "--points must be >= 2"),
+    (["potential", "--lambda-d", "5", "--points", "1"], None,
+     "potential needs at least 2 radii, got 1"),
     (["potential", "--lambda-d", "5", "--r-min", "5", "--r-max", "1"], None,
      "need 0 < --r-min < --r-max"),
     (["potential", "--lambda-d", "20", "--r-max", "inf", "--points", "3"], None,
@@ -482,13 +483,21 @@ def test_bad_sweep_values_are_usage_errors(capsys, argv):
      None, 'oracle_grid requires the "oracle" output'),
     (["potential", "--lambda-d", "5", "--quad-nodes", "32"], None,
      "--quad-nodes needs --with-quadrature"),
+    # a non-finite endpoint used to reach the domain check as a NaN the user never gave
+    (["sweep", "--vary", "field", "--start", "0", "--stop", "inf", "--count", "3",
+      "--lambda-d", "5"], None, "--start and --stop must be finite, got --start 0 --stop inf"),
+    (["sweep", "--vary", "lambda-d", "--start", "5", "--stop", "inf", "--count", "3",
+      "--field", "0.01"], None, "--start and --stop must be finite, got --start 5 --stop inf"),
+    (["sweep", "--vary", "field", "--start", "nan", "--stop", "0.1", "--count", "3",
+      "--lambda-d", "5"], None, "--start and --stop must be finite, got --start nan --stop 0.1"),
 ], ids=["unreadable-config", "config-line-without-equals", "unparsable-values",
         "one-point", "reversed-radii", "infinite-r-max", "oracle-infinite-grid-rmax",
         "sweep-infinite-grid-rmax", "negative-first-value", "zero-first-lambda-d",
         "minus-inf", "minus-nan", "flag-like-word", "grid-rmin-flag", "grid-rmin-key",
         "nan-last-value", "nan-first-value", "repeated-value", "oracle-box-1e-100",
         "oracle-box-1e-10", "oracle-box-1", "oracle-box-9.99", "sweep-box-3",
-        "sweep-grid-without-oracle", "quad-nodes-without-quadrature"])
+        "sweep-grid-without-oracle", "quad-nodes-without-quadrature", "linear-stop-inf-field",
+        "linear-stop-inf-lambda-d", "linear-start-nan"])
 def test_input_errors_are_usage_errors(tmp_path, capsys, argv, config_text, message):
     # CFG names a config file, written only when the case gives its text
     cfg = tmp_path / "run.cfg"
@@ -551,7 +560,32 @@ def test_potential_rejects_too_few_quadrature_nodes(capsys):
     )
     assert code == EXIT_USAGE
     assert out == ""
-    assert "--quad-nodes must be >= 8" in err
+    assert "quad_nodes must be >= 8, got 4" in err
+
+
+def test_negative_point_count_is_a_usage_error(capsys):
+    # numpy's linspace refuses it with its own ValueError
+    code, out, err = run_cli(capsys, ["potential", "--lambda-d", "5", "--points", "-1"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("radii, quad_nodes, message", [
+    ((0.0, 1.0), None, "radii must be finite and > 0, got 0.0"),
+    ((1.0, 2.0), 4, "quad_nodes must be >= 8, got 4"),
+    ((), None, "potential needs at least 2 radii, got 0"),
+    ((1.0,), None, "potential needs at least 2 radii, got 1"),
+], ids=["zero-radius", "four-nodes", "no-radii", "one-radius"])
+def test_potential_table_refuses_what_potential_cannot_print(radii, quad_nodes, message):
+    # each of these used to exit 3 or print a table with fewer than two rows
+    with pytest.raises(ValueError, match=message):
+        PotentialTable(ModelParams(lambda_d=5.0), radii, quad_nodes)
+
+
+def test_potential_table_stores_radii_as_floats():
+    table = PotentialTable(ModelParams(lambda_d=5.0), np.array([1, 2]))
+    assert table.radii == (1.0, 2.0) and all(type(r) is float for r in table.radii)
 
 
 def test_numeric_failure_exit_code(capsys):
@@ -743,3 +777,18 @@ def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
     for argv in commands:
         code, out, err = run_cli(capsys, argv)
         assert (code, err) == (EXIT_OK, ""), argv
+
+
+def test_readme_python_blocks_run(capsys):
+    # the library quick start and the cross-check run as printed, in one namespace
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = [part.split("```", 1)[0]
+              for part in readme.read_text(encoding="utf-8").split("```python\n")[1:]]
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    lines = capsys.readouterr().out.splitlines()
+    assert round(float(lines[0]), 7) == -1.9799255
+    energy, overlap_value = map(float, lines[-1].split())
+    assert abs(energy - float(lines[0])) < 1e-6 and overlap_value >= 0.999

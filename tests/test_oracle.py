@@ -7,6 +7,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from laserplasma import oracle
 from laserplasma.oracle import (
+    CONVERGENCE_TOL,
+    ConvergenceError,
     GroundStateError,
     OracleResult,
     RadialGrid,
@@ -14,6 +16,7 @@ from laserplasma.oracle import (
     default_grid,
     hamiltonian_arrays,
     overlap,
+    require_converged,
     solve_ground_state,
     solve_on_grid,
 )
@@ -99,6 +102,31 @@ def test_grid_validation():
     with pytest.raises(ValueError, match="r_max = 1e-300, n_points = 500 .* underflows"):
         RadialGrid(0.0, 1e-300, 500)
     RadialGrid(0.0, 1e-140, 500)
+
+
+def test_grid_wall_is_at_the_origin():
+    # the cubic series keeps the Coulomb pole, so u(0) = 0 is the only right
+    # wall: at 0.5 the solver returned -0.680 with estimate 5.7e-7 next to a
+    # closed form of -1.973
+    for r_min in (0.5, 1e-300, 2.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="r_min must be 0"):
+            RadialGrid(r_min, 50.0, 8000)
+
+
+def test_require_converged_at_its_boundary_and_on_nan():
+    grid = RadialGrid(0.0, 20.0, 100)
+
+    def result(estimate):
+        return OracleResult(energy=-1.0, u_samples=np.ones(100), error_estimate=estimate,
+                            grid=grid)
+
+    at_tol = result(CONVERGENCE_TOL)
+    assert require_converged(at_tol) is at_tol
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        require_converged(result(math.nextafter(CONVERGENCE_TOL, 1)))
+    with pytest.raises(ConvergenceError,
+                       match="error estimate nan on the grid r_max = 20, n_points = 100"):
+        require_converged(result(math.nan))
 
 
 def test_default_grid_scales_with_binding():
