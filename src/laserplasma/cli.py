@@ -9,12 +9,11 @@ which its rows hold.  Exit codes: 0 success, 2 usage error (including
 parameters and sweep values outside the model's domain), 3 numeric
 failure, 4 I/O failure.
 
-argparse holds every default.  A ``--config`` file's keys are the dests
-of the shared flags, and its entries become the chosen subcommand's
-defaults, so flags still win.  Each subcommand takes one request of a
-fixed type: ``sweep`` a `SweepSpec`, ``energy`` and ``oracle`` the
-one-value ``field`` `SweepSpec` at its own field, ``potential`` a
-`PotentialTable`, ``figure`` a tag and ``table1`` None.
+argparse holds every default, and reads an ``@PATH`` argument as the
+flags in that file, written as on the command line.  Each subcommand
+takes one request of a fixed type: ``sweep`` a `SweepSpec`, ``energy``
+and ``oracle`` the one-value ``field`` `SweepSpec` at its own field,
+``potential`` a `PotentialTable`, ``figure`` a tag and ``table1`` None.
 """
 
 import argparse
@@ -54,7 +53,7 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 class UsageError(Exception):
-    """Bad command line or config file; maps to exit code 2."""
+    """Bad command line or argument file; maps to exit code 2."""
 
 
 @dataclass(frozen=True)
@@ -105,35 +104,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def convert_arg_line_to_args(self, arg_line):
+        import shlex  # loaded only by a request with an @PATH argument
 
-def _read_config_file(path, subcommand, keys, dests):
-    """key = value pairs, one per line, # comments; each key a config key in ``dests``."""
-    values = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        key = key.replace("-", "_")
-        if key not in keys:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key not in dests:
-            raise UsageError(f"{path}:{lineno}: {subcommand} takes no config key {key!r}")
-        values[key] = value
-    return values
+        return shlex.split(arg_line, comments=True)
 
 
 def _build_parser():
-    """The top-level parser, its subcommand parsers and the config keys (shared flags' dests)."""
+    """The top-level parser, with one subparser per subcommand."""
     output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--config", metavar="PATH", help="key=value file seeding defaults")
     output.add_argument("--format", choices=("csv", "json"), default="csv", dest="out_format")
     output.add_argument("--output", metavar="PATH", default=None, help="write here instead of stdout")
     output.add_argument("--precision", type=int, default=7, help="printed decimal places (1..17)")
@@ -153,7 +132,8 @@ def _build_parser():
     grid.add_argument("--grid-rmax", type=float, default=None, help="upper wall of the solver box")
     grid.add_argument("--grid-points", type=int, default=None, help="interior grid points")
 
-    parser = _Parser(prog="laserplasma", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="laserplasma", description=__doc__.splitlines()[0],
+                     fromfile_prefix_chars="@")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_pot = sub.add_parser("potential", parents=[params, output],
@@ -193,8 +173,7 @@ def _build_parser():
     for subparser in sub.choices.values():
         # "-0.01,0.02", "-1e-3" or "-inf" is a value for the domain checks, not a flag
         subparser._negative_number_matcher = re.compile(r"^-(\.?\d|(inf|infinity|nan)$)", re.I)
-    keys = {key for parent in (params, output, grid) for key in vars(parent.parse_args([]))}
-    return parser, sub.choices, keys - {"config"}
+    return parser
 
 
 def _model_params(ns):
@@ -240,18 +219,10 @@ def _sweep_values(ns):
 
 def parse_args(argv) -> RunConfig:
     """Parse argv into a validated RunConfig; raises UsageError on bad input."""
-    parser, subparsers, keys = _build_parser()
-    ns = parser.parse_args(argv)
-    if ns.config is not None:
-        # the file's entries become the subcommand's defaults, which argparse
-        # converts and checks on a second parse
-        entries = _read_config_file(ns.config, ns.subcommand, keys, vars(ns))
-        subparsers[ns.subcommand].set_defaults(**entries)
-        try:
-            ns = parser.parse_args(argv)
-        except UsageError as exc:
-            raise UsageError(f"{ns.config}: {exc}") from exc
-
+    try:
+        ns = _build_parser().parse_args(argv)
+    except RecursionError:  # argparse reads each @PATH inside a file too
+        raise UsageError("an argument file names itself, directly or through others") from None
     common = dict(output_format=ns.out_format, output_path=ns.output, precision=ns.precision)
     try:
         if ns.subcommand in ("table1", "figure"):  # a figure's request is its tag
@@ -265,6 +236,8 @@ def parse_args(argv) -> RunConfig:
             nodes = 64 if ns.quad_nodes is None else ns.quad_nodes
             if not 0 < ns.r_min < ns.r_max < float("inf"):
                 raise UsageError("need 0 < --r-min < --r-max < inf")
+            if ns.points < 2:
+                raise UsageError(f"--points must be >= 2, got {ns.points}")
             import numpy as np
 
             space = np.geomspace if ns.log else np.linspace

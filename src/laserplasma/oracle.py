@@ -6,8 +6,13 @@ r_max; interior points start one step inside, where 1/r potentials are
 finite.  The
 3-point stencil gives a symmetric tridiagonal matrix T whose lowest
 eigenpair comes from shifted inverse iteration; solving at h and h/2 and
-Richardson-extrapolating cancels the leading O(h^2) error and yields an
-error estimate for free.
+Richardson-extrapolating cancels the leading O(h^2) error.  The two solves
+also give the error estimate |E_{h/2} - E_h| / 3, but that is the error of
+the un-extrapolated E_{h/2}, not of the returned Richardson energy: on
+`default_grid` at Z = 1 it reads about 2e-5 while the returned energy is
+off by about 1.5e-9, so it overstates the error some 1e4 times.  ROADMAP
+item 12 replaces it with a third grid's estimate of the returned energy's
+error.
 
 The shift is certified: it starts below a guess of the lowest eigenvalue
 and moves down until T - shift I has an LDL^T factorization, which proves
@@ -116,7 +121,9 @@ class OracleResult:
     sum(u^2) h = 1.  ``energy`` is Richardson-extrapolated from the h and
     h/2 solves; ``error_estimate`` is the extrapolation residual
     |E_{h/2} - E_h| / 3, which `require_converged` compares with
-    `CONVERGENCE_TOL`.
+    `CONVERGENCE_TOL`.  It bounds the error of the un-extrapolated E_{h/2},
+    not of ``energy``: on `default_grid` at Z = 1 it reads about 2e-5, and
+    ``energy`` is off by about 1.5e-9.
     """
 
     energy: float
@@ -270,7 +277,10 @@ def require_converged(result: OracleResult) -> OracleResult:
     for `CONVERGENCE_TOL` yields a diagnostic instead of a number.  The
     message names the grid: `default_grid` keeps 8000 points however
     tightly the state is bound, so at mu = hbar = 1 its estimate grows
-    like Z^4 and passes 1e-4 just above Z = 1.5.
+    like Z^4 and passes 1e-4 just above Z = 1.5.  The estimate is the error
+    of the un-extrapolated E_{h/2}, some 1e4 times the Richardson energy's
+    (about 2e-5 against 1.5e-9 at Z = 1), so this refuses grids whose
+    printed energy is far inside the tolerance.
     """
     if not result.error_estimate <= CONVERGENCE_TOL:  # a NaN estimate fails too
         grid = result.grid

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -115,51 +116,92 @@ def test_parse_precision_bounds():
 
 
 def test_config_file_seeds_defaults(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# reference setup\nlambda_d = 100\nalpha0 = 0.0001\nprecision = 9\n")
-    config = parse_args(["energy", "--config", str(cfg), "--field", "0.01"])
+    args = tmp_path / "run.args"
+    args.write_text("# reference setup\n--lambda-d 100 --alpha0 0.0001\n--precision 9\n")
+    config = parse_args(["energy", f"@{args}", "--field", "0.01"])
     assert config.request.fixed.lambda_d == 100.0
     assert config.request.fixed.alpha0 == 1e-4
     assert config.precision == 9
-    # command line wins over the file
-    config = parse_args(["energy", "--config", str(cfg), "--lambda-d", "7"])
+    # a flag after the file wins over it, as any later flag does
+    config = parse_args(["energy", f"@{args}", "--lambda-d", "7"])
     assert config.request.fixed.lambda_d == 7.0
+    config = parse_args(["energy", "--lambda-d", "7", f"@{args}"])
+    assert config.request.fixed.lambda_d == 100.0
 
 
 def test_config_file_sets_output_and_grid_defaults(tmp_path):
-    cfg = tmp_path / "oracle.cfg"
-    cfg.write_text("lambda-d = 100\nout_format = json\ngrid_rmax = 20\n")
-    config = parse_args(["oracle", "--config", str(cfg)])
+    args = tmp_path / "oracle.args"
+    args.write_text("--lambda-d 100\n--format json\n--grid-rmax 20\n")
+    config = parse_args(["oracle", f"@{args}"])
     assert config.output_format == "json"
     assert config.request.oracle_grid.r_max == 20.0
     assert config.request.vary == "field" and config.request.values == (0.0,)
-    assert parse_args(["oracle", "--config", str(cfg), "--format", "csv"]).output_format == "csv"
+    assert parse_args(["oracle", f"@{args}", "--format", "csv"]).output_format == "csv"
 
 
 def test_config_file_rejects_unknown_key(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("zeta = 3\n")
-    with pytest.raises(UsageError, match="zeta"):
-        parse_args(["energy", "--config", str(cfg), "--lambda-d", "5"])
-    # an unparsable value is reported with the file it came from
-    cfg.write_text("lambda_d = 100\nprecision = abc\n")
-    with pytest.raises(UsageError, match="precision") as err:
-        parse_args(["energy", "--config", str(cfg)])
-    assert str(cfg) in str(err.value) and "abc" in str(err.value)
+    args = tmp_path / "bad.args"
+    args.write_text("--zeta 3\n")
+    with pytest.raises(UsageError, match="unrecognized arguments: --zeta 3"):
+        parse_args(["energy", f"@{args}", "--lambda-d", "5"])
+    # an unparsable value is reported with its flag
+    args.write_text("--lambda-d 100\n--precision abc\n")
+    with pytest.raises(UsageError, match="argument --precision: invalid int value: 'abc'"):
+        parse_args(["energy", f"@{args}"])
 
 
-@pytest.mark.parametrize("argv, entry, key", [
-    (["energy", "--lambda-d", "5"], "grid_points = abc", "grid_points"),
-    (["table1"], "z = 2", "z"),
+@pytest.mark.parametrize("argv, entry, message", [
+    (["energy", "--lambda-d", "5"], "--grid-points abc",
+     "unrecognized arguments: --grid-points abc"),
+    (["table1"], "--z 2", "unrecognized arguments: --z 2"),
 ], ids=["energy-grid-points", "table1-z"])
-def test_config_file_rejects_key_the_subcommand_does_not_take(tmp_path, capsys, argv, entry, key):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(entry + "\n")
-    with pytest.raises(UsageError) as err:
-        parse_args([*argv, "--config", str(cfg)])
-    assert str(cfg) in str(err.value) and repr(key) in str(err.value)
-    code, out, err = run_cli(capsys, [*argv, "--config", str(cfg)])
+def test_config_file_rejects_key_the_subcommand_does_not_take(tmp_path, capsys, argv, entry,
+                                                              message):
+    args = tmp_path / "run.args"
+    args.write_text(entry + "\n")
+    with pytest.raises(UsageError, match=message):
+        parse_args([*argv, f"@{args}"])
+    code, out, err = run_cli(capsys, [*argv, f"@{args}"])
     assert code == EXIT_USAGE and out == "" and err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("lines", [
+    (("sweep",), ("--vary", "field"), ("--values", "0.0001,0.01,0.04"),
+     ("--lambda-d", "100", "--alpha0", "1e-4"), ("--precision", "17")),
+    (("sweep", "--vary", "lambda-d"), ("--start", "5", "--stop", "100", "--count", "4"),
+     ("--geometric", "--field", "0.01"), ("--format", "json")),
+    (("sweep", "--vary", "alpha0", "--values", "0.001,0.002"), ("--lambda-d", "20", "--z", "2")),
+], ids=["field", "lambda-d-geometric-json", "alpha0-z2"])
+def test_argument_file_holds_a_whole_request(tmp_path, capsys, lines):
+    # the subcommand too, with a comment and a quoted output path that holds a space
+    target = tmp_path / "out dir" / "sweep rows.csv"
+    target.parent.mkdir()
+    args = tmp_path / "sweep.args"
+    args.write_text("\n".join(["# a stored sweep", *map(shlex.join, lines),
+                                f"--output {shlex.quote(str(target))}  # where the rows go"]))
+    code, typed, _ = run_cli(capsys, [arg for line in lines for arg in line])
+    assert code == EXIT_OK and typed
+    code, out, _ = run_cli(capsys, [f"@{args}"])
+    assert code == EXIT_OK and out == ""
+    assert target.read_bytes() == typed.encode("utf-8")
+
+
+def test_argument_file_that_names_itself_is_a_usage_error(tmp_path, capsys):
+    args = tmp_path / "loop.args"
+    args.write_text(f"--lambda-d 5\n@{args}\n")
+    code, out, err = run_cli(capsys, ["energy", f"@{args}"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "usage error: an argument file names itself, directly or through others\n"
+
+
+def test_argument_file_reproduces_the_energy_golden(tmp_path, capsys):
+    args = tmp_path / "point.args"
+    args.write_text("# a golden point\n--lambda-d 100 --alpha0 1e-4\n"
+                    "--field 0.04 --precision 17\n")
+    code, out, _ = run_cli(capsys, ["energy", f"@{args}"])
+    assert code == EXIT_OK
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "21c901fb12254f32564396da2542b1154a296647eed8358bc16c1fde292d53c4"
 
 
 def test_runconfig_validation():
@@ -437,13 +479,11 @@ def test_bad_sweep_values_are_usage_errors(capsys, argv):
     assert err.startswith("usage error: ")
 
 
-@pytest.mark.parametrize("argv, config_text, message", [
-    (["energy", "--lambda-d", "5", "--config", "CFG"], None, "cannot read config file"),
-    (["energy", "--config", "CFG"], "lambda_d 5\n", "expected 'key = value'"),
+@pytest.mark.parametrize("argv, args_text, message", [
+    (["energy", "--lambda-d", "5", "@ARGS"], None, "No such file or directory"),
     (["sweep", "--vary", "field", "--values", "0.1,abc", "--lambda-d", "5"], None,
      "cannot parse --values"),
-    (["potential", "--lambda-d", "5", "--points", "1"], None,
-     "potential needs at least 2 radii, got 1"),
+    (["potential", "--lambda-d", "5", "--points", "1"], None, "--points must be >= 2, got 1"),
     (["potential", "--lambda-d", "5", "--r-min", "5", "--r-max", "1"], None,
      "need 0 < --r-min < --r-max"),
     (["potential", "--lambda-d", "20", "--r-max", "inf", "--points", "3"], None,
@@ -462,8 +502,8 @@ def test_bad_sweep_values_are_usage_errors(capsys, argv):
     (["energy", "--lambda-d", "-information"], None, "argument --lambda-d: expected one argument"),
     (["oracle", "--lambda-d", "100", "--grid-rmin", "0.5"], None,
      "unrecognized arguments: --grid-rmin 0.5"),
-    (["oracle", "--config", "CFG"], "lambda_d = 100\ngrid_rmin = 0.5\n",
-     "unknown config key 'grid_rmin'"),
+    (["oracle", "@ARGS"], "--lambda-d 100\n--grid-rmin 0.5\n",
+     "unrecognized arguments: --grid-rmin 0.5"),
     # NaN breaks every order, but the fault to name is the value outside the domain
     (["sweep", "--vary", "field", "--values", "0.01,nan", "--lambda-d", "100"], None,
      "sweep value nan for field: field must be finite and >= 0, got nan"),
@@ -490,7 +530,7 @@ def test_bad_sweep_values_are_usage_errors(capsys, argv):
       "--field", "0.01"], None, "--start and --stop must be finite, got --start 5 --stop inf"),
     (["sweep", "--vary", "field", "--start", "nan", "--stop", "0.1", "--count", "3",
       "--lambda-d", "5"], None, "--start and --stop must be finite, got --start nan --stop 0.1"),
-], ids=["unreadable-config", "config-line-without-equals", "unparsable-values",
+], ids=["unreadable-config", "unparsable-values",
         "one-point", "reversed-radii", "infinite-r-max", "oracle-infinite-grid-rmax",
         "sweep-infinite-grid-rmax", "negative-first-value", "zero-first-lambda-d",
         "minus-inf", "minus-nan", "flag-like-word", "grid-rmin-flag", "grid-rmin-key",
@@ -498,12 +538,12 @@ def test_bad_sweep_values_are_usage_errors(capsys, argv):
         "oracle-box-1e-10", "oracle-box-1", "oracle-box-9.99", "sweep-box-3",
         "sweep-grid-without-oracle", "quad-nodes-without-quadrature", "linear-stop-inf-field",
         "linear-stop-inf-lambda-d", "linear-start-nan"])
-def test_input_errors_are_usage_errors(tmp_path, capsys, argv, config_text, message):
-    # CFG names a config file, written only when the case gives its text
-    cfg = tmp_path / "run.cfg"
-    if config_text is not None:
-        cfg.write_text(config_text)
-    code, out, err = run_cli(capsys, [str(cfg) if arg == "CFG" else arg for arg in argv])
+def test_input_errors_are_usage_errors(tmp_path, capsys, argv, args_text, message):
+    # @ARGS names an argument file, written only when the case gives its text
+    args = tmp_path / "run.args"
+    if args_text is not None:
+        args.write_text(args_text)
+    code, out, err = run_cli(capsys, [f"@{args}" if arg == "@ARGS" else arg for arg in argv])
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("usage error: ") and message in err
@@ -564,11 +604,11 @@ def test_potential_rejects_too_few_quadrature_nodes(capsys):
 
 
 def test_negative_point_count_is_a_usage_error(capsys):
-    # numpy's linspace refuses it with its own ValueError
+    # named by its flag, before numpy's linspace can refuse it in its own words
     code, out, err = run_cli(capsys, ["potential", "--lambda-d", "5", "--points", "-1"])
     assert code == EXIT_USAGE
     assert out == ""
-    assert err.startswith("usage error: ")
+    assert err == "usage error: --points must be >= 2, got -1\n"
 
 
 @pytest.mark.parametrize("radii, quad_nodes, message", [
