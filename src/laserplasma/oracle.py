@@ -3,16 +3,17 @@
 Discretizes -(hbar^2 / 2 mu) u'' + V(r) u = E u on a uniform grid with
 Dirichlet walls at r = 0, where the l = 0 radial function vanishes, and at
 r_max; interior points start one step inside, where 1/r potentials are
-finite.  The
-3-point stencil gives a symmetric tridiagonal matrix T whose lowest
-eigenpair comes from shifted inverse iteration; solving at h and h/2 and
-Richardson-extrapolating cancels the leading O(h^2) error.  The two solves
-also give the error estimate |E_{h/2} - E_h| / 3, but that is the error of
-the un-extrapolated E_{h/2}, not of the returned Richardson energy: on
-`default_grid` at Z = 1 it reads about 2e-5 while the returned energy is
-off by about 1.5e-9, so it overstates the error some 1e4 times.  ROADMAP
-item 12 replaces it with a third grid's estimate of the returned energy's
-error.
+finite.  The 3-point stencil gives a symmetric tridiagonal matrix T whose
+lowest eigenpair comes from shifted inverse iteration.  Its eigenvalue's
+error is a series in even powers of the spacing, E_h = E + a h^2 + b h^4
++ O(h^6), so solving on the requested grid of n points and on grids of
+n // 2 and n // 4 points and fitting that quadratic in h^2 through the
+three values (Richardson, Phil. Trans. R. Soc. A 210, 307, 1911) cancels
+the h^2 and h^4 terms.  The error estimate is the fit's distance from the
+two-grid (h^2-only) extrapolation of the two finest grids, which is the
+size of the h^4 term that the fit removes: on `default_grid` at Z = 1 it
+reads about 2.4e-8 while the returned energy is off by about 4e-11, and
+on coarse grids it stays above the true error.
 
 The shift is certified: it starts below a guess of the lowest eigenvalue
 and moves down until T - shift I has an LDL^T factorization, which proves
@@ -44,8 +45,10 @@ __all__ = [
     "ConvergenceError",
     "CONVERGENCE_TOL",
     "BOX_DECAY_LENGTHS",
+    "MIN_POINTS",
     "default_grid",
     "require_box",
+    "require_grid",
     "hamiltonian_arrays",
     "solve_on_grid",
     "solve_ground_state",
@@ -55,6 +58,9 @@ __all__ = [
 
 # Largest Richardson error estimate (a.u.) that counts as converged.
 CONVERGENCE_TOL = 1e-4
+
+# Fewest points `solve_ground_state` takes: its n // 4 grid must be a RadialGrid.
+MIN_POINTS = 400
 
 # Caps on one eigensolve; reaching either raises GroundStateError.
 _MAX_FACTORIZATIONS = 40
@@ -108,22 +114,19 @@ class RadialGrid:
 
         return self.spacing * np.arange(1, self.n_points + 1)
 
-    def refined(self) -> "RadialGrid":
-        """Same interval at half the spacing (interior count 2 n + 1)."""
-        return RadialGrid(self.r_min, self.r_max, 2 * self.n_points + 1)
-
 
 @dataclass(frozen=True)
 class OracleResult:
     """Ground-state eigenvalue and sampled radial function.
 
-    u_samples lives on ``grid.points`` and is normalized so that
-    sum(u^2) h = 1.  ``energy`` is Richardson-extrapolated from the h and
-    h/2 solves; ``error_estimate`` is the extrapolation residual
-    |E_{h/2} - E_h| / 3, which `require_converged` compares with
-    `CONVERGENCE_TOL`.  It bounds the error of the un-extrapolated E_{h/2},
-    not of ``energy``: on `default_grid` at Z = 1 it reads about 2e-5, and
-    ``energy`` is off by about 1.5e-9.
+    u_samples is ``grid``'s own eigenvector, lives on ``grid.points`` and
+    is normalized so that sum(u^2) h = 1.  ``energy`` is the h^2, h^4
+    Richardson fit through the solves on ``grid`` and on its n // 2 and
+    n // 4 point grids; ``error_estimate`` is its distance from the h^2-only
+    extrapolation of the two finest solves, which `require_converged`
+    compares with `CONVERGENCE_TOL`.  It estimates the error of ``energy``
+    from above: on `default_grid` at Z = 1 it reads about 2.4e-8, and
+    ``energy`` is off by about 4e-11.
     """
 
     energy: float
@@ -143,11 +146,21 @@ def default_grid(p: ModelParams) -> RadialGrid:
 
 def require_box(grid: RadialGrid, p: ModelParams, name: str = "grid") -> None:
     """Refuse a box shorter than `BOX_DECAY_LENGTHS` decay lengths 1/``p.decay_rate``:
-    both Richardson grids share its far wall, so the error estimate cannot see it."""
+    all three Richardson grids share its far wall, so the error estimate cannot see it."""
     if grid.r_max * p.decay_rate < BOX_DECAY_LENGTHS:
         raise ValueError(
             f"{name} r_max = {grid.r_max:g} is too small for the bound state,"
             f" which needs r_max >= {BOX_DECAY_LENGTHS / p.decay_rate:g}")
+
+
+def require_grid(grid: RadialGrid, p: ModelParams, name: str = "grid") -> None:
+    """Refuse a grid that `solve_ground_state` cannot solve: fewer than
+    `MIN_POINTS` points, or a box that `require_box` refuses."""
+    if grid.n_points < MIN_POINTS:
+        raise ValueError(
+            f"{name} n_points = {grid.n_points} is too few for the n_points // 4"
+            f" Richardson grid, which needs n_points >= {MIN_POINTS}")
+    require_box(grid, p, name)
 
 
 def _sample(function, r, name):
@@ -244,30 +257,27 @@ def solve_on_grid(potential, grid: RadialGrid, p: ModelParams):
 def solve_ground_state(potential, grid: RadialGrid, p: ModelParams) -> OracleResult:
     """Richardson-extrapolated ground state of the sampled radial potential.
 
-    Solves on ``grid`` and on its half-spacing refinement, extrapolates
-    the energy, and returns the eigenvector restricted to the requested
-    grid, >= 0 at every node.  Raises `GroundStateError` when an eigensolve
-    reaches a cap, and ValueError if the potential is not finite at every
-    grid point or the box is too small for the state (`require_box`).
+    Solves on ``grid`` (n points) and on the same box with n // 2 and
+    n // 4 points, fits E + a h^2 + b h^4 through the three energies, and
+    returns its value at h = 0 with ``grid``'s own eigenvector, >= 0 at
+    every node.  The grids are not nested; only their spacings enter the
+    fit.  Raises `GroundStateError` when an eigensolve reaches a cap, and
+    ValueError if the potential is not finite at every grid point or the
+    grid fails `require_grid`.
 
     The exact dressed potential is not a valid input: its pole at
     r = alpha0 > 0 lies inside the box whenever alpha0 < r_max.
     """
-    import numpy as np
-
-    e_coarse, _ = solve_on_grid(potential, grid, p)
-    e_fine, u_fine = solve_on_grid(potential, grid.refined(), p)
-    energy = (4.0 * e_fine - e_coarse) / 3.0
-    error_estimate = abs(e_fine - e_coarse) / 3.0
-    # every other fine node coincides with a coarse node
-    u = u_fine[1::2]
-    u = u / np.sqrt(np.sum(u * u) * grid.spacing)
-    return OracleResult(
-        energy=energy,
-        u_samples=u,
-        error_estimate=error_estimate,
-        grid=grid,
-    )
+    require_grid(grid, p)
+    grids = [RadialGrid(0.0, grid.r_max, grid.n_points // k) for k in (1, 2, 4)]
+    (e0, u), (e1, _), (e2, _) = (solve_on_grid(potential, g, p) for g in grids)
+    x0, x1, x2 = (g.spacing * g.spacing for g in grids)
+    # Lagrange weights at h = 0 of the quadratic in h^2: about 1.42, -0.44, 0.02
+    energy = (e0 * x1 * x2 / ((x1 - x0) * (x2 - x0)) + e1 * x0 * x2 / ((x0 - x1) * (x2 - x1))
+              + e2 * x0 * x1 / ((x0 - x2) * (x1 - x2)))
+    two_grid = (x1 * e0 - x0 * e1) / (x1 - x0)
+    return OracleResult(energy=energy, u_samples=u, error_estimate=abs(energy - two_grid),
+                        grid=grid)
 
 
 def require_converged(result: OracleResult) -> OracleResult:
@@ -275,12 +285,7 @@ def require_converged(result: OracleResult) -> OracleResult:
 
     Every printed oracle energy passes through here, so a grid too coarse
     for `CONVERGENCE_TOL` yields a diagnostic instead of a number.  The
-    message names the grid: `default_grid` keeps 8000 points however
-    tightly the state is bound, so at mu = hbar = 1 its estimate grows
-    like Z^4 and passes 1e-4 just above Z = 1.5.  The estimate is the error
-    of the un-extrapolated E_{h/2}, some 1e4 times the Richardson energy's
-    (about 2e-5 against 1.5e-9 at Z = 1), so this refuses grids whose
-    printed energy is far inside the tolerance.
+    message names the grid.
     """
     if not result.error_estimate <= CONVERGENCE_TOL:  # a NaN estimate fails too
         grid = result.grid

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import NamedTuple
 
-from .oracle import (RadialGrid, default_grid, overlap, require_box, require_converged,
+from .oracle import (RadialGrid, default_grid, overlap, require_converged, require_grid,
                      solve_ground_state)
 from .perturbation import EnergyBreakdown, _breakdowns, wavefunction_eval
 from .potential import ModelParams, dressed_pair_eval, taylor_coefficients, veff_series_eval
@@ -66,8 +66,8 @@ class SweepSpec:
     "oracle" adds the eigensolver energy, its deviation from the
     closed-form total and its error estimate; "overlap" additionally
     compares wavefunctions (requires "oracle").  ``oracle_grid`` also
-    requires "oracle", and its r_max must pass `require_box` at ``fixed``,
-    as `default_grid`'s does.  The values are checked against the model's
+    requires "oracle", and it must pass `require_grid` at ``fixed``, as
+    `default_grid` does.  The values are checked against the model's
     domain here, so a bad value fails at construction, naming the first one
     in input order.
     """
@@ -100,7 +100,7 @@ class SweepSpec:
         if grid is not None and "oracle" not in self.outputs:
             raise ValueError('an oracle_grid requires the "oracle" output')
         if grid is not None:
-            require_box(grid, self.fixed, "oracle_grid")
+            require_grid(grid, self.fixed, "oracle_grid")
         object.__setattr__(self, "outputs", frozenset(self.outputs))
         # the values are strictly monotone and every domain is an interval,
         # so valid endpoints make every value valid

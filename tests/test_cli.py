@@ -511,13 +511,19 @@ def test_bad_sweep_values_are_usage_errors(capsys, argv):
      "sweep value nan for field: field must be finite and >= 0, got nan"),
     (["sweep", "--vary", "field", "--values", "0.01,0.01", "--lambda-d", "100"], None,
      "sweep values must be strictly monotone"),
-    # both Richardson grids share the far wall, so the error estimate cannot
+    # all three Richardson grids share the far wall, so the error estimate cannot
     # see a box that cuts the state: at 1 it printed -0.476 with estimate 1e-8
     *((["oracle", "--lambda-d", "100", "--alpha0", "1e-4", "--field", "0.01", "--grid-rmax", r],
        None, f"oracle_grid r_max = {r} is too small for the bound state, which needs r_max >= 10")
       for r in ("1e-100", "1e-10", "1", "9.99")),
     (["sweep", "--vary", "field", "--values", "0.01,0.02", "--lambda-d", "100", "--alpha0", "1e-4",
       "--with-oracle", "--grid-rmax", "3"], None, "oracle_grid r_max = 3 is too small"),
+    # the n // 4 grid of 399 points would have 99, below RadialGrid's floor of 100
+    (["oracle", "--lambda-d", "100", "--grid-points", "399"], None,
+     "oracle_grid n_points = 399 is too few for the n_points // 4 Richardson grid,"
+     " which needs n_points >= 400"),
+    (["sweep", "--vary", "field", "--values", "0.01", "--lambda-d", "100", "--with-oracle",
+      "--grid-points", "399"], None, "oracle_grid n_points = 399 is too few"),
     # flags that no printed column uses
     (["sweep", "--vary", "field", "--values", "0.01", "--lambda-d", "5", "--grid-points", "20000"],
      None, 'oracle_grid requires the "oracle" output'),
@@ -536,6 +542,7 @@ def test_bad_sweep_values_are_usage_errors(capsys, argv):
         "minus-inf", "minus-nan", "flag-like-word", "grid-rmin-flag", "grid-rmin-key",
         "nan-last-value", "nan-first-value", "repeated-value", "oracle-box-1e-100",
         "oracle-box-1e-10", "oracle-box-1", "oracle-box-9.99", "sweep-box-3",
+        "oracle-grid-points-399", "sweep-grid-points-399",
         "sweep-grid-without-oracle", "quad-nodes-without-quadrature", "linear-stop-inf-field",
         "linear-stop-inf-lambda-d", "linear-start-nan"])
 def test_input_errors_are_usage_errors(tmp_path, capsys, argv, args_text, message):
@@ -563,19 +570,30 @@ def test_oracle_nonconvergence_exit_code(capsys):
     # the convergence tolerance
     code, _, err = run_cli(
         capsys,
-        ["oracle", "--lambda-d", "100", "--grid-rmax", "50", "--grid-points", "120"],
+        ["oracle", "--lambda-d", "100", "--grid-rmax", "50", "--grid-points", "400"],
     )
     assert code == EXIT_NUMERIC
     assert "did not converge" in err
 
 
+def test_oracle_passes_where_the_two_grid_estimate_refused(capsys):
+    # the two-grid estimate read 3.1e-4 both at Z = 2 and on 2000 points
+    model = ["--lambda-d", "100", "--alpha0", "1e-4", "--field", "0.01"]
+    code, out, _ = run_cli(capsys, ["oracle", *model, "--z", "2"])
+    assert code == EXIT_OK
+    _, header, rows = parse_csv(out)
+    assert float(rows[0][header.index("error_estimate")]) < 1e-5
+    code, _, _ = run_cli(capsys, ["oracle", *model, "--grid-points", "2000"])
+    assert code == EXIT_OK
+
+
 def test_oracle_nonconvergence_names_the_grid(capsys):
-    # at Z = 2 the default grid's estimate is 3.1e-4; four times the points pass
-    model = ["--lambda-d", "100", "--alpha0", "1e-4", "--field", "0.01", "--z", "2"]
+    # at Z = 5 the default grid's estimate is 3.6e-4; four times the points pass
+    model = ["--lambda-d", "100", "--alpha0", "1e-4", "--field", "0.01", "--z", "5"]
     code, out, err = run_cli(capsys, ["oracle", *model])
     assert code == EXIT_NUMERIC
     assert out == ""
-    assert err.startswith("oracle did not converge: error estimate 3.12")
+    assert err.startswith("oracle did not converge: error estimate 3.6")
     assert "r_max = 50, n_points = 8000" in err and "--grid-points" in err
     code, _, _ = run_cli(capsys, ["oracle", *model, "--grid-points", "32000"])
     assert code == EXIT_OK
@@ -583,7 +601,7 @@ def test_oracle_nonconvergence_names_the_grid(capsys):
 
 def test_sweep_oracle_nonconvergence_matches_oracle_command(capsys):
     # the grid the oracle command refuses must not yield sweep rows either
-    model = ["--lambda-d", "100", "--grid-points", "100"]
+    model = ["--lambda-d", "100", "--grid-points", "400"]
     code, out, err = run_cli(
         capsys, ["sweep", "--vary", "field", "--values", "0.01,0.02", "--with-oracle", *model]
     )

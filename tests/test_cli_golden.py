@@ -10,8 +10,9 @@ cases are pinned at the default precision only: LAPACK and numpy's SIMD
 exp/cos may differ in the last bits between builds.  Even so, the
 ``deviation`` column of oracle rows prints values of about 1e-10 to 8
 digits, so it pins the eigensolver's rounding: a backward-stable solver
-may move it by eps |T| ~ 3e-10 on the refined grid, so any change of
-eigensolver, or of the start vector it iterates from, moves those digits.
+may move it by eps |T| ~ 7e-11 on the requested grid, the finest of the
+three that the energy is fitted through, so any change of eigensolver,
+of the start vector it iterates from or of the fit moves those digits.
 Refactors of the sweep and CLI layers must keep these bytes unchanged; a
 deliberate change of output has to update the digest and say why.
 """
@@ -43,10 +44,10 @@ GOLDEN_SHA256 = {
      "--lambda-d", "20", "--alpha0", "0.001",
      "--precision", "17"): "1a9b8c9c7ae289ae1abf15891d5f1236cee6626777961f72b9f79f735718268d",
     ("oracle", "--lambda-d", "100", "--alpha0", "1e-4", "--field", "0.01",
-     "--grid-rmax", "20"): "b26e7cbcf000f1ab819c66e443f0ef1ffb48cfd0f4c79bf45bed2ac708d779fd",
+     "--grid-rmax", "20"): "48ecb70b5bf65183e4e1db5a1dbbdfefd6416bd50957fa955956aa4539e03327",
     ("sweep", "--vary", "field", "--values", "0.0001,0.001,0.01", "--lambda-d", "100",
      "--alpha0", "1e-4", "--with-overlap",
-     "--grid-rmax", "20"): "ea0030811b033da0a28c392c395fea6c5941b8bf5bfdf57225229935b8e5e00e",
+     "--grid-rmax", "20"): "9ab56d841e13072975d41998e83c6eb6c38aa4afb50d582a9f37a30b52234c82",
     ("potential", "--lambda-d", "5", "--alpha0", "0.001", "--field", "0.01",
      "--with-quadrature"): "43c1f5005416217c1357acf2d6d9ed8b3e6adf62b397b47fe5a22840ba57cb51",
 }

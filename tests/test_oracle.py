@@ -80,11 +80,6 @@ def test_grid_geometry():
     assert pts[0] == pytest.approx(0.01)
     assert pts[-1] == pytest.approx(10.0 - 0.01)
     assert np.all(np.diff(pts) > 0)
-    fine = g.refined()
-    assert fine.n_points == 1999
-    assert fine.spacing == pytest.approx(g.spacing / 2.0)
-    # every other fine node coincides with a coarse node
-    assert np.allclose(fine.points[1::2], pts)
 
 
 def test_grid_validation():
@@ -164,7 +159,7 @@ def test_ground_state_normalization_and_nodelessness():
 
 @pytest.mark.parametrize("name, potential, p", SOLVER_CASES, ids=[c[0] for c in SOLVER_CASES])
 def test_solver_matches_full_precision_bisection(name, potential, p):
-    for grid in (COULOMB_GRID, COULOMB_GRID.refined(), default_grid(p)):
+    for grid in (COULOMB_GRID, RadialGrid(0.0, 20.0, 16001), default_grid(p)):
         diag, off = hamiltonian_arrays(potential, grid, p)
         energy, u = solve_on_grid(potential, grid, p)
         assert abs(energy - _bisected_lowest(diag, off)) <= _rounding_bound(diag, off)
@@ -181,15 +176,16 @@ def test_solver_matches_full_precision_bisection(name, potential, p):
 
 @pytest.mark.parametrize("name, potential, p", SOLVER_CASES, ids=[c[0] for c in SOLVER_CASES])
 def test_seeded_refined_solve_is_certified(name, potential, p):
-    # the h/2 solve of solve_ground_state, which starts from the same
-    # hydrogen-like vector as the h grid rather than from its eigenpair
+    # the n // 2 and n // 4 solves of solve_ground_state, each started from
+    # the same hydrogen-like vector as the requested grid
     for grid in (COULOMB_GRID, default_grid(p)):
-        fine = grid.refined()
-        diag, off = hamiltonian_arrays(potential, fine, p)
-        energy, u = solve_on_grid(potential, fine, p)
-        assert abs(energy - _bisected_lowest(diag, off)) <= _rounding_bound(diag, off)
-        assert np.all(u > 0.0)  # the first and last node included
-        assert np.sum(u * u) * fine.spacing == pytest.approx(1.0)
+        for n in (grid.n_points // 2, grid.n_points // 4):
+            coarse = RadialGrid(0.0, grid.r_max, n)
+            diag, off = hamiltonian_arrays(potential, coarse, p)
+            energy, u = solve_on_grid(potential, coarse, p)
+            assert abs(energy - _bisected_lowest(diag, off)) <= _rounding_bound(diag, off)
+            assert np.all(u > 0.0)  # the first and last node included
+            assert np.sum(u * u) * coarse.spacing == pytest.approx(1.0)
 
 
 def test_shift_search_is_certified_whatever_the_guess():
@@ -238,7 +234,7 @@ def test_each_grid_solve_factors_once(monkeypatch):
         calls.clear()
         grid = default_grid(p)
         solve_ground_state(model_potential(p), grid, p)
-        sizes = {grid.n_points, grid.refined().n_points}
+        sizes = {grid.n_points, grid.n_points // 2, grid.n_points // 4}
         assert {n for _, n in calls} == sizes
         for n in sizes:
             assert calls.count(("dpttrf", n)) == 1
@@ -286,8 +282,8 @@ def test_box_size_independence():
 
 
 def test_box_too_small_for_the_state_is_refused_by_the_solver():
-    # the state needs r_max >= 20 / decay_rate = 10: both Richardson grids
-    # share the wall, so a smaller box gives a wrong energy with a tiny
+    # the state needs r_max >= 20 / decay_rate = 10: all three Richardson
+    # grids share the wall, so a smaller box gives a wrong energy with a tiny
     # estimate (-0.476 for -1.973 at r_max = 1), or warns and fails to settle
     p = ModelParams(lambda_d=100.0, alpha0=1e-4, field=0.01)
     with warnings.catch_warnings():
@@ -305,15 +301,35 @@ def test_manufactured_ground_states_on_the_default_grid():
     # exact eigenpairs r exp(-Q) at E_m = -1.9: FD's true error, not an estimate
     for q, b in MANUFACTURED_CASES:
         result = solve_ground_state(manufactured(2.0, q, b, -1.9), default_grid(AU), AU)
-        assert abs(result.energy + 1.9) <= 2e-9
+        assert abs(result.energy + 1.9) <= 1e-10
 
 
-def test_manufactured_true_error_is_fourth_order():
-    # the Richardson energy's error falls like h^4: 256x per 4x refinement
+def test_manufactured_true_error_is_sixth_order():
+    # the three-grid energy's error falls like h^6: 4096x per 4x refinement
     potential = manufactured(2.0, 2e-2, 5e-3, -1.9)
     errors = [abs(solve_ground_state(potential, RadialGrid(0.0, 50.0, n), AU).energy + 1.9)
               for n in (2000, 8000)]
-    assert 200.0 <= errors[0] / errors[1] <= 320.0
+    assert 3e3 <= errors[0] / errors[1] <= 5e3
+
+
+def test_error_estimate_is_honest():
+    # estimate / true error on exact eigenpairs: never below 1, so a grid
+    # that require_converged passes is converged, and not so far above that
+    # it refuses grids whose energy is fine (the two-grid estimate read 1.3e4)
+    grids = (default_grid(AU), *(RadialGrid(0.0, 50.0, n) for n in (400, 1000, 2000)))
+    for q, b in MANUFACTURED_CASES:
+        for grid in grids:
+            result = solve_ground_state(manufactured(2.0, q, b, -1.9), grid, AU)
+            assert 1.0 <= result.error_estimate / abs(result.energy + 1.9) <= 1e3
+
+
+def test_grid_too_small_for_the_quarter_grid_is_refused():
+    # the n // 4 grid must be a RadialGrid, whose floor is 100 points
+    p = ModelParams(lambda_d=100.0, alpha0=1e-4, field=0.01)
+    with pytest.raises(ValueError, match="n_points = 399 .* needs n_points >= 400"):
+        solve_ground_state(model_potential(p), RadialGrid(0.0, 50.0, 399), p)
+    result = solve_ground_state(model_potential(p), RadialGrid(0.0, 50.0, 400), p)
+    assert result.u_samples.size == 400
 
 
 # lambda_D and the cut E_cubic - E_uncut at F = 0.01, alpha0 = 1e-4 on default_grid

@@ -190,7 +190,7 @@ def test_rows_hold_energy_breakdowns_on_every_axis_and_with_the_oracle():
 def test_oracle_rows_refuse_unconverged_grid():
     spec = SweepSpec(
         "field", (0.01, 0.02), FIXED,
-        outputs=frozenset({"breakdown", "oracle"}), oracle_grid=RadialGrid(0.0, 50.0, 100),
+        outputs=frozenset({"breakdown", "oracle"}), oracle_grid=RadialGrid(0.0, 50.0, 400),
     )
     with pytest.raises(ConvergenceError, match="did not converge"):
         run_sweep(spec)
@@ -206,7 +206,7 @@ def test_oracle_grid_wall_must_be_at_the_origin():
 
 
 def test_oracle_grid_must_span_the_box_of_default_grid():
-    # both Richardson grids share the far wall: at r_max = 1 this printed an
+    # all three Richardson grids share the far wall: at r_max = 1 this printed an
     # oracle energy of -0.476 with estimate 1.05e-8 next to a closed form of
     # -1.973; the bound is 20 decay lengths, as in default_grid
     p = ModelParams(lambda_d=100.0, alpha0=1e-4, field=0.01, mu=0.5)  # decay rate 1
