@@ -25,7 +25,7 @@ import re
 import sys
 from dataclasses import dataclass, replace
 
-from .oracle import ConvergenceError, GroundStateError, default_grid
+from .oracle import ConvergenceError, GroundStateError, _require_points, default_grid
 from .perturbation import EnergyBreakdown
 from .potential import (
     ModelParams,
@@ -187,6 +187,9 @@ def _model_params(ns):
 
 def _grid_from(ns, params):
     """Solver box from the grid flags, the rest from default_grid."""
+    if ns.grid_points is not None:
+        # before RadialGrid, whose floor of 100 is not the oracle's
+        _require_points(ns.grid_points, "oracle_grid")
     flags = zip(("r_max", "n_points"), (ns.grid_rmax, ns.grid_points))
     given = {field: value for field, value in flags if value is not None}
     return replace(default_grid(params), **given) if given else None

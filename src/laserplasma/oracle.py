@@ -153,13 +153,17 @@ def require_box(grid: RadialGrid, p: ModelParams, name: str = "grid") -> None:
             f" which needs r_max >= {BOX_DECAY_LENGTHS / p.decay_rate:g}")
 
 
+def _require_points(n_points: int, name: str) -> None:
+    if n_points < MIN_POINTS:
+        raise ValueError(
+            f"{name} n_points = {n_points} is too few for the n_points // 4"
+            f" Richardson grid, which needs n_points >= {MIN_POINTS}")
+
+
 def require_grid(grid: RadialGrid, p: ModelParams, name: str = "grid") -> None:
     """Refuse a grid that `solve_ground_state` cannot solve: fewer than
     `MIN_POINTS` points, or a box that `require_box` refuses."""
-    if grid.n_points < MIN_POINTS:
-        raise ValueError(
-            f"{name} n_points = {grid.n_points} is too few for the n_points // 4"
-            f" Richardson grid, which needs n_points >= {MIN_POINTS}")
+    _require_points(grid.n_points, name)
     require_box(grid, p, name)
 
 
@@ -223,6 +227,10 @@ def _lowest_eigenpair(diag, off, guess, start):
             if changes[-1] <= 1e-15 * (abs(shift) + q):
                 return float(energy), u
             if len(changes) > 2 and changes[-1] > changes[-2] / 16.0:
+                if changes[-1] <= ulp:
+                    # stalled at rounding, below the resolution of diag itself:
+                    # a tighter shift cannot do better, so settle here
+                    return float(energy), u
                 break  # shift too far below E_0 for the gap: tighten it
         else:
             raise GroundStateError(f"inverse iteration did not settle in {len(changes)} steps")

@@ -26,8 +26,10 @@ where F is known, so one set of parts serves every field value.
 
 All quantities are in atomic units unless the generic ``mu``, ``hbar``,
 ``e_charge`` fields are overridden.  Every function here is pure and safe
-to call concurrently.  Only the functions of a radius import numpy;
-`ModelParams` and `taylor_coefficients` work in plain floats.
+to call concurrently.  `ModelParams` and `taylor_coefficients` work in
+plain floats.  So do `ecsc_eval`, `dressed_pair_eval` and
+`veff_series_eval` at a finite positive float radius, with exp and cos from
+`math`; an array of radii, and `v0_quadrature` always, import numpy.
 """
 
 import math
@@ -147,14 +149,28 @@ class EffectiveCoefficients:
 
 
 def _screened(x, strength, lambda_d):
-    """Screened-Coulomb kernel -(A/x) exp(-x/lambda) cos(x/lambda), no checks."""
-    import numpy as np
+    """Screened-Coulomb kernel -(A/x) exp(-x/lambda) cos(x/lambda), no checks;
+    exp and cos come from math for a float x and from numpy for an array."""
+    if isinstance(x, float):
+        exp, cos = math.exp, math.cos
+    else:
+        import numpy as np
 
+        exp, cos = np.exp, np.cos
     t = x / lambda_d
-    return -(strength / x) * np.exp(-t) * np.cos(t)
+    return -(strength / x) * exp(-t) * cos(t)
+
+
+def _dressed(r, strength, lambda_d, alpha0):
+    """Sum of the screened terms at r + alpha0 and r - alpha0, no checks."""
+    return _screened(r + alpha0, strength, lambda_d) + _screened(r - alpha0, strength, lambda_d)
 
 
 def _radii(r):
+    """r and whether it is a scalar: a finite positive float (or int) as a float,
+    anything else as a float array; raises ValueError for r <= 0."""
+    if isinstance(r, (int, float)) and 0.0 < r < math.inf:
+        return float(r), True
     import numpy as np
 
     arr = np.asarray(r, dtype=float)
@@ -200,18 +216,21 @@ def dressed_pair_eval(r, p: ModelParams):
     -------
     float or ndarray
     """
-    import numpy as np
-
     arr, scalar = _radii(r)
     if p.alpha0 > 0.0:
         guard = POLE_GUARD * max(1.0, p.alpha0)
-        if np.any(np.abs(arr - p.alpha0) < guard):
+        if isinstance(arr, float):
+            near = abs(arr - p.alpha0) < guard
+        else:
+            import numpy as np
+
+            near = np.any(np.abs(arr - p.alpha0) < guard)
+        if near:
             raise PoleProximityError(
                 f"dressed potential evaluated within {guard:g} of the pole "
                 f"at r = alpha0 = {p.alpha0:g}"
             )
-    a = p.coulomb_strength
-    out = _screened(arr + p.alpha0, a, p.lambda_d) + _screened(arr - p.alpha0, a, p.lambda_d)
+    out = _dressed(arr, p.coulomb_strength, p.lambda_d, p.alpha0)
     return float(out) if scalar else out
 
 
@@ -254,10 +273,8 @@ def v0_quadrature(r, p: ModelParams, n_nodes: int = 64):
         )
     k = np.arange(1, n_nodes + 1)
     nodes = np.cos((2.0 * k - 1.0) * np.pi / (2.0 * n_nodes))
-    a = p.coulomb_strength
-    x = arr[..., np.newaxis] + p.alpha0 * nodes
-    y = arr[..., np.newaxis] - p.alpha0 * nodes
-    out = np.mean(_screened(x, a, p.lambda_d) + _screened(y, a, p.lambda_d), axis=-1)
+    pairs = _dressed(np.expand_dims(arr, -1), p.coulomb_strength, p.lambda_d, p.alpha0 * nodes)
+    out = np.mean(pairs, axis=-1)
     return float(out) if scalar else out
 
 

@@ -14,9 +14,10 @@ energy figure whose curves differ in the field (fig2a, fig2b, fig2d)
 passes them all to `_breakdowns` at once, so each x point computes its
 coefficient parts once for every curve; a field sweep (fig2c's curves,
 Table 1's field row) computes them once in all.
-Sweeps without the oracle, the table and the energy figures (fig2a-fig2d)
-load no numpy; the potential figures (fig1a-fig1c) import it for their
-radius arrays, and oracle rows load numpy and scipy through the solver.
+Sweeps without the oracle, the table and all seven figures compute in
+plain floats and load no numpy: the potential figures (fig1a-fig1c) take
+their radii from `_linspace` and evaluate the potentials one float radius
+at a time.  Oracle rows load numpy and scipy through the solver.
 """
 
 from dataclasses import dataclass, replace
@@ -26,7 +27,7 @@ from typing import NamedTuple
 from .oracle import (RadialGrid, default_grid, overlap, require_converged, require_grid,
                      solve_ground_state)
 from .perturbation import EnergyBreakdown, _breakdowns, wavefunction_eval
-from .potential import ModelParams, dressed_pair_eval, taylor_coefficients, veff_series_eval
+from .potential import ModelParams, _dressed, taylor_coefficients, veff_series_eval
 
 __all__ = [
     "SweepSpec",
@@ -200,7 +201,7 @@ def _linspace(start, stop, num):
 # defaults bracket the described features and are recorded in each
 # dataset's note so files remain self-describing.  An axis is a
 # (parameter name, values) pair; labels and notes use the short names.
-# The energy axes are plain floats, so the energy figures load no numpy.
+# Every axis is a tuple of plain floats, so no figure loads numpy.
 _FIG1C_FIELDS = (0.1, 10.0)
 _FIG1C_LAMBDAS = (1.0, 100.0)
 _FIG1_ALPHA0 = 1e-3
@@ -226,23 +227,31 @@ def _short(name):
     return _SHORT_NAMES.get(name, name)
 
 
+def _dressed_curve(lambda_d, radii):
+    """The dressed potential at lambda_d and `_FIG1_ALPHA0`, one float per radius."""
+    p = ModelParams(lambda_d=lambda_d, alpha0=_FIG1_ALPHA0)
+    a = p.coulomb_strength
+    return [_dressed(r, a, lambda_d, p.alpha0) for r in radii]
+
+
+def _with_field(dressed, radii, field):
+    """V_eff = dressed + F r at each radius."""
+    return [v + field * r for v, r in zip(dressed, radii)]
+
+
 def _potential_figure(tag, outer, inner):
     """V_eff(r) curves, one per (outer, inner) pair of the lambda_d and field
     axes; the dressed part, which the field leaves fixed, is built once per lambda_d."""
-    import numpy as np
-
     (outer_name, outer_values), (inner_name, inner_values) = outer, inner
-    radii = np.linspace(0.05, 10.0, 120)
-    r_list, lambdas = radii.tolist(), dict((outer, inner))["lambda_d"]
-    dressed = {lam: dressed_pair_eval(radii, ModelParams(lambda_d=lam, alpha0=_FIG1_ALPHA0))
-               for lam in lambdas}
+    radii = _linspace(0.05, 10.0, 120)
+    dressed = {lam: _dressed_curve(lam, radii) for lam in dict((outer, inner))["lambda_d"]}
     rows = []
     for a in outer_values:
         for b in inner_values:
             p = ModelParams(alpha0=_FIG1_ALPHA0, **{outer_name: a, inner_name: b})
             label = f"{_short(outer_name)}={a:g},{_short(inner_name)}={b:g}"
-            curve = dressed[p.lambda_d] + p.field * radii
-            rows.extend(zip(repeat(label), r_list, curve.tolist()))
+            curve = _with_field(dressed[p.lambda_d], radii, p.field)
+            rows.extend(zip(repeat(label), radii, curve))
     return FigureDataset(
         tag, "r", "V_eff",
         f"effective potential vs radius; alpha0={_FIG1_ALPHA0:g}, "
@@ -252,20 +261,17 @@ def _potential_figure(tag, outer, inner):
 
 
 def _fig1c(tag):
-    import numpy as np
-
     rows = []
     for lam in _FIG1C_LAMBDAS:
-        radii = np.linspace(0.02, 1.2 * lam, 60) if lam <= 2.0 else np.linspace(0.05, 10.0, 60)
-        r_list = radii.tolist()
-        dressed = dressed_pair_eval(radii, ModelParams(lambda_d=lam, alpha0=_FIG1_ALPHA0))
+        radii = _linspace(0.02, 1.2 * lam, 60) if lam <= 2.0 else _linspace(0.05, 10.0, 60)
+        dressed = _dressed_curve(lam, radii)
         for f in _FIG1C_FIELDS:
-            p = ModelParams(lambda_d=lam, alpha0=_FIG1_ALPHA0, field=f)
-            curves = (("exact", dressed + f * radii),
-                      ("series", veff_series_eval(radii, taylor_coefficients(p))))
+            coeffs = taylor_coefficients(ModelParams(lambda_d=lam, alpha0=_FIG1_ALPHA0, field=f))
+            curves = (("exact", _with_field(dressed, radii, f)),
+                      ("series", [veff_series_eval(r, coeffs) for r in radii]))
             for kind, curve in curves:
                 label = f"{kind},lambda_d={lam:g},F={f:g}"
-                rows.extend(zip(repeat(label), r_list, curve.tolist()))
+                rows.extend(zip(repeat(label), radii, curve))
     return FigureDataset(
         tag, "r", "V_eff",
         "exact dressed potential vs its cubic expansion; the expansion is "

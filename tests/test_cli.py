@@ -524,6 +524,10 @@ def test_bad_sweep_values_are_usage_errors(capsys, argv):
      " which needs n_points >= 400"),
     (["sweep", "--vary", "field", "--values", "0.01", "--lambda-d", "100", "--with-oracle",
       "--grid-points", "399"], None, "oracle_grid n_points = 399 is too few"),
+    # below RadialGrid's own floor of 100 too, the oracle's floor is the one to name
+    (["oracle", "--lambda-d", "100", "--grid-points", "99"], None,
+     "oracle_grid n_points = 99 is too few for the n_points // 4 Richardson grid,"
+     " which needs n_points >= 400"),
     # flags that no printed column uses
     (["sweep", "--vary", "field", "--values", "0.01", "--lambda-d", "5", "--grid-points", "20000"],
      None, 'oracle_grid requires the "oracle" output'),
@@ -542,7 +546,7 @@ def test_bad_sweep_values_are_usage_errors(capsys, argv):
         "minus-inf", "minus-nan", "flag-like-word", "grid-rmin-flag", "grid-rmin-key",
         "nan-last-value", "nan-first-value", "repeated-value", "oracle-box-1e-100",
         "oracle-box-1e-10", "oracle-box-1", "oracle-box-9.99", "sweep-box-3",
-        "oracle-grid-points-399", "sweep-grid-points-399",
+        "oracle-grid-points-399", "sweep-grid-points-399", "oracle-grid-points-99",
         "sweep-grid-without-oracle", "quad-nodes-without-quadrature", "linear-stop-inf-field",
         "linear-stop-inf-lambda-d", "linear-start-nan"])
 def test_input_errors_are_usage_errors(tmp_path, capsys, argv, args_text, message):
@@ -791,8 +795,8 @@ def _request(name, argv, loaded):
     _request("energy", ["energy", "--lambda-d", "100", "--field", "0.01"], ()),
     _request("table1", ["table1"], ()),
     _request("figure", ["figure", "--which", "fig2c"], ()),
-    *(_request(tag, ["figure", "--which", tag], ()) for tag in ("fig2a", "fig2b", "fig2d")),
-    *(_request(tag, ["figure", "--which", tag], _NUMPY) for tag in ("fig1a", "fig1b", "fig1c")),
+    *(_request(tag, ["figure", "--which", tag], ())
+      for tag in ("fig1a", "fig1b", "fig1c", "fig2a", "fig2b", "fig2d")),
     _request("potential",
              ["potential", "--lambda-d", "5", "--alpha0", "0.001", "--with-quadrature"], _NUMPY),
     _request("sweep", ["sweep", "--vary", "field", "--values", "0.001,0.01", "--lambda-d", "20"],
@@ -810,10 +814,11 @@ def _request(name, argv, loaded):
 ])
 def test_only_the_oracle_imports_scipy(argv, loaded):
     # numpy and scipy.linalg take most of the CLI's import time, so numpy
-    # loads only for a request that builds an array and scipy only for one
-    # that runs the eigensolver; the "import" case imports laserplasma and
-    # laserplasma.cli and runs nothing, and the oracle cases show the probe
-    # would see both
+    # loads only for a request that builds an array (`potential` and the
+    # geometric spacing; every figure, the potential ones too, computes in
+    # plain floats) and scipy only for one that runs the eigensolver; the
+    # "import" case imports laserplasma and laserplasma.cli and runs
+    # nothing, and the oracle cases show the probe would see both
     env = dict(os.environ)
     src = str(Path(laserplasma.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))

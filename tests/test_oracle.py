@@ -202,6 +202,30 @@ def test_shift_search_is_certified_whatever_the_guess():
         assert np.linalg.norm(u) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("p", [
+    ModelParams(lambda_d=0.5, field=0.04, alpha0=1e-3),
+    ModelParams(lambda_d=0.5, field=0.04, alpha0=0.05),
+    ModelParams(lambda_d=3.0, field=3.0, alpha0=1e-3),
+    ModelParams(lambda_d=3.0, field=4.0, alpha0=1e-3),
+    ModelParams(lambda_d=math.inf, field=4.0),
+    ModelParams(lambda_d=math.inf, field=4.0, alpha0=1e-3),
+    ModelParams(lambda_d=math.inf, field=4.0, alpha0=0.05),
+    ModelParams(lambda_d=5.0, field=0.5, hbar=1.5),
+], ids=lambda p: f"lambda{p.lambda_d:g}-F{p.field:g}-alpha{p.alpha0:g}-hbar{p.hbar:g}")
+def test_well_separated_states_settle_at_rounding(p):
+    # E_1 - E_0 is 1.8 to 5.8 Ha here, so the iteration reaches rounding in a
+    # few steps and then stalls near 1e-13, above its 1e-15 |E| target; it
+    # used to bisect the shift at each stall until the factorization cap
+    grid = default_grid(p)
+    for n in (grid.n_points, grid.n_points // 2, grid.n_points // 4):
+        coarse = RadialGrid(0.0, grid.r_max, n)
+        diag, off = hamiltonian_arrays(model_potential(p), coarse, p)
+        energy, u = solve_on_grid(model_potential(p), coarse, p)
+        assert abs(energy - _bisected_lowest(diag, off)) <= _rounding_bound(diag, off)
+        assert np.all(u >= 0.0)
+    assert require_converged(solve_ground_state(model_potential(p), grid, p)).energy > 0.0
+
+
 def test_each_grid_solve_factors_once(monkeypatch):
     # deterministic work count with one eigensolver: no bisection anywhere,
     # and each grid of a ground state, started from r exp(-s r) and its

@@ -7,7 +7,8 @@ import pytest
 
 from laserplasma.oracle import ConvergenceError, RadialGrid
 from laserplasma.perturbation import EnergyBreakdown, total_energy
-from laserplasma.potential import ModelParams
+from laserplasma.potential import (ModelParams, dressed_pair_eval, ecsc_eval, taylor_coefficients,
+                                   veff_series_eval)
 from laserplasma.sweep import (
     _FIGURES,
     FIGURE_TAGS,
@@ -134,13 +135,16 @@ def test_energy_figures_are_bit_identical_to_total_energy():
 
 
 def test_figure_axes_equal_numpy_spacing():
-    # the goldens print 7 decimals, so only this pins every axis bit for bit
+    # the goldens print 7 decimals, so only this pins every axis bit for bit;
+    # fig1c's axis depends on the curve's lambda_d, the label's second field
+    fig1c = {"lambda_d=1": np.linspace(0.02, 1.2, 60), "lambda_d=100": np.linspace(0.05, 10.0, 60)}
     axes = {"fig1a": np.linspace(0.05, 10.0, 120), "fig1b": np.linspace(0.05, 10.0, 120),
             "fig2a": np.linspace(0.0, 0.5, 51), "fig2b": np.linspace(0.0, 0.5, 51),
             "fig2c": np.geomspace(1e-4, 4e-2, 25), "fig2d": np.linspace(2.0, 100.0, 50)}
-    for tag, axis in axes.items():
+    for tag in (*axes, "fig1c"):
         rows = figure_dataset(tag).rows
         for label in dict.fromkeys(label for label, _, _ in rows):
+            axis = fig1c[label.split(",")[1]] if tag == "fig1c" else axes[tag]
             assert [x for series, x, _ in rows if series == label] == axis.tolist(), (tag, label)
 
 
@@ -231,6 +235,23 @@ def test_all_figure_tags_build():
 
 def _series(ds, label):
     return [(x, y) for (lab, x, y) in ds.rows if lab == label]
+
+
+def test_potential_figures_match_the_array_path():
+    # the figures evaluate one float radius at a time with math's exp and cos;
+    # numpy's array kernels may round each of them differently by a few ulps
+    for tag in ("fig1a", "fig1b", "fig1c"):
+        ds = figure_dataset(tag)
+        for label in dict.fromkeys(label for label, _, _ in ds.rows):
+            r, y = map(np.array, zip(*_series(ds, label)))
+            given = dict(part.split("=") for part in label.split(",") if "=" in part)
+            p = ModelParams(lambda_d=float(given["lambda_d"]), alpha0=1e-3, field=float(given["F"]))
+            if label.startswith("series"):
+                assert y.tolist() == veff_series_eval(r, taylor_coefficients(p)).tolist(), label
+                continue
+            scale = np.abs(ecsc_eval(r + p.alpha0, p)) + np.abs(ecsc_eval(r - p.alpha0, p))
+            tol = 8.0 * np.finfo(float).eps * (scale + p.field * r)
+            assert np.all(np.abs(y - (dressed_pair_eval(r, p) + p.field * r)) <= tol), label
 
 
 def test_fig1a_field_reduces_attractiveness():
