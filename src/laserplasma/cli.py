@@ -14,6 +14,7 @@ flags in that file, written as on the command line.  Each subcommand
 takes one request of a fixed type: ``sweep`` a `SweepSpec`, ``energy``
 and ``oracle`` the one-value ``field`` `SweepSpec` at its own field,
 ``potential`` a `PotentialTable`, ``figure`` a tag and ``table1`` None.
+Sweep rows print their breakdown and each later `SweepRow` field they fill.
 """
 
 import argparse
@@ -92,9 +93,6 @@ class RunConfig:
             raise ValueError(f"output_format must be csv or json, got {self.output_format!r}")
         if not 1 <= self.precision <= 17:
             raise ValueError(f"precision must be in [1, 17], got {self.precision}")
-        if self.subcommand == "energy" and isinstance(self.request, ModelParams):
-            p = self.request
-            object.__setattr__(self, "request", SweepSpec("field", (p.field,), p))
         _, accepts, words = _RUNNERS[self.subcommand]
         if not accepts(self.request):
             raise ValueError(f"{self.subcommand} takes {words}, got {self.request!r}")
@@ -142,10 +140,9 @@ def _build_parser():
     p_pot.add_argument("--r-max", type=float, default=10.0)
     p_pot.add_argument("--points", type=int, default=100)
     p_pot.add_argument("--log", action="store_true", help="log-spaced radii")
-    p_pot.add_argument("--with-quadrature", action="store_true",
-                       help="add the cycle-average column (needs r > alpha0)")
-    p_pot.add_argument("--quad-nodes", type=int, default=None,
-                       help="quadrature nodes of --with-quadrature (default 64)")
+    p_pot.add_argument("--with-quadrature", nargs="?", type=int, const=64, metavar="NODES",
+                       help="add the cycle-average column on NODES nodes, default 64 "
+                            "(needs r > alpha0)")
 
     sub.add_parser("energy", parents=[params, output],
                    help="closed-form energy breakdown")
@@ -231,12 +228,7 @@ def parse_args(argv) -> RunConfig:
         if ns.subcommand in ("table1", "figure"):  # a figure's request is its tag
             return RunConfig(ns.subcommand, getattr(ns, "which", None), **common)
         params = _model_params(ns)
-        if ns.subcommand == "energy":
-            return RunConfig("energy", params, **common)
         if ns.subcommand == "potential":
-            if ns.quad_nodes is not None and not ns.with_quadrature:
-                raise UsageError("--quad-nodes needs --with-quadrature")
-            nodes = 64 if ns.quad_nodes is None else ns.quad_nodes
             if not 0 < ns.r_min < ns.r_max < float("inf"):
                 raise UsageError("need 0 < --r-min < --r-max < inf")
             if ns.points < 2:
@@ -245,18 +237,20 @@ def parse_args(argv) -> RunConfig:
 
             space = np.geomspace if ns.log else np.linspace
             table = PotentialTable(params, space(ns.r_min, ns.r_max, ns.points),
-                                   nodes if ns.with_quadrature else None)
+                                   ns.with_quadrature)
             return RunConfig("potential", table, **common)
-        # oracle is the one-value field sweep at the given parameters
-        vary, values, outputs = "field", (params.field,), {"breakdown", "oracle", "overlap"}
+        # energy and oracle are the one-value field sweep at the given parameters
+        vary, values, outputs = "field", (params.field,), {"breakdown"}
+        if ns.subcommand == "oracle":
+            outputs |= {"oracle", "overlap"}
         if ns.subcommand == "sweep":
-            vary, values, outputs = ns.vary.replace("-", "_"), _sweep_values(ns), {"breakdown"}
+            vary, values = ns.vary.replace("-", "_"), _sweep_values(ns)
             if ns.with_oracle or ns.with_overlap:
                 outputs.add("oracle")
             if ns.with_overlap:
                 outputs.add("overlap")
-        spec = SweepSpec(vary, values, params, outputs=frozenset(outputs),
-                         oracle_grid=_grid_from(ns, params))
+        grid = None if ns.subcommand == "energy" else _grid_from(ns, params)  # energy has none
+        spec = SweepSpec(vary, values, params, outputs=frozenset(outputs), oracle_grid=grid)
         return RunConfig(ns.subcommand, spec, **common)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -345,16 +339,11 @@ def _run_sweep(config: RunConfig):
     """``sweep`` prints one row per value; ``energy`` and ``oracle`` print
     the one record of their sweep, as a CSV row or a flat JSON object."""
     spec = config.request
-    # optional columns are named after the SweepRow fields that fill them
-    extra = []
-    if "oracle" in spec.outputs:
-        extra += ["oracle_energy", "deviation"]
-    if "overlap" in spec.outputs:
-        extra.append("overlap")
-    if config.subcommand == "oracle":
-        extra.append("error_estimate")
+    rows = run_sweep(spec)
+    # SweepRow decides the optional columns: the fields after breakdown that hold a value
+    extra = [k for k in rows[0]._fields[2:] if getattr(rows[0], k) is not None]
     records = [{spec.vary: row.value, **{k: getattr(row.breakdown, k) for k in _BREAKDOWN_KEYS},
-                **{k: getattr(row, k) for k in extra}} for row in run_sweep(spec)]
+                **{k: getattr(row, k) for k in extra}} for row in rows]
     header = _params_header(spec.fixed)
     if config.subcommand == "sweep":
         del header[spec.vary]  # each row holds its own value

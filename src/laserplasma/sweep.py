@@ -1,23 +1,21 @@
 """Parameter sweeps and the datasets behind the reference table and figures.
 
-Rows are a pure function of the sweep specification, evaluated in input
-order, so reruns are byte-identical.  A row is a `SweepRow` named tuple
-around the `EnergyBreakdown` named tuple that `perturbation._breakdowns`, the
-one loop from coefficients to energies, yields with no ModelParams per point,
-as it does for the table and the energy figures; oracle rows build one for
-the solver and fill the rest.  The CLI's ``energy`` and ``oracle`` are
-one-value ``field`` sweeps.  Every figure is one entry of a table naming its
-builder and its parameter axes.  The field leaves both the dressed
-potential and the field-free coefficient parts unchanged: the potential
-figures evaluate the dressed potential once per screening length, and an
-energy figure whose curves differ in the field (fig2a, fig2b, fig2d)
-passes them all to `_breakdowns` at once, so each x point computes its
-coefficient parts once for every curve; a field sweep (fig2c's curves,
-Table 1's field row) computes them once in all.
-Sweeps without the oracle, the table and all seven figures compute in
-plain floats and load no numpy: the potential figures (fig1a-fig1c) take
-their radii from `_linspace` and evaluate the potentials one float radius
-at a time.  Oracle rows load numpy and scipy through the solver.
+Rows are a pure function of the sweep specification, evaluated in input order,
+so reruns are byte-identical.  Each `SweepRow` holds the `EnergyBreakdown`
+that `perturbation._breakdowns`, the one loop from coefficients to energies,
+yields with no ModelParams per point, as it does for the table and the energy
+figures.  The CLI's ``energy`` and ``oracle`` are one-value ``field`` sweeps.
+Every figure is one entry of a table naming its builder and its parameter
+axes.  The field leaves both the dressed potential and the field-free
+coefficient parts unchanged: the potential figures evaluate the dressed
+potential once per screening length, and an energy figure whose curves differ
+in the field (fig2a, fig2b, fig2d) passes them all to `_breakdowns` at once,
+so each x point computes its coefficient parts once for every curve; a field
+sweep (fig2c's curves, Table 1's field row) computes them once in all.  Sweeps
+without the oracle, the table and all seven figures compute in plain floats
+and load no numpy: the potential figures (fig1a-fig1c) take their radii from
+`_linspace` and evaluate the potentials one float radius at a time.  Oracle
+rows load numpy and scipy through the solver.
 """
 
 from dataclasses import dataclass, replace
@@ -119,6 +117,8 @@ class SweepSpec:
 
 
 class SweepRow(NamedTuple):
+    """A value's breakdown and oracle fields; the CLI prints each field not None, in order."""
+
     value: float
     breakdown: EnergyBreakdown
     oracle_energy: float | None = None

@@ -212,19 +212,12 @@ def test_runconfig_validation():
 
 
 @pytest.mark.parametrize("subcommand", ["energy", "oracle", "sweep"])
-def test_runconfig_without_sweep_spec(capsys, subcommand):
+def test_runconfig_without_sweep_spec(subcommand):
+    # bare parameters are no request: each of the three takes a sweep spec,
+    # energy's and oracle's the one-value field sweep that parse_args builds
     p = ModelParams(lambda_d=5.0, omega=2.0, e0_amp=1.0, alpha0=0.25, field=0.002)
-    if subcommand != "energy":
-        # values and outputs cannot be guessed, so construction refuses
-        with pytest.raises(ValueError, match="sweep spec"):
-            RunConfig(subcommand, p)
-        return
-    # energy derives its one-value field sweep and prints what the CLI prints
-    assert run(RunConfig("energy", p, precision=17)) == EXIT_OK
-    hand_built = capsys.readouterr().out
-    code, out, _ = run_cli(capsys, ["energy", "--lambda-d", "5", "--omega", "2", "--e0-amp", "1",
-                                    "--field", "0.002", "--precision", "17"])
-    assert code == EXIT_OK and hand_built == out
+    with pytest.raises(ValueError, match=f"^{subcommand} takes .*sweep spec"):
+        RunConfig(subcommand, p)
 
 
 P5 = ModelParams(lambda_d=5.0)
@@ -319,8 +312,9 @@ def test_oracle_json_schema(capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     for key in ("e0", "const_shift", "e1", "e2", "e3", "total",
-                "oracle_energy", "deviation", "overlap"):
+                "oracle_energy", "deviation", "overlap", "error_estimate"):
         assert key in payload
+    assert 0.0 < payload["error_estimate"] < 1e-4
     assert abs(payload["deviation"]) < 1e-4
     assert payload["overlap"] >= 0.999
 
@@ -398,10 +392,28 @@ def test_sweep_with_oracle_columns(capsys):
     )
     assert code == EXIT_OK
     _, header, rows = parse_csv(out)
-    assert header[-3:] == ["oracle_energy", "deviation", "overlap"]
+    assert header[-4:] == ["oracle_energy", "deviation", "overlap", "error_estimate"]
     row = dict(zip(header, map(float, rows[0])))
     assert abs(row["deviation"]) < 1e-4
     assert row["overlap"] >= 0.999
+    assert 0.0 < row["error_estimate"] < 1e-4
+
+
+def test_sweep_with_oracle_json_rows_carry_the_estimate(capsys):
+    # every oracle row prints its error estimate, as the oracle command does
+    code, out, _ = run_cli(
+        capsys,
+        ["sweep", "--vary", "field", "--values", "0.0001,0.01", "--lambda-d", "100",
+         "--alpha0", "0.0001", "--with-oracle", "--grid-rmax", "20", "--grid-points", "2000",
+         "--format", "json"],
+    )
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["columns"] == ["field", "e0", "const_shift", "e1", "e2", "e3", "total",
+                                  "oracle_energy", "deviation", "error_estimate"]
+    assert len(payload["rows"]) == 2
+    for row in payload["rows"]:
+        assert 0.0 < row[-1] < 1e-4
 
 
 def test_sweep_header_leaves_out_the_varied_parameter(capsys):
@@ -531,8 +543,9 @@ def test_bad_sweep_values_are_usage_errors(capsys, argv):
     # flags that no printed column uses
     (["sweep", "--vary", "field", "--values", "0.01", "--lambda-d", "5", "--grid-points", "20000"],
      None, 'oracle_grid requires the "oracle" output'),
+    # --with-quadrature takes the node count itself
     (["potential", "--lambda-d", "5", "--quad-nodes", "32"], None,
-     "--quad-nodes needs --with-quadrature"),
+     "unrecognized arguments: --quad-nodes 32"),
     # a non-finite endpoint used to reach the domain check as a NaN the user never gave
     (["sweep", "--vary", "field", "--start", "0", "--stop", "inf", "--count", "3",
       "--lambda-d", "5"], None, "--start and --stop must be finite, got --start 0 --stop inf"),
@@ -547,7 +560,7 @@ def test_bad_sweep_values_are_usage_errors(capsys, argv):
         "nan-last-value", "nan-first-value", "repeated-value", "oracle-box-1e-100",
         "oracle-box-1e-10", "oracle-box-1", "oracle-box-9.99", "sweep-box-3",
         "oracle-grid-points-399", "sweep-grid-points-399", "oracle-grid-points-99",
-        "sweep-grid-without-oracle", "quad-nodes-without-quadrature", "linear-stop-inf-field",
+        "sweep-grid-without-oracle", "quad-nodes-is-no-flag", "linear-stop-inf-field",
         "linear-stop-inf-lambda-d", "linear-start-nan"])
 def test_input_errors_are_usage_errors(tmp_path, capsys, argv, args_text, message):
     # @ARGS names an argument file, written only when the case gives its text
@@ -618,11 +631,34 @@ def test_sweep_oracle_nonconvergence_matches_oracle_command(capsys):
 
 def test_potential_rejects_too_few_quadrature_nodes(capsys):
     code, out, err = run_cli(
-        capsys, ["potential", "--lambda-d", "5", "--with-quadrature", "--quad-nodes", "4"]
+        capsys, ["potential", "--lambda-d", "5", "--with-quadrature", "4"]
     )
     assert code == EXIT_USAGE
     assert out == ""
     assert "quad_nodes must be >= 8, got 4" in err
+
+
+def test_with_quadrature_takes_its_node_count(capsys):
+    argv = ["potential", "--lambda-d", "5", "--alpha0", "0.001", "--field", "0.01"]
+    nodes = [parse_args([*argv, *flag]).request.quad_nodes
+             for flag in ([], ["--with-quadrature"], ["--with-quadrature", "32"])]
+    assert nodes == [None, 64, 32]
+    # the cycle average has converged at 32 nodes to the printed digits
+    assert (run_cli(capsys, [*argv, "--with-quadrature", "32"])
+            == run_cli(capsys, [*argv, "--with-quadrature"]))
+
+
+@pytest.mark.parametrize("argv", [[], ["potential"], ["energy"], ["oracle"], ["sweep"],
+                                  ["table1"], ["figure"]],
+                         ids=lambda argv: argv[0] if argv else "top-level")
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: laserplasma")
+    if argv == ["potential"]:
+        assert "[--with-quadrature [NODES]]" in out
 
 
 def test_negative_point_count_is_a_usage_error(capsys):

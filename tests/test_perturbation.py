@@ -485,3 +485,62 @@ def test_kernel_matches_reference_bit_for_bit():
             several_points += 1
     assert min(points.values()) >= 500
     assert several_points >= 2 * 500 * len(fields)
+
+
+# Complex-step derivatives (Squire & Trapp, SIAM Rev. 40, 110, 1998): with
+# step ih, Im E(x + ih) / h is dE/dx to rounding, with no cancellation, so
+# it holds only while the kernel is analytic arithmetic on its inputs.  A
+# math.* call refuses a complex value and abs drops its imaginary part, so
+# either one on a quantity that depends on lambda_D, F or alpha0 in
+# `_breakdowns`, `_coefficients`, `_alpha_terms` or `_lambda_terms` fails
+# these tests.
+_STEP = 1e-30
+_DERIVATIVE_POINTS = [(100.0, 0.04, 1e-4), (20.0, 0.004, 1e-3), (5.0, 0.01, 1e-4),
+                      (4.0, 0.01, 0.06), (1.0, 0.01, 0.3)]
+
+
+def _complex_step(p, axis):
+    value = getattr(p, axis)
+    return next(perturbation._breakdowns(p, axis, (complex(value, _STEP),))).total.imag / _STEP
+
+
+def _central_difference(p, axis):
+    value = getattr(p, axis)
+    h = 1e-5 * value
+    up, down = (total_energy(replace(p, **{axis: value + s})).total for s in (h, -h))
+    return (up - down) / (2.0 * h)
+
+
+@pytest.mark.parametrize("lambda_d, field, alpha0", _DERIVATIVE_POINTS)
+def test_field_derivative_is_the_analytic_c1_derivative(lambda_d, field, alpha0):
+    # the field enters c1 alone, with dc1/dF = 1, so dE/dF is dE/dc1 of the ladder
+    p = ModelParams(lambda_d=lambda_d, field=field, alpha0=alpha0)
+    sig, _, _, k2, q2, k_cross, q_cross, k_mixed, q_mixed, q3 = perturbation._ladder_terms(p)
+    c = taylor_coefficients(p)
+    analytic = (1.5 / sig - 2.0 * k2 * c.c1 / q2
+                + (2.0 * k_cross * c.c1 / q_cross - k_mixed * c.c2 / q_mixed) / q3)
+    assert _complex_step(p, "field") == pytest.approx(analytic, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("lambda_d, field, alpha0", _DERIVATIVE_POINTS)
+def test_screening_derivative_matches_central_differences(lambda_d, field, alpha0):
+    p = ModelParams(lambda_d=lambda_d, field=field, alpha0=alpha0)
+    assert _complex_step(p, "lambda_d") == pytest.approx(
+        _central_difference(p, "lambda_d"), rel=1e-7, abs=0.0)
+
+
+@pytest.mark.parametrize("lambda_d, field, alpha0",
+                         [point for point in _DERIVATIVE_POINTS if point[2] >= 0.06])
+def test_quiver_derivative_matches_central_differences(lambda_d, field, alpha0):
+    p = ModelParams(lambda_d=lambda_d, field=field, alpha0=alpha0)
+    assert _complex_step(p, "alpha0") == pytest.approx(
+        _central_difference(p, "alpha0"), rel=1e-6, abs=0.0)
+
+
+def test_derivatives_at_the_first_point():
+    p = ModelParams(lambda_d=100.0, field=0.04, alpha0=1e-4)
+    assert f"{_complex_step(p, 'field'):.14f}" == "0.74460951562500"
+    # the alpha0 terms sit below the total's last bit here, so central
+    # differences cancel to 0; the complex step still resolves them
+    assert _central_difference(p, "alpha0") == 0.0
+    assert _complex_step(p, "alpha0") == pytest.approx(-1.3185e-10, rel=1e-4, abs=0.0)
