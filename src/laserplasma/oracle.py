@@ -96,8 +96,8 @@ class RadialGrid:
             raise ValueError(f"r_min must be 0, the wall where u(0) = 0, got r_min = {self.r_min}")
         if not 0.0 < self.r_max < float("inf"):
             raise ValueError(f"r_max must be finite and exceed r_min, got r_max = {self.r_max}")
-        if self.n_points < 100:
-            raise ValueError(f"n_points must be >= 100, got {self.n_points}")
+        if not hasattr(self.n_points, "__index__") or self.n_points < 100:
+            raise ValueError(f"n_points must be an integer >= 100, got {self.n_points!r}")
         # the kinetic term divides by h^2, which must not underflow
         if not self.spacing * self.spacing >= sys.float_info.min:
             raise ValueError(
@@ -140,8 +140,8 @@ BOX_DECAY_LENGTHS = 20.0
 
 
 def default_grid(p: ModelParams) -> RadialGrid:
-    """Box large enough that the exp(-s r) tail is negligible at the wall."""
-    return RadialGrid(0.0, max(50.0, BOX_DECAY_LENGTHS / p.decay_rate), 8000)
+    """8000 points on a box of 100 decay lengths 1/``p.decay_rate`` (r_max = 50 at Z = 1)."""
+    return RadialGrid(0.0, 100.0 / p.decay_rate, 8000)
 
 
 def require_box(grid: RadialGrid, p: ModelParams, name: str = "grid") -> None:

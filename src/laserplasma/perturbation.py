@@ -28,16 +28,16 @@ a field sweep, once per point for a caller with several fields per point.
 here.
 `superpotential_set` gives the two superpotential coefficients, the W1
 slope and the W2 scale; `e3_hierarchy` and `wavefunction_eval` are built
-from them.  The energies are plain floats and load no numpy; the radial
-functions import it.
+from them.  The energies are plain floats, and the radial functions map a
+float radius to a float, so neither loads numpy; only an array of radii does.
 """
 
 import math
 from itertools import repeat
 from typing import NamedTuple
 
-from .potential import (ModelParams, _alpha_terms, _coefficients, _lambda_terms, _radii,
-                        taylor_coefficients)
+from .potential import (ModelParams, _alpha_terms, _coefficients, _lambda_terms, _lib,
+                        _radii, taylor_coefficients)
 
 __all__ = [
     "EnergyBreakdown",
@@ -88,11 +88,9 @@ def zeroth_order(p: ModelParams):
         chi0(r) = 2 sigma^{3/2} r exp(-sigma r), with sigma = 2 mu A / hbar^2,
         which maps a float to a float and an array to an array.
     """
-    import numpy as np
-
     sig = p.decay_rate
     norm = 2.0 * sig**1.5
-    return -sig * p.coulomb_strength, lambda r: norm * r * np.exp(-sig * r)
+    return -sig * p.coulomb_strength, lambda r: norm * r * _lib(r).exp(-sig * r)
 
 
 def e3_hierarchy(p: ModelParams) -> float:
@@ -192,8 +190,6 @@ def wavefunction_eval(r, p: ModelParams):
     the profile is meaningful where the state actually lives (roughly
     r <~ 10/sigma at reference parameters).
     """
-    import numpy as np
-
     r_arr, scalar = _radii(r)
     slope, scale = superpotential_set(p)
     sig, k = p.decay_rate, p.hbar / math.sqrt(2.0 * p.mu)
@@ -201,5 +197,5 @@ def wavefunction_eval(r, p: ModelParams):
     quad_coeff = 0.5 * slope + scale / sig
     cubic_coeff = scale / 3.0
     exponent = -sig * r_arr - (quad_coeff * r_arr**2 + cubic_coeff * r_arr**3) / k
-    out = 2.0 * sig**1.5 * r_arr * np.exp(exponent)
+    out = 2.0 * sig**1.5 * r_arr * _lib(r_arr).exp(exponent)
     return float(out) if scalar else out

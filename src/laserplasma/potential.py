@@ -27,9 +27,9 @@ where F is known, so one set of parts serves every field value.
 All quantities are in atomic units unless the generic ``mu``, ``hbar``,
 ``e_charge`` fields are overridden.  Every function here is pure and safe
 to call concurrently.  `ModelParams` and `taylor_coefficients` work in
-plain floats.  So do `ecsc_eval`, `dressed_pair_eval` and
-`veff_series_eval` at a finite positive float radius, with exp and cos from
-`math`; an array of radii, and `v0_quadrature` always, import numpy.
+plain floats, and so does every evaluator at a float radius, with exp and
+cos from `math`; only an array of radii imports numpy.  A radius must be
+finite and > 0, as a float and at every element of an array.
 """
 
 import math
@@ -148,17 +148,25 @@ class EffectiveCoefficients:
     c3: float
 
 
-def _screened(x, strength, lambda_d):
-    """Screened-Coulomb kernel -(A/x) exp(-x/lambda) cos(x/lambda), no checks;
-    exp and cos come from math for a float x and from numpy for an array."""
+def _lib(x):
+    """The module whose functions fit x: math for a float, numpy (imported only then) otherwise."""
     if isinstance(x, float):
-        exp, cos = math.exp, math.cos
-    else:
-        import numpy as np
+        return math
+    import numpy as np
 
-        exp, cos = np.exp, np.cos
+    return np
+
+
+def _any(holds):
+    """A comparison's verdict at a float, or whether it holds anywhere in an array."""
+    return holds if isinstance(holds, bool) else bool(holds.any())
+
+
+def _screened(x, strength, lambda_d):
+    """Screened-Coulomb kernel -(A/x) exp(-x/lambda) cos(x/lambda), no checks."""
+    lib = _lib(x)
     t = x / lambda_d
-    return -(strength / x) * exp(-t) * cos(t)
+    return -(strength / x) * lib.exp(-t) * lib.cos(t)
 
 
 def _dressed(r, strength, lambda_d, alpha0):
@@ -167,16 +175,13 @@ def _dressed(r, strength, lambda_d, alpha0):
 
 
 def _radii(r):
-    """r and whether it is a scalar: a finite positive float (or int) as a float,
-    anything else as a float array; raises ValueError for r <= 0."""
-    if isinstance(r, (int, float)) and 0.0 < r < math.inf:
-        return float(r), True
-    import numpy as np
-
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError("radial distance must be > 0")
-    return arr, np.isscalar(r) or arr.ndim == 0
+    """r and whether it is a scalar: a float (or int) as a float, anything else
+    as a float array; raises ValueError unless every radius is finite and > 0."""
+    arr = float(r) if isinstance(r, (int, float)) else _lib(r).asarray(r, dtype=float)
+    # NaN is the one value that compares unequal to itself
+    if _any((arr <= 0.0) | (arr == math.inf) | (arr != arr)):
+        raise ValueError("radial distance must be finite and > 0")
+    return arr, isinstance(arr, float) or arr.ndim == 0
 
 
 def ecsc_eval(r, p: ModelParams):
@@ -219,13 +224,7 @@ def dressed_pair_eval(r, p: ModelParams):
     arr, scalar = _radii(r)
     if p.alpha0 > 0.0:
         guard = POLE_GUARD * max(1.0, p.alpha0)
-        if isinstance(arr, float):
-            near = abs(arr - p.alpha0) < guard
-        else:
-            import numpy as np
-
-            near = np.any(np.abs(arr - p.alpha0) < guard)
-        if near:
+        if _any(abs(arr - p.alpha0) < guard):
             raise PoleProximityError(
                 f"dressed potential evaluated within {guard:g} of the pole "
                 f"at r = alpha0 = {p.alpha0:g}"
@@ -254,27 +253,24 @@ def v0_quadrature(r, p: ModelParams, n_nodes: int = 64):
         integrand pole stays outside the integration path.
     p : ModelParams
     n_nodes : int
-        Quadrature order, at least 8.  The integrand is smooth on the
+        Quadrature order, an integer of at least 8.  The integrand is smooth on the
         node interval, so convergence is geometric; 64 is ample.
 
     Returns
     -------
     float or ndarray
     """
-    import numpy as np
-
-    if n_nodes < 8:
-        raise ValueError(f"n_nodes must be >= 8, got {n_nodes}")
+    if not hasattr(n_nodes, "__index__") or n_nodes < 8:
+        raise ValueError(f"n_nodes must be an integer >= 8, got {n_nodes!r}")
     arr, scalar = _radii(r)
-    if np.any(arr <= p.alpha0):
+    if _any(arr <= p.alpha0):
         raise ValueError(
             f"cycle-average quadrature requires r > alpha0 = {p.alpha0:g} "
             "(pole crosses the integration path otherwise)"
         )
-    k = np.arange(1, n_nodes + 1)
-    nodes = np.cos((2.0 * k - 1.0) * np.pi / (2.0 * n_nodes))
-    pairs = _dressed(np.expand_dims(arr, -1), p.coulomb_strength, p.lambda_d, p.alpha0 * nodes)
-    out = np.mean(pairs, axis=-1)
+    a, lam, n = p.coulomb_strength, p.lambda_d, n_nodes
+    out = sum(_dressed(arr, a, lam, p.alpha0 * math.cos((2.0 * k - 1.0) * math.pi / (2.0 * n)))
+              for k in range(1, n + 1)) / n
     return float(out) if scalar else out
 
 

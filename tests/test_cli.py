@@ -605,8 +605,9 @@ def test_oracle_passes_where_the_two_grid_estimate_refused(capsys):
 
 
 def test_oracle_nonconvergence_names_the_grid(capsys):
-    # at Z = 5 the default grid's estimate is 3.6e-4; four times the points pass
-    model = ["--lambda-d", "100", "--alpha0", "1e-4", "--field", "0.01", "--z", "5"]
+    # at Z = 5 a 50 a.u. box's estimate is 3.6e-4; four times the points pass
+    model = ["--lambda-d", "100", "--alpha0", "1e-4", "--field", "0.01", "--z", "5",
+             "--grid-rmax", "50"]
     code, out, err = run_cli(capsys, ["oracle", *model])
     assert code == EXIT_NUMERIC
     assert out == ""
@@ -614,6 +615,10 @@ def test_oracle_nonconvergence_names_the_grid(capsys):
     assert "r_max = 50, n_points = 8000" in err and "--grid-points" in err
     code, _, _ = run_cli(capsys, ["oracle", *model, "--grid-points", "32000"])
     assert code == EXIT_OK
+    # the default box spans 100 decay lengths, and passes at Z = 5 and 8
+    for z in ("5", "8"):
+        code, _, _ = run_cli(capsys, ["oracle", *model[:-4], "--z", z])
+        assert code == EXIT_OK
 
 
 def test_sweep_oracle_nonconvergence_matches_oracle_command(capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -89,6 +90,11 @@ def test_grid_validation():
         RadialGrid(5.0, 5.0, 500)
     with pytest.raises(ValueError):
         RadialGrid(0.0, 10.0, 50)
+    # a count must be an integer, or every solve would fail inside numpy
+    for n_points in (8000.0, 8000.5, np.float64(8000.0), "8000"):
+        with pytest.raises(ValueError, match=re.escape(f"integer >= 100, got {n_points!r}")):
+            RadialGrid(0.0, 50.0, n_points)
+    assert RadialGrid(0.0, 50.0, np.int64(8000)).n_points == 8000
     # an infinite box has no spacing: its nodes would sample V at r = inf
     for r_max in (math.inf, math.nan):
         with pytest.raises(ValueError, match="r_max must be finite"):
@@ -127,7 +133,7 @@ def test_require_converged_at_its_boundary_and_on_nan():
 def test_default_grid_scales_with_binding():
     assert default_grid(AU).r_max == 50.0
     weak = ModelParams(lambda_d=10.0, mu=0.1)  # decay rate 0.2
-    assert default_grid(weak).r_max == pytest.approx(100.0)
+    assert default_grid(weak).r_max == pytest.approx(500.0)
 
 
 def test_coulomb_ground_state():
@@ -345,6 +351,20 @@ def test_error_estimate_is_honest():
         for grid in grids:
             result = solve_ground_state(manufactured(2.0, q, b, -1.9), grid, AU)
             assert 1.0 <= result.error_estimate / abs(result.energy + 1.9) <= 1e3
+
+
+def test_default_grid_error_estimate_is_honest_at_every_charge():
+    # the box spans 100 decay lengths, so the grid shrinks with the state:
+    # on exact eigenpairs scaled to charge Z the ratio stays near 650 and
+    # every estimate passes (a fixed 50 a.u. box fails the tolerance from Z = 5)
+    for z in (1.0, 2.0, 5.0, 8.0):
+        p = ModelParams(lambda_d=100.0, z=z)
+        for q, b in MANUFACTURED_CASES:
+            e_m = -1.9 * z * z
+            potential = manufactured(2.0 * z, q * z * z, b * z**3, e_m)
+            result = solve_ground_state(potential, default_grid(p), p)
+            assert 1.0 <= result.error_estimate / abs(result.energy - e_m) <= 1e3, (z, q, b)
+            assert result.error_estimate <= CONVERGENCE_TOL
 
 
 def test_grid_too_small_for_the_quarter_grid_is_refused():

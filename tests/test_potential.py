@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from laserplasma.potential import (
     v0_quadrature,
     veff_series_eval,
 )
+from laserplasma.perturbation import wavefunction_eval
 
 from exact import exact_coefficient, pole_free, series_terms
 
@@ -106,14 +108,28 @@ def test_ecsc_frozen_value():
     assert ecsc_eval(1.0, p) == pytest.approx(-0.19876611034641298, rel=1e-14)
 
 
-def test_ecsc_domain():
-    p = ModelParams(lambda_d=1.0)
-    with pytest.raises(ValueError):
-        ecsc_eval(0.0, p)
-    with pytest.raises(ValueError):
-        ecsc_eval(-1.0, p)
-    with pytest.raises(ValueError):
-        ecsc_eval(np.array([1.0, -2.0]), p)
+DOMAIN_PARAMS = ModelParams(lambda_d=1.0, alpha0=0.1, field=0.01)
+# every evaluator of a radius, at DOMAIN_PARAMS
+EVALUATORS = {
+    "ecsc_eval": lambda r: ecsc_eval(r, DOMAIN_PARAMS),
+    "dressed_pair_eval": lambda r: dressed_pair_eval(r, DOMAIN_PARAMS),
+    "veff_series_eval": lambda r: veff_series_eval(r, taylor_coefficients(DOMAIN_PARAMS)),
+    "v0_quadrature": lambda r: v0_quadrature(r, DOMAIN_PARAMS),
+    "wavefunction_eval": lambda r: wavefunction_eval(r, DOMAIN_PARAMS),
+}
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_ecsc_domain(name):
+    # a radius must be finite and > 0, as a float and at every element of an
+    # array, or NaN and +-inf would come back as NaN without a word
+    evaluate = EVALUATORS[name]
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        for r in (bad, np.array([1.0, bad]), [bad]):
+            with pytest.raises(ValueError, match="radial distance must be finite and > 0"):
+                evaluate(r)
+    assert math.isfinite(evaluate(1.0))
+    assert np.all(np.isfinite(evaluate(np.array([0.5, 1.0]))))
 
 
 def test_ecsc_vectorized():
@@ -177,6 +193,11 @@ def test_quadrature_domain_errors():
         v0_quadrature(0.4, p)
     with pytest.raises(ValueError, match="n_nodes"):
         v0_quadrature(2.0, p, n_nodes=4)
+    # a node count must be an integer, or 8.5 would sum nine terms of an 8.5-node rule
+    for n_nodes in (8.5, 64.0, np.float64(64.0), "64"):
+        with pytest.raises(ValueError, match=re.escape(f"integer >= 8, got {n_nodes!r}")):
+            v0_quadrature(1.0, p, n_nodes)
+    assert v0_quadrature(1.0, p, np.int64(64)) == v0_quadrature(1.0, p, 64)
 
 
 def test_endpoint_error_envelope():
