@@ -23,16 +23,19 @@ each substitution of a solve only adds nonnegative terms.  Each grid starts
 from the Coulomb pole's own state r exp(-s r), s = ``p.decay_rate``,
 floored so it is positive at every node, and from its Rayleigh quotient, an
 upper bound of E_0, so every iterate is >= 0 exactly, and the iteration
-converges to the nodeless ground state with no node check.  numpy is
-imported only by the functions that build or read the grid arrays, and
-scipy (LAPACK) only when a solve runs, so importing this module loads
-neither.
+converges to the nodeless ground state with no node check; the first
+shift sits 2e-4 max(1, |Q|) below that quotient Q.  The unit start vector
+of each (grid, s) is built once and cached.  numpy is imported only by
+the functions that build or read the grid arrays, and scipy (LAPACK) only
+when a solve runs, so importing this module loads neither.
 
 This solver shares no code with the closed-form energy ladder in
 `laserplasma.perturbation`, which is exactly what makes it usable as a
 cross-check of those formulas.
 """
 
+import functools
+import math
 import sys
 from dataclasses import dataclass
 
@@ -178,6 +181,20 @@ def _sample(function, r, name):
     return v
 
 
+@functools.lru_cache(maxsize=8)
+def _start(grid: RadialGrid, decay_rate: float):
+    """Unit u ~ r exp(-s r), s = ``decay_rate``, floored > 0; u^2; sum u_i u_{i+1}."""
+    import numpy as np
+
+    r = grid.points
+    log_u = np.log(r) - decay_rate * r
+    u = np.exp(log_u - np.max(log_u))  # 1 at its peak node, so u @ u cannot underflow
+    u = np.maximum(u / math.sqrt(u @ u), sys.float_info.min)
+    square = u * u
+    u.flags.writeable = square.flags.writeable = False
+    return u, square, float(u[:-1] @ u[1:])
+
+
 def hamiltonian_arrays(potential, grid: RadialGrid, p: ModelParams):
     """Diagonal and off-diagonal of the discretized radial Hamiltonian."""
     import numpy as np
@@ -192,20 +209,21 @@ def hamiltonian_arrays(potential, grid: RadialGrid, p: ModelParams):
 def _lowest_eigenpair(diag, off, guess, start):
     """Lowest eigenpair of the tridiagonal (diag, off < 0) by certified inverse iteration.
 
-    ``guess`` only sets where the shift search starts: the shift moves down
-    from it by growing steps until T - shift I factors, and is bisected
-    towards the current energy (an upper bound of E_0) whenever the
-    iteration contracts slowly.  ``start``, positive at every node, is the
-    first iterate.  Returns the energy and a positive unit vector; raises
-    `GroundStateError` when a cap is reached.
+    ``guess`` only sets where the shift search starts: the first shift sits
+    2e-4 max(1, |guess|) below it and moves down by steps growing 4-fold
+    until T - shift I factors, and is bisected towards the current energy
+    (an upper bound of E_0) whenever the iteration contracts slowly.
+    ``start``, positive at every node, is the first iterate.  Returns the
+    energy and a positive unit vector; raises `GroundStateError` when a cap
+    is reached.
     """
     import numpy as np
     from scipy.linalg.lapack import dpttrf, dpttrs
 
-    u = start / np.linalg.norm(start)
-    lo, hi, step = -np.inf, np.inf, 1e-3 * max(1.0, abs(guess))
+    u = start / math.sqrt(start @ start)
+    lo, hi, step = -np.inf, np.inf, 2e-4 * max(1.0, abs(guess))
     shift, energy, changes = guess - step, np.inf, []
-    ulp = np.spacing(np.max(np.abs(diag)))
+    ulp = np.spacing(max(diag.max(), -diag.min()))
     for _ in range(_MAX_FACTORIZATIONS):
         # on the ulp grid of diag's largest entry, diag - shift is exact
         # (barring a carry into the next binade), so the factored matrix is
@@ -222,7 +240,7 @@ def _lowest_eigenpair(diag, off, guess, start):
             y, _ = dpttrs(d, e, u)
             q = 1.0 / (u @ y)
             changes.append(abs(shift + q - energy))
-            energy, u = shift + q, y / np.linalg.norm(y)
+            energy, u = shift + q, y / math.sqrt(y @ y)
             # not the Rayleigh quotient of T, whose terms cancel from ~1e5
             if changes[-1] <= 1e-15 * (abs(shift) + q):
                 return float(energy), u
@@ -248,18 +266,13 @@ def solve_on_grid(potential, grid: RadialGrid, p: ModelParams):
         Raw eigenvalue and eigenvector normalized to sum(u^2) h = 1;
         u >= 0, and positive wherever the state is representable.
     """
-    import numpy as np
-
     require_box(grid, p)
-    diag, off = hamiltonian_arrays(potential, grid, p)
-    # r exp(-s r), scaled to 1 at its peak node so its squares cannot underflow
-    r = grid.points
-    log_u = np.log(r) - p.decay_rate * r
-    start = np.maximum(np.exp(log_u - np.max(log_u)), sys.float_info.min)
-    # start's Rayleigh quotient, an upper bound of E_0
-    guess = (start @ (diag * start) + 2.0 * (off * start[:-1]) @ start[1:]) / (start @ start)
+    diag, off = hamiltonian_arrays(potential, grid, p)  # checks the potential first
+    start, square, cross = _start(grid, p.decay_rate)
+    # start's Rayleigh quotient, an upper bound of E_0 (start is unit, off constant)
+    guess = float(square @ diag + 2.0 * off[0] * cross)
     energy, u = _lowest_eigenpair(diag, off, guess, start)
-    return energy, u / np.sqrt(np.sum(u * u) * grid.spacing)
+    return energy, u / math.sqrt(grid.spacing)
 
 
 def solve_ground_state(potential, grid: RadialGrid, p: ModelParams) -> OracleResult:

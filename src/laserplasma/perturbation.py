@@ -86,11 +86,16 @@ def zeroth_order(p: ModelParams):
     (float, callable)
         Energy ``-sigma A`` and the unit-normalized radial function
         chi0(r) = 2 sigma^{3/2} r exp(-sigma r), with sigma = 2 mu A / hbar^2,
-        which maps a float to a float and an array to an array.
+        which maps a float to a float and an array to an array, each radius
+        finite and > 0.
     """
     sig = p.decay_rate
-    norm = 2.0 * sig**1.5
-    return -sig * p.coulomb_strength, lambda r: norm * r * _lib(r).exp(-sig * r)
+
+    def chi0(r):
+        r_arr, scalar = _radii(r)
+        out = 2.0 * sig**1.5 * r_arr * _lib(r_arr).exp(-sig * r_arr)
+        return float(out) if scalar else out
+    return -sig * p.coulomb_strength, chi0
 
 
 def e3_hierarchy(p: ModelParams) -> float:
@@ -188,7 +193,8 @@ def wavefunction_eval(r, p: ModelParams):
     The result is not normalized.  The correction exponent is a cubic
     polynomial, so far outside the bound-state region it eventually grows;
     the profile is meaningful where the state actually lives (roughly
-    r <~ 10/sigma at reference parameters).
+    r <~ 10/sigma at reference parameters); past it, a float radius may
+    raise OverflowError naming r and ``p``, where an array holds inf.
     """
     r_arr, scalar = _radii(r)
     slope, scale = superpotential_set(p)
@@ -196,6 +202,9 @@ def wavefunction_eval(r, p: ModelParams):
     # P(r) = int_0^r (W1 + W2) = (slope/2 + scale/sigma) r^2 + (scale/3) r^3
     quad_coeff = 0.5 * slope + scale / sig
     cubic_coeff = scale / 3.0
-    exponent = -sig * r_arr - (quad_coeff * r_arr**2 + cubic_coeff * r_arr**3) / k
-    out = 2.0 * sig**1.5 * r_arr * _lib(r_arr).exp(exponent)
+    try:
+        exponent = -sig * r_arr - (quad_coeff * r_arr**2 + cubic_coeff * r_arr**3) / k
+        out = 2.0 * sig**1.5 * r_arr * _lib(r_arr).exp(exponent)
+    except OverflowError:  # only math raises it; numpy gives inf
+        raise OverflowError(f"wavefunction overflows at r = {r_arr:g} for {p}") from None
     return float(out) if scalar else out

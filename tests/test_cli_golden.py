@@ -46,10 +46,10 @@ GOLDEN_SHA256 = {
      "--lambda-d", "20", "--alpha0", "0.001",
      "--precision", "17"): "1a9b8c9c7ae289ae1abf15891d5f1236cee6626777961f72b9f79f735718268d",
     ("oracle", "--lambda-d", "100", "--alpha0", "1e-4", "--field", "0.01",
-     "--grid-rmax", "20"): "48ecb70b5bf65183e4e1db5a1dbbdfefd6416bd50957fa955956aa4539e03327",
+     "--grid-rmax", "20"): "957997e98a82234e590bbb92b716fdde8074e5f3f8fcdde96d070aa9fde0edd6",
     ("sweep", "--vary", "field", "--values", "0.0001,0.001,0.01", "--lambda-d", "100",
      "--alpha0", "1e-4", "--with-overlap",
-     "--grid-rmax", "20"): "3bf4d917c528a0a1c479a00bd40e7ca7d0b49d43a22b9c78cd65d7a0739592e6",
+     "--grid-rmax", "20"): "ae45ab7ade26ff74b3b6f5d7653c3f4ea29abcf9b3c3d5dbef29f279c4c97404",
     ("potential", "--lambda-d", "5", "--alpha0", "0.001", "--field", "0.01",
      "--with-quadrature"): "43c1f5005416217c1357acf2d6d9ed8b3e6adf62b397b47fe5a22840ba57cb51",
 }

@@ -268,7 +268,52 @@ def test_each_grid_solve_factors_once(monkeypatch):
         assert {n for _, n in calls} == sizes
         for n in sizes:
             assert calls.count(("dpttrf", n)) == 1
-            assert calls.count(("dpttrs", n)) <= 4
+            assert calls.count(("dpttrs", n)) <= 3
+
+
+def test_potential_may_write_into_its_radii():
+    # the potential gets a fresh, writable grid.points on every call
+    p = ModelParams(lambda_d=20.0, field=0.004)
+    grid = RadialGrid(0.0, 40.0, 1000)
+
+    def in_place(r):
+        r *= 1.0
+        return model_potential(p)(r)
+
+    expected = solve_ground_state(model_potential(p), grid, p)
+    assert solve_ground_state(in_place, grid, p).energy == expected.energy
+
+
+def test_cached_start_is_read_only_and_keyed_by_grid_and_decay_rate():
+    grid = RadialGrid(0.0, 40.0, 1000)
+    charges = [ModelParams(lambda_d=20.0, field=0.004, z=z) for z in (1.0, 2.0)]
+    assert charges[0].decay_rate != charges[1].decay_rate
+    start, square, cross = oracle._start(grid, charges[0].decay_rate)
+    for array in (start, square):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    assert oracle._start(grid, charges[0].decay_rate)[0] is start
+    assert oracle._start(RadialGrid(0.0, 40.0, 1000), charges[0].decay_rate)[0] is start
+    assert oracle._start(RadialGrid(0.0, 40.0, 1001), charges[0].decay_rate)[0] is not start
+    assert oracle._start(grid, charges[1].decay_rate)[0] is not start
+    assert np.linalg.norm(start) == pytest.approx(1.0, abs=1e-15)
+    assert np.array_equal(square, start * start) and cross == start[:-1] @ start[1:]
+
+    def solve(p):
+        result = solve_ground_state(model_potential(p), grid, p)
+        return result.energy, result.error_estimate, result.u_samples
+
+    fresh = []
+    for p in charges:
+        oracle._start.cache_clear()
+        fresh.append(solve(p))
+    # Z = 1, then 2, then 1 again on a warm cache: bit for bit the cold solves
+    for p, cold in zip((*charges, charges[0]), (*fresh, fresh[0])):
+        warm = solve(p)
+        assert warm[:2] == cold[:2]
+        assert np.array_equal(warm[2], cold[2])
+        assert warm[2].flags.writeable
 
 
 def test_solver_caps_raise_instead_of_returning_a_number(monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -50,3 +51,12 @@ def test_a_float_radius_loads_no_numpy():
     proc = subprocess.run([sys.executable, "-c", _FLOAT_PROBE], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.stdout.splitlines()[-1:] == ["loaded:"], proc.stderr
+
+
+def test_every_benchmark_record_names_its_commits_machine_and_commands():
+    records = sorted(Path(__file__).resolve().parents[1].glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text())
+        missing = {"what", "parent", "change", "machine", "commands"} - set(record)
+        assert not missing, f"{path.name} lacks {sorted(missing)}"

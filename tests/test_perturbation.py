@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -62,7 +63,10 @@ def profiles(p):
 def test_zeroth_order_reference_case():
     energy, chi0 = zeroth_order(ModelParams(lambda_d=100.0))
     assert energy == -2.0
-    assert chi0(0.0) == 0.0
+    # chi0 vanishes linearly at the wall, which lies outside every evaluator's domain
+    assert chi0(1e-300) == 2.0 * 2.0**1.5 * 1e-300
+    with pytest.raises(ValueError, match="radial distance must be finite and > 0"):
+        chi0(0.0)
 
 
 def test_zeroth_order_normalization_and_moment():
@@ -352,6 +356,17 @@ def test_wavefunction_positive_and_decaying():
         assert psi[-1] < 1e-10 * peak
     with pytest.raises(ValueError):
         wavefunction_eval(0.0, ModelParams(lambda_d=5.0))
+
+
+def test_wavefunction_overflow_names_the_radius_and_the_parameters():
+    # the cubic exponent overflows math.exp at a float radius; an array holds inf
+    p = ModelParams(lambda_d=5.0, field=0.04)
+    for r in (1e3, 1e200):
+        message = f"wavefunction overflows at r = {r:g} for {p!r}"
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            wavefunction_eval(r, p)
+    with np.errstate(over="ignore"):
+        assert wavefunction_eval(np.array([1.0, 1e3]), p)[1] == math.inf
 
 
 def test_wavefunction_matches_explicit_moderating_factor():
