@@ -59,8 +59,8 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class PotentialTable:
-    """``potential``'s request: two or more finite radii > 0, stored as a tuple
-    of floats; ``quad_nodes`` >= 8, or None to leave out the cycle-average column."""
+    """``potential``'s request: two or more finite radii > 0, stored as a tuple of
+    floats; ``quad_nodes`` an integer >= 8, or None to leave out the cycle-average column."""
 
     params: ModelParams
     radii: tuple
@@ -74,8 +74,9 @@ class PotentialTable:
         for r in radii:
             if not 0.0 < r < float("inf"):
                 raise ValueError(f"radii must be finite and > 0, got {r}")
-        if self.quad_nodes is not None and self.quad_nodes < 8:
-            raise ValueError(f"quad_nodes must be >= 8, got {self.quad_nodes}")
+        n = self.quad_nodes
+        if n is not None and (not hasattr(n, "__index__") or n < 8):  # v0_quadrature's rule
+            raise ValueError(f"quad_nodes must be an integer >= 8, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -192,6 +193,14 @@ def _grid_from(ns, params):
     return replace(default_grid(params), **given) if given else None
 
 
+def _spacing(start, stop, num, geometric):
+    """np.linspace(start, stop, num), or np.geomspace if geometric, as a tuple of floats."""
+    if not geometric:
+        return _linspace(start, stop, num)
+    logs = _linspace(math.log10(start), math.log10(stop), num)
+    return (start, *(10.0 ** y for y in logs[1:-1]), stop)[:num]
+
+
 def _sweep_values(ns):
     if ns.values is not None:
         if ns.start is not None or ns.stop is not None or ns.count is not None or ns.geometric:
@@ -207,14 +216,10 @@ def _sweep_values(ns):
     if not (math.isfinite(ns.start) and math.isfinite(ns.stop)):
         raise UsageError(f"--start and --stop must be finite, "
                          f"got --start {ns.start:g} --stop {ns.stop:g}")
-    if ns.geometric:
-        if not (ns.start > 0 and ns.stop > 0):
-            raise UsageError(f"--geometric needs --start and --stop > 0, "
-                             f"got --start {ns.start:g} --stop {ns.stop:g}")
-        import numpy as np
-
-        return tuple(float(v) for v in np.geomspace(ns.start, ns.stop, ns.count))
-    return _linspace(ns.start, ns.stop, ns.count)  # loads no numpy
+    if ns.geometric and not (ns.start > 0 and ns.stop > 0):
+        raise UsageError(f"--geometric needs --start and --stop > 0, "
+                         f"got --start {ns.start:g} --stop {ns.stop:g}")
+    return _spacing(ns.start, ns.stop, ns.count, ns.geometric)
 
 
 def parse_args(argv) -> RunConfig:
@@ -233,10 +238,7 @@ def parse_args(argv) -> RunConfig:
                 raise UsageError("need 0 < --r-min < --r-max < inf")
             if ns.points < 2:
                 raise UsageError(f"--points must be >= 2, got {ns.points}")
-            import numpy as np
-
-            space = np.geomspace if ns.log else np.linspace
-            table = PotentialTable(params, space(ns.r_min, ns.r_max, ns.points),
+            table = PotentialTable(params, _spacing(ns.r_min, ns.r_max, ns.points, ns.log),
                                    ns.with_quadrature)
             return RunConfig("potential", table, **common)
         # energy and oracle are the one-value field sweep at the given parameters
@@ -267,12 +269,9 @@ def _fmt(value, precision):
 
 
 def _params_header(p: ModelParams):
-    header = {"z": p.z, "lambda_d": p.lambda_d, "alpha0": p.alpha0, "field": p.field,
-              "mu": p.mu, "hbar": p.hbar, "e_charge": p.e_charge}
-    if p.omega is not None:
-        header["omega"] = p.omega
-        header["e0_amp"] = p.e0_amp
-    return header
+    laser = ("omega", "e0_amp") if p.omega is not None else ()
+    names = ("z", "lambda_d", "alpha0", "field", "mu", "hbar", "e_charge", *laser)
+    return {name: getattr(p, name) for name in names}
 
 
 def _write(config: RunConfig, text: str):
@@ -309,29 +308,26 @@ _BREAKDOWN_KEYS = EnergyBreakdown._fields + ("total",)
 
 
 def _run_potential(config: RunConfig):
-    import numpy as np
-
     table = config.request
-    p, r = table.params, np.array(table.radii)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by column and radius
-        # the quadrature runs first, so radii r <= alpha0 are reported as such
-        # and not as the dressed form's pole at r = alpha0
-        quadrature = None if table.quad_nodes is None else v0_quadrature(r, p, table.quad_nodes)
-        dressed = dressed_pair_eval(r, p)
-        try:
-            coeffs = taylor_coefficients(p)
-        except ArithmeticError as exc:
-            raise type(exc)(f"{exc.args[-1]} at {p}") from exc
-        columns = {"r": r, "screened": ecsc_eval(r, p), "dressed": dressed,
-                   "effective": dressed + p.field * r, "series": veff_series_eval(r, coeffs)}
+    p, radii, n = table.params, table.radii, table.quad_nodes
+    # the quadrature runs first, so radii r <= alpha0 are reported as such
+    # and not as the dressed form's pole at r = alpha0
+    quadrature = None if n is None else [v0_quadrature(r, p, n) for r in radii]
+    dressed = [dressed_pair_eval(r, p) for r in radii]
+    try:
+        coeffs = taylor_coefficients(p)
+    except ArithmeticError as exc:
+        raise type(exc)(f"{exc.args[-1]} at {p}") from exc
+    columns = {"r": radii, "screened": [ecsc_eval(r, p) for r in radii],
+               "dressed": dressed, "effective": [d + p.field * r for d, r in zip(dressed, radii)],
+               "series": [veff_series_eval(r, coeffs) for r in radii]}
     if quadrature is not None:
         columns["cycle_avg"] = quadrature
-    for name, column in columns.items():
-        finite = np.isfinite(column)
-        if not finite.all():
-            raise ValueError(f"{name} is not finite at r = {r[~finite][0]:g}")
-    rows = zip(*(column.tolist() for column in columns.values()))
-    _emit(config, _params_header(p), list(columns), rows)
+    for name, column in columns.items():  # reported by column, then by radius
+        for r, value in zip(radii, column):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} is not finite at r = {r:g}")
+    _emit(config, _params_header(p), list(columns), zip(*columns.values()))
     return EXIT_OK
 
 

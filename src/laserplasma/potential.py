@@ -27,9 +27,9 @@ where F is known, so one set of parts serves every field value.
 All quantities are in atomic units unless the generic ``mu``, ``hbar``,
 ``e_charge`` fields are overridden.  Every function here is pure and safe
 to call concurrently.  `ModelParams` and `taylor_coefficients` work in
-plain floats, and so does every evaluator at a float radius, with exp and
-cos from `math`; only an array of radii imports numpy.  A radius must be
-finite and > 0, as a float and at every element of an array.
+plain floats, and so does every evaluator at a float radius: exp and cos
+come from `math`, with numpy's inf or nan where those raise, and only an
+array of radii imports numpy.  Every radius must be finite and > 0.
 """
 
 import math
@@ -166,7 +166,10 @@ def _screened(x, strength, lambda_d):
     """Screened-Coulomb kernel -(A/x) exp(-x/lambda) cos(x/lambda), no checks."""
     lib = _lib(x)
     t = x / lambda_d
-    return -(strength / x) * lib.exp(-t) * lib.cos(t)
+    try:
+        return -(strength / x) * lib.exp(-t) * lib.cos(t)
+    except (OverflowError, ValueError):  # math's; numpy gives inf past exp's range, nan at inf t
+        return -(strength / x) * math.inf * math.cos(t) if abs(t) < math.inf else math.nan
 
 
 def _dressed(r, strength, lambda_d, alpha0):

@@ -383,6 +383,39 @@ def test_sweep_range_flags(capsys):
     assert float(rows[-1][0]) == pytest.approx(100.0)
 
 
+def _first_column(capsys, argv):
+    """The first column of a JSON table request, as the floats it printed."""
+    code, out, _ = run_cli(capsys, [*argv, "--format", "json"])
+    assert code == EXIT_OK
+    return [row[0] for row in json.loads(out)["rows"]]
+
+
+@pytest.mark.parametrize("start, stop, num", [
+    (0.05, 10.0, 100), (1e-3, 20.0, 7), (0.3, 0.30000000000000004, 2), (2.5e-7, 1.7e3, 1000),
+    (1e-12, 1.1e-12, 50)])
+def test_potential_radii_are_np_linspace_and_geomspace(capsys, start, stop, num):
+    # built in plain floats: the linear radii equal np.linspace bit for bit; the
+    # --log radii keep both ends exact and lie within 1e-14 relative of
+    # np.geomspace (libm's pow against numpy's SIMD power in the last bits)
+    argv = ["potential", "--lambda-d", "5", "--r-min", repr(start), "--r-max", repr(stop),
+            "--points", str(num)]
+    assert _first_column(capsys, argv) == np.linspace(start, stop, num).tolist()
+    radii = _first_column(capsys, [*argv, "--log"])
+    assert (radii[0], radii[-1]) == (start, stop)
+    np.testing.assert_allclose(radii, np.geomspace(start, stop, num), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("start, stop, num", [
+    (5.0, 100.0, 3), (1.0, 1e6, 25), (0.5, 2.0, 400), (100.0, 5.0, 9), (20.0, 10.0, 1)])
+def test_geometric_sweep_range_is_np_geomspace(capsys, start, stop, num):
+    # exact ends, every value within 1e-14 relative of np.geomspace; a
+    # decreasing range and a one-value range, which holds --start, too
+    values = _first_column(capsys, ["sweep", "--vary", "lambda-d", "--start", repr(start),
+                                    "--stop", repr(stop), "--count", str(num), "--geometric"])
+    assert len(values) == num and values[0] == start and values[-1] == (stop if num > 1 else start)
+    np.testing.assert_allclose(values, np.geomspace(start, stop, num), rtol=1e-14, atol=0)
+
+
 def test_sweep_with_oracle_columns(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -640,7 +673,7 @@ def test_potential_rejects_too_few_quadrature_nodes(capsys):
     )
     assert code == EXIT_USAGE
     assert out == ""
-    assert "quad_nodes must be >= 8, got 4" in err
+    assert "quad_nodes must be an integer >= 8, got 4" in err
 
 
 def test_with_quadrature_takes_its_node_count(capsys):
@@ -667,7 +700,7 @@ def test_help_exits_zero(capsys, argv):
 
 
 def test_negative_point_count_is_a_usage_error(capsys):
-    # named by its flag, before numpy's linspace can refuse it in its own words
+    # named by its flag, not as the one-radius table a negative count spaces
     code, out, err = run_cli(capsys, ["potential", "--lambda-d", "5", "--points", "-1"])
     assert code == EXIT_USAGE
     assert out == ""
@@ -676,10 +709,11 @@ def test_negative_point_count_is_a_usage_error(capsys):
 
 @pytest.mark.parametrize("radii, quad_nodes, message", [
     ((0.0, 1.0), None, "radii must be finite and > 0, got 0.0"),
-    ((1.0, 2.0), 4, "quad_nodes must be >= 8, got 4"),
+    ((1.0, 2.0), 4, "quad_nodes must be an integer >= 8, got 4"),
+    ((1.0, 2.0), 8.5, "quad_nodes must be an integer >= 8, got 8.5"),
     ((), None, "potential needs at least 2 radii, got 0"),
     ((1.0,), None, "potential needs at least 2 radii, got 1"),
-], ids=["zero-radius", "four-nodes", "no-radii", "one-radius"])
+], ids=["zero-radius", "four-nodes", "fractional-nodes", "no-radii", "one-radius"])
 def test_potential_table_refuses_what_potential_cannot_print(radii, quad_nodes, message):
     # each of these used to exit 3 or print a table with fewer than two rows
     with pytest.raises(ValueError, match=message):
@@ -704,12 +738,18 @@ def test_numeric_failure_exit_code(capsys):
 
 @pytest.mark.filterwarnings("error")
 def test_potential_overflow_is_a_numeric_failure_naming_the_radius(capsys):
-    # the cubic series overflows at a finite radius; no inf row, no numpy warning
-    code, out, err = run_cli(
-        capsys, ["potential", "--lambda-d", "20", "--r-max", "1e300", "--points", "3"])
-    assert code == EXIT_NUMERIC
-    assert out == ""
-    assert err == "numeric failure: series is not finite at r = 5e+299\n"
+    # a column leaves the floats at a finite radius: the cubic series, the
+    # dressed form past exp's range (alpha0 > r + 709 lambda_D), the screened
+    # form's 1/r at a subnormal radius, and r / lambda_D past the largest
+    # float; no inf row, no numpy warning
+    for argv, message in [
+        (["--lambda-d", "20", "--r-max", "1e300"], "series is not finite at r = 5e+299"),
+        (["--lambda-d", "1", "--alpha0", "1000"], "dressed is not finite at r = 0.05"),
+        (["--lambda-d", "5", "--r-min", "1e-320"], "screened is not finite at r = 9.99989e-321"),
+        (["--lambda-d", "1e-9", "--r-max", "1e300"], "screened is not finite at r = 5e+299"),
+    ]:
+        code, out, err = run_cli(capsys, ["potential", *argv, "--points", "3"])
+        assert (code, out, err) == (EXIT_NUMERIC, "", f"numeric failure: {message}\n"), argv
 
 
 @pytest.mark.filterwarnings("error")
@@ -794,8 +834,8 @@ def test_potential_csv_columns(capsys):
 
 
 def test_potential_columns_match_scalar_evaluation(capsys):
-    # the table is evaluated column-wise on the radius array; each entry
-    # must equal the library's value at that single radius
+    # the table is evaluated one float radius at a time, so each entry
+    # equals the library's value at that radius bit for bit
     code, out, _ = run_cli(
         capsys,
         ["potential", "--lambda-d", "5", "--alpha0", "0.001", "--field", "0.01",
@@ -806,11 +846,11 @@ def test_potential_columns_match_scalar_evaluation(capsys):
     p = ModelParams(lambda_d=5.0, alpha0=0.001, field=0.01)
     coeffs = taylor_coefficients(p)
     for r, screened, dressed, effective, series, cycle_avg in payload["rows"]:
-        assert screened == pytest.approx(ecsc_eval(r, p), rel=1e-15)
-        assert dressed == pytest.approx(dressed_pair_eval(r, p), rel=1e-15)
-        assert effective == pytest.approx(dressed_pair_eval(r, p) + 0.01 * r, rel=1e-15)
-        assert series == pytest.approx(veff_series_eval(r, coeffs), rel=1e-15)
-        assert cycle_avg == pytest.approx(v0_quadrature(r, p), rel=1e-15)
+        assert screened == ecsc_eval(r, p)
+        assert dressed == dressed_pair_eval(r, p)
+        assert effective == dressed_pair_eval(r, p) + 0.01 * r
+        assert series == veff_series_eval(r, coeffs)
+        assert cycle_avg == v0_quadrature(r, p)
 
 
 # Run by a fresh interpreter: import the CLI, run one request if argv gives
@@ -823,7 +863,6 @@ code = laserplasma.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 print(code, *(name for name in ("numpy", "scipy") if name in sys.modules))
 """
 
-_NUMPY = ("numpy",)
 _BOTH = ("numpy", "scipy")
 
 
@@ -839,13 +878,15 @@ def _request(name, argv, loaded):
     *(_request(tag, ["figure", "--which", tag], ())
       for tag in ("fig1a", "fig1b", "fig1c", "fig2a", "fig2b", "fig2d")),
     _request("potential",
-             ["potential", "--lambda-d", "5", "--alpha0", "0.001", "--with-quadrature"], _NUMPY),
+             ["potential", "--lambda-d", "5", "--alpha0", "0.001", "--with-quadrature"], ()),
+    _request("potential-log", ["potential", "--lambda-d", "5", "--alpha0", "0.001", "--log",
+                               "--with-quadrature"], ()),
     _request("sweep", ["sweep", "--vary", "field", "--values", "0.001,0.01", "--lambda-d", "20"],
              ()),
     _request("sweep-range", ["sweep", "--vary", "field", "--start", "0.001", "--stop", "0.01",
                              "--count", "3", "--lambda-d", "20"], ()),
     _request("sweep-geometric", ["sweep", "--vary", "field", "--start", "0.001", "--stop", "0.01",
-                                 "--count", "3", "--geometric", "--lambda-d", "20"], _NUMPY),
+                                 "--count", "3", "--geometric", "--lambda-d", "20"], ()),
     _request("sweep-with-oracle", ["sweep", "--vary", "field", "--values", "0.001,0.01",
                                    "--lambda-d", "20", "--with-oracle", "--grid-rmax", "20"],
              _BOTH),
@@ -854,10 +895,10 @@ def _request(name, argv, loaded):
     _request("import", [], ()),
 ])
 def test_only_the_oracle_imports_scipy(argv, loaded):
-    # numpy and scipy.linalg take most of the CLI's import time, so numpy
-    # loads only for a request that builds an array (`potential` and the
-    # geometric spacing; every figure, the potential ones too, computes in
-    # plain floats) and scipy only for one that runs the eigensolver; the
+    # numpy and scipy.linalg take most of the CLI's import time, so both
+    # load only for a request that runs the eigensolver; every closed-form
+    # request (`potential` and its --log radii, the geometric sweep range
+    # and every figure) computes in plain floats, one radius at a time; the
     # "import" case imports laserplasma and laserplasma.cli and runs
     # nothing, and the oracle cases show the probe would see both
     env = dict(os.environ)

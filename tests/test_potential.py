@@ -167,6 +167,23 @@ def test_dressed_pole_guard_and_divergence():
         dressed_pair_eval(-1.0, p)
 
 
+@pytest.mark.parametrize("evaluate, r, p", [
+    (dressed_pair_eval, 0.05, ModelParams(lambda_d=1.0, alpha0=1000.0)),
+    (dressed_pair_eval, 0.05, ModelParams(lambda_d=1.0, alpha0=1002.5)),
+    (ecsc_eval, 1e300, ModelParams(lambda_d=1e-9)),
+    (dressed_pair_eval, 1e300, ModelParams(lambda_d=1e-9, alpha0=1.0)),
+    (v0_quadrature, 1e300, ModelParams(lambda_d=1e-9, alpha0=1.0)),
+], ids=["dressed-exp-range", "dressed-exp-range-other-sign", "screened-infinite-t",
+        "dressed-infinite-t", "quadrature-infinite-t"])
+def test_float_radius_gives_the_array_value_where_math_raises(evaluate, r, p):
+    # math.exp past its range (alpha0 > r + 709 lambda_D) and math.cos of an
+    # infinite r / lambda_D raise; a float radius gives the array's inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = float(evaluate(np.array([r]), p)[0])
+    assert not math.isfinite(expected)
+    assert repr(evaluate(r, p)) == repr(expected)
+
+
 def test_quadrature_degenerate_dressing():
     p = ModelParams(lambda_d=3.0, alpha0=0.0)
     for n in (8, 64, 128):
