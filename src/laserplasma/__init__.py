@@ -7,9 +7,9 @@ The package has four computational layers:
   two-center form, the exact cycle-average quadrature, and the cubic
   small-r expansion coefficients.
 - `laserplasma.perturbation`: the closed-form ground-state energy
-  (`total_energy`, zeroth through third order from one set of expansion
-  coefficients), the hierarchy's third order (`e3_hierarchy`), the
-  superpotential coefficients and the perturbed wavefunction.
+  (`total_energy`, zeroth order as its e0 through the third, from one set
+  of expansion coefficients), the hierarchy's third order (`e3_hierarchy`),
+  the superpotential coefficients and the perturbed wavefunction.
 - `laserplasma.oracle`: an independent finite-difference eigensolver used
   to cross-validate the closed forms.
 - `laserplasma.sweep`: parameter sweeps and the datasets behind the

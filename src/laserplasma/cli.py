@@ -30,6 +30,7 @@ from .oracle import ConvergenceError, GroundStateError, _require_points, default
 from .perturbation import EnergyBreakdown
 from .potential import (
     ModelParams,
+    _require_nodes,
     dressed_pair_eval,
     ecsc_eval,
     taylor_coefficients,
@@ -41,6 +42,7 @@ from .sweep import (
     TABLE1_ALPHA0,
     SweepSpec,
     _linspace,
+    _with_field,
     figure_dataset,
     run_sweep,
     table1_rows,
@@ -60,7 +62,7 @@ class UsageError(Exception):
 @dataclass(frozen=True)
 class PotentialTable:
     """``potential``'s request: two or more finite radii > 0, stored as a tuple of
-    floats; ``quad_nodes`` an integer >= 8, or None to leave out the cycle-average column."""
+    floats; ``quad_nodes`` a `v0_quadrature` node count, or None for no cycle_avg column."""
 
     params: ModelParams
     radii: tuple
@@ -74,9 +76,8 @@ class PotentialTable:
         for r in radii:
             if not 0.0 < r < float("inf"):
                 raise ValueError(f"radii must be finite and > 0, got {r}")
-        n = self.quad_nodes
-        if n is not None and (not hasattr(n, "__index__") or n < 8):  # v0_quadrature's rule
-            raise ValueError(f"quad_nodes must be an integer >= 8, got {n!r}")
+        if self.quad_nodes is not None:
+            _require_nodes(self.quad_nodes, "quad_nodes")
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,9 @@ class RunConfig:
             raise ValueError(f"unknown subcommand {self.subcommand!r}")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"output_format must be csv or json, got {self.output_format!r}")
-        if not 1 <= self.precision <= 17:
-            raise ValueError(f"precision must be in [1, 17], got {self.precision}")
+        n = self.precision  # a bool is no count of decimal places
+        if isinstance(n, bool) or not hasattr(n, "__index__") or not 1 <= n <= 17:
+            raise ValueError(f"precision must be an integer in [1, 17], got {n!r}")
         _, accepts, words = _RUNNERS[self.subcommand]
         if not accepts(self.request):
             raise ValueError(f"{self.subcommand} takes {words}, got {self.request!r}")
@@ -261,8 +263,9 @@ def parse_args(argv) -> RunConfig:
 def _fmt(value, precision):
     if isinstance(value, float):
         # below the fixed-point resolution, switch to scientific notation so
-        # small deviations stay distinguishable from zero
-        if value != 0.0 and abs(value) < 10.0 ** (-precision):
+        # small deviations stay distinguishable from zero; from 1e16 on, the
+        # integer digits alone outrun a double's precision
+        if value != 0.0 and not 10.0 ** (-precision) <= abs(value) < 1e16:
             return f"{value:.{precision}e}"
         return f"{value:.{precision}f}"
     return str(value)
@@ -319,7 +322,7 @@ def _run_potential(config: RunConfig):
     except ArithmeticError as exc:
         raise type(exc)(f"{exc.args[-1]} at {p}") from exc
     columns = {"r": radii, "screened": [ecsc_eval(r, p) for r in radii],
-               "dressed": dressed, "effective": [d + p.field * r for d, r in zip(dressed, radii)],
+               "dressed": dressed, "effective": _with_field(dressed, radii, p.field),
                "series": [veff_series_eval(r, coeffs) for r in radii]}
     if quadrature is not None:
         columns["cycle_avg"] = quadrature

@@ -25,7 +25,8 @@ enters only c1, so the field-free coefficient parts are computed once per
 (lambda_D, alpha0) point and shared by every field value: once in all for
 a field sweep, once per point for a caller with several fields per point.
 `total_energy` is its one-value case, so every printed energy comes from
-here.
+here; its e0 is the zeroth order, and `wavefunction_eval` at lambda_D =
+inf, alpha0 = F = 0, where both superpotential coefficients are 0, is chi0.
 `superpotential_set` gives the two superpotential coefficients, the W1
 slope and the W2 scale; `e3_hierarchy` and `wavefunction_eval` are built
 from them.  The energies are plain floats, and the radial functions map a
@@ -42,7 +43,6 @@ from .potential import (ModelParams, _alpha_terms, _coefficients, _lambda_terms,
 __all__ = [
     "EnergyBreakdown",
     "SuperpotentialSet",
-    "zeroth_order",
     "e3_hierarchy",
     "total_energy",
     "superpotential_set",
@@ -76,26 +76,6 @@ class SuperpotentialSet(NamedTuple):
 
     w1_slope: float
     w2_scale: float
-
-
-def zeroth_order(p: ModelParams):
-    """Exactly solvable Coulomb part: ground energy and wavefunction.
-
-    Returns
-    -------
-    (float, callable)
-        Energy ``-sigma A`` and the unit-normalized radial function
-        chi0(r) = 2 sigma^{3/2} r exp(-sigma r), with sigma = 2 mu A / hbar^2,
-        which maps a float to a float and an array to an array, each radius
-        finite and > 0.
-    """
-    sig = p.decay_rate
-
-    def chi0(r):
-        r_arr, scalar = _radii(r)
-        out = 2.0 * sig**1.5 * r_arr * _lib(r_arr).exp(-sig * r_arr)
-        return float(out) if scalar else out
-    return -sig * p.coulomb_strength, chi0
 
 
 def e3_hierarchy(p: ModelParams) -> float:
@@ -144,16 +124,15 @@ def _breakdowns(fixed: ModelParams, vary: str, values, fields=None):
 
     With ``fields``, each value yields one breakdown per field in turn, as if
     ``fixed.field`` were that field.  The field enters c1 alone, so the
-    field-free coefficient parts are computed once per value (once in all
-    for a ``field`` sweep, whose values are its fields) and shared by every
-    field; the ladder's factors are computed once per call.
+    field-free coefficient parts are computed once per value and shared by
+    every field; a ``field`` sweep is the ``alpha0`` sweep (fixed.alpha0,)
+    with its values as fields.  The ladder's factors are computed once per call.
     """
     sig, e0, sig2, k2, q2, k_cross, q_cross, k_mixed, q_mixed, q3 = _ladder_terms(fixed)
     a, new = fixed.coulomb_strength, tuple.__new__
     if vary == "field":
-        parts = (_coefficients(_alpha_terms(a, fixed.alpha0), _lambda_terms(fixed.lambda_d)),)
-        fields = values
-    elif vary == "alpha0":
+        vary, values, fields = "alpha0", (fixed.alpha0,), values
+    if vary == "alpha0":
         parts = map(_coefficients, map(_alpha_terms, repeat(a), values),
                     repeat(_lambda_terms(fixed.lambda_d)))
     else:

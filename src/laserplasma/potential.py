@@ -236,6 +236,12 @@ def dressed_pair_eval(r, p: ModelParams):
     return float(out) if scalar else out
 
 
+def _require_nodes(n, name):
+    """Refuse a quadrature order that is not an integer >= 8, naming it ``name``."""
+    if not hasattr(n, "__index__") or n < 8:
+        raise ValueError(f"{name} must be an integer >= 8, got {n!r}")
+
+
 def v0_quadrature(r, p: ModelParams, n_nodes: int = 64):
     """Exact laser cycle average of the screened potential by quadrature.
 
@@ -263,8 +269,7 @@ def v0_quadrature(r, p: ModelParams, n_nodes: int = 64):
     -------
     float or ndarray
     """
-    if not hasattr(n_nodes, "__index__") or n_nodes < 8:
-        raise ValueError(f"n_nodes must be an integer >= 8, got {n_nodes!r}")
+    _require_nodes(n_nodes, "n_nodes")
     arr, scalar = _radii(r)
     if _any(arr <= p.alpha0):
         raise ValueError(

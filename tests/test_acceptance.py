@@ -30,7 +30,6 @@ from laserplasma.perturbation import (
     superpotential_set,
     total_energy,
     wavefunction_eval,
-    zeroth_order,
 )
 from laserplasma.potential import (
     ModelParams,
@@ -71,10 +70,11 @@ def table1_parameter_sets():
 
 
 def weighted_integral(p, integrand):
-    _, chi0 = zeroth_order(p)
+    # chi0 is the perturbed state with no screening, laser or field
+    coulomb = ModelParams(lambda_d=math.inf, z=p.z, mu=p.mu, hbar=p.hbar, e_charge=p.e_charge)
     upper = 40.0 / p.decay_rate
     val, _ = quad(
-        lambda r: chi0(r) ** 2 * integrand(r), 0.0, upper,
+        lambda r: wavefunction_eval(r, coulomb) ** 2 * integrand(r), 0.0, upper,
         epsabs=1e-14, epsrel=1e-13, limit=200,
     )
     return val

@@ -209,6 +209,11 @@ def test_runconfig_validation():
         RunConfig("bogus", None)
     with pytest.raises(ValueError):
         RunConfig("energy", None, output_format="xml")
+    # a float or a bool would reach the format spec as ".7.5f" or ".Truef"
+    for precision in (7.5, 7.0, True, 0, 18):
+        with pytest.raises(ValueError, match=r"^precision must be an integer in \[1, 17\]"):
+            RunConfig("table1", None, precision=precision)
+    assert RunConfig("table1", None, precision=np.int64(9)).precision == 9
 
 
 @pytest.mark.parametrize("subcommand", ["energy", "oracle", "sweep"])
@@ -817,6 +822,18 @@ def test_unscreened_energy_output_is_unchanged(capsys):
         "# mu = 1\n# hbar = 1\n# e_charge = 1\ne0,const_shift,e1,e2,e3,total\n"
         "-2.0000000,0.0000000,0.0000000,0.0000000,0.0000000,-2.0000000\n"
     )
+
+
+def test_values_from_1e16_print_in_scientific_notation(capsys):
+    # in fixed point -1e200 would print as a 201-digit integer, most of its
+    # digits past what a double holds
+    code, out, _ = run_cli(capsys, ["potential", "--lambda-d", "5", "--r-min", "1e-200",
+                                    "--r-max", "2e-200", "--points", "2"])
+    assert code == EXIT_OK
+    _, header, rows = parse_csv(out)
+    assert dict(zip(header, rows[0])) == {
+        "r": "1.0000000e-200", "screened": "-1.0000000e+200", "dressed": "-2.0000000e+200",
+        "effective": "-2.0000000e+200", "series": "-2.0000000e+200"}
 
 
 def test_potential_csv_columns(capsys):

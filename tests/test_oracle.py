@@ -21,7 +21,7 @@ from laserplasma.oracle import (
     solve_ground_state,
     solve_on_grid,
 )
-from laserplasma.perturbation import wavefunction_eval, zeroth_order
+from laserplasma.perturbation import wavefunction_eval
 from laserplasma.potential import ModelParams, taylor_coefficients, veff_series_eval
 
 from exact import MANUFACTURED_CASES, exact_coefficient, manufactured, pole_free
@@ -480,8 +480,9 @@ def test_overlap_with_self_is_unity():
 
 def test_overlap_with_exact_coulomb_eigenstate():
     result = solve_ground_state(coulomb, COULOMB_GRID, AU)
-    _, chi0 = zeroth_order(AU)
-    assert overlap(result, chi0) >= 0.99999
+    # the perturbed state with no screening, laser or field is chi0
+    coulomb_point = ModelParams(lambda_d=math.inf)
+    assert overlap(result, lambda r: wavefunction_eval(r, coulomb_point)) >= 0.99999
 
 
 def test_overlap_with_perturbed_wavefunction():

@@ -31,12 +31,11 @@ def test_oracle_errors_import_from_the_package():
 _FLOAT_PROBE = """
 import sys
 from laserplasma import (ModelParams, dressed_pair_eval, ecsc_eval, taylor_coefficients,
-                         total_energy, v0_quadrature, veff_series_eval, wavefunction_eval,
-                         zeroth_order)
+                         total_energy, v0_quadrature, veff_series_eval, wavefunction_eval)
 p = ModelParams(lambda_d=5.0, alpha0=1e-3, field=0.01)
 values = [ecsc_eval(1.0, p), dressed_pair_eval(1.0, p), v0_quadrature(1.0, p),
           veff_series_eval(1.0, taylor_coefficients(p)), wavefunction_eval(1.0, p),
-          zeroth_order(p)[1](1.0), total_energy(p).total]
+          total_energy(p).total]
 assert all(type(value) is float for value in values), values
 print("loaded:", *sorted({"numpy", "scipy"} & set(sys.modules)))
 """

@@ -15,7 +15,6 @@ from laserplasma.perturbation import (
     superpotential_set,
     total_energy,
     wavefunction_eval,
-    zeroth_order,
 )
 from laserplasma.oracle import RadialGrid, solve_ground_state
 from laserplasma.potential import ModelParams, taylor_coefficients, veff_series_eval
@@ -40,9 +39,16 @@ def random_params(n, seed=20240817):
     return out
 
 
+def chi0_of(p):
+    """The unit-normalized Coulomb ground state chi0 at p's (Z, mu, hbar, e): the
+    perturbed state with no screening, laser or field, where both corrections are 0."""
+    coulomb = ModelParams(lambda_d=math.inf, z=p.z, mu=p.mu, hbar=p.hbar, e_charge=p.e_charge)
+    return lambda r: wavefunction_eval(r, coulomb)
+
+
 def weighted_integral(p, integrand):
     """Integral of chi0^2 * integrand over the bound-state support."""
-    _, chi0 = zeroth_order(p)
+    chi0 = chi0_of(p)
     upper = 40.0 / p.decay_rate
     val, _ = quad(
         lambda r: chi0(r) ** 2 * integrand(r), 0.0, upper,
@@ -61,7 +67,8 @@ def profiles(p):
 
 
 def test_zeroth_order_reference_case():
-    energy, chi0 = zeroth_order(ModelParams(lambda_d=100.0))
+    p = ModelParams(lambda_d=100.0)
+    energy, chi0 = total_energy(p).e0, chi0_of(p)
     assert energy == -2.0
     # chi0 vanishes linearly at the wall, which lies outside every evaluator's domain
     assert chi0(1e-300) == 2.0 * 2.0**1.5 * 1e-300
@@ -79,9 +86,27 @@ def test_zeroth_order_normalization_and_moment():
 
 def test_zeroth_order_scaling_in_z():
     # doubling the charge quadruples the binding, independent of screening
-    e1, _ = zeroth_order(ModelParams(lambda_d=1e12, z=1.0))
-    e2, _ = zeroth_order(ModelParams(lambda_d=1e12, z=2.0))
+    e1 = total_energy(ModelParams(lambda_d=1e12, z=1.0)).e0
+    e2 = total_energy(ModelParams(lambda_d=1e12, z=2.0)).e0
     assert e2 == 4.0 * e1
+
+
+@pytest.mark.parametrize("z, mu, hbar, e_charge", [
+    (1.0, 1.0, 1.0, 1.0), (2.0, 1.0, 1.0, 1.0), (1.0, 0.5, 1.5, 1.2), (3.0, 2.0, 0.7, 0.9),
+])
+def test_unperturbed_wavefunction_is_chi0_and_e0_is_minus_sigma_a(
+        z, mu, hbar, e_charge):
+    # at lambda_D = inf, alpha0 = F = 0 the W1 slope and W2 scale are 0, so the
+    # perturbed state is 2 sigma^{3/2} r e^{-sigma r} exactly
+    p = ModelParams(lambda_d=math.inf, z=z, mu=mu, hbar=hbar, e_charge=e_charge)
+    sig = p.decay_rate
+    for r in (1e-300, 0.05, 1.0 / sig, 3.7, 20.0 / sig):
+        assert wavefunction_eval(r, p) == 2.0 * sig**1.5 * r * math.exp(-sig * r)
+    r = np.linspace(0.01, 20.0 / sig, 500)
+    assert np.array_equal(wavefunction_eval(r, p), 2.0 * sig**1.5 * r * np.exp(-sig * r))
+    screened = ModelParams(lambda_d=7.0, alpha0=1e-3, field=0.02, z=z, mu=mu, hbar=hbar,
+                           e_charge=e_charge)
+    assert total_energy(screened).e0 == -sig * p.coulomb_strength
 
 
 def test_e1_hand_value():
@@ -340,7 +365,7 @@ def test_table_energies_insensitive_to_alpha0_choice():
 
 def test_wavefunction_reduces_to_unperturbed():
     p = ModelParams(lambda_d=1e12)
-    _, chi0 = zeroth_order(p)
+    chi0 = chi0_of(p)
     r = np.linspace(0.05, 12.0, 40)
     assert np.allclose(wavefunction_eval(r, p), chi0(r), rtol=1e-13)
 
@@ -372,7 +397,7 @@ def test_wavefunction_overflow_names_the_radius_and_the_parameters():
 def test_wavefunction_matches_explicit_moderating_factor():
     p = ModelParams(lambda_d=5.0, alpha0=1e-3, field=0.01)
     _, w1, w2 = profiles(p)
-    _, chi0 = zeroth_order(p)
+    chi0 = chi0_of(p)
     k = p.hbar / math.sqrt(2.0 * p.mu)
     for r in (0.3, 1.0, 2.5):
         prim, _ = quad(lambda x: w1(x) + w2(x), 0.0, r, epsabs=1e-14)

@@ -17,7 +17,7 @@ from laserplasma.potential import (
     v0_quadrature,
     veff_series_eval,
 )
-from laserplasma.perturbation import wavefunction_eval, zeroth_order
+from laserplasma.perturbation import wavefunction_eval
 
 from exact import exact_coefficient, pole_free, series_terms
 
@@ -116,7 +116,6 @@ EVALUATORS = {
     "veff_series_eval": lambda r: veff_series_eval(r, taylor_coefficients(DOMAIN_PARAMS)),
     "v0_quadrature": lambda r: v0_quadrature(r, DOMAIN_PARAMS),
     "wavefunction_eval": lambda r: wavefunction_eval(r, DOMAIN_PARAMS),
-    "chi0": zeroth_order(DOMAIN_PARAMS)[1],
 }
 
 
