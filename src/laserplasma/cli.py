@@ -145,7 +145,7 @@ def _build_parser():
     p_pot.add_argument("--log", action="store_true", help="log-spaced radii")
     p_pot.add_argument("--with-quadrature", nargs="?", type=int, const=64, metavar="NODES",
                        help="add the cycle-average column on NODES nodes, default 64 "
-                            "(needs r > alpha0)")
+                            "(needs r > alpha0; the count must grow near r = alpha0)")
 
     sub.add_parser("energy", parents=[params, output],
                    help="closed-form energy breakdown")
@@ -260,12 +260,13 @@ def parse_args(argv) -> RunConfig:
         raise UsageError(str(exc)) from exc
 
 
-def _fmt(value, precision):
+def _fmt(value, precision, small, big):
     if isinstance(value, float):
-        # below the fixed-point resolution, switch to scientific notation so
-        # small deviations stay distinguishable from zero; from 1e16 on, the
-        # integer digits alone outrun a double's precision
-        if value != 0.0 and not 10.0 ** (-precision) <= abs(value) < 1e16:
+        # scientific notation below small = 10^-precision, so small deviations
+        # stay distinguishable from zero, and from big = 10^max(15 - precision, 1),
+        # so fixed point shows no more than the 15 digits a double holds, but
+        # for a one-digit integer part
+        if value != 0.0 and not small <= abs(value) < big:
             return f"{value:.{precision}e}"
         return f"{value:.{precision}f}"
     return str(value)
@@ -296,8 +297,10 @@ def _emit(config: RunConfig, header: dict, columns, rows):
                       else f"# {key} = {value:.17g}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
+        n = config.precision
+        small, big = 10.0 ** -n, 10.0 ** max(15 - n, 1)
         for row in rows:
-            writer.writerow([_fmt(v, config.precision) for v in row])
+            writer.writerow([_fmt(v, n, small, big) for v in row])
         text = buf.getvalue()
     else:
         payload = {"subcommand": config.subcommand, **header,

@@ -175,7 +175,7 @@ def wavefunction_eval(r, p: ModelParams):
     r <~ 10/sigma at reference parameters); past it, a float radius may
     raise OverflowError naming r and ``p``, where an array holds inf.
     """
-    r_arr, scalar = _radii(r)
+    r_arr = _radii(r)
     slope, scale = superpotential_set(p)
     sig, k = p.decay_rate, p.hbar / math.sqrt(2.0 * p.mu)
     # P(r) = int_0^r (W1 + W2) = (slope/2 + scale/sigma) r^2 + (scale/3) r^3
@@ -183,7 +183,6 @@ def wavefunction_eval(r, p: ModelParams):
     cubic_coeff = scale / 3.0
     try:
         exponent = -sig * r_arr - (quad_coeff * r_arr**2 + cubic_coeff * r_arr**3) / k
-        out = 2.0 * sig**1.5 * r_arr * _lib(r_arr).exp(exponent)
+        return 2.0 * sig**1.5 * r_arr * _lib(r_arr).exp(exponent)
     except OverflowError:  # only math raises it; numpy gives inf
         raise OverflowError(f"wavefunction overflows at r = {r_arr:g} for {p}") from None
-    return float(out) if scalar else out

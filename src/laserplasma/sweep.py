@@ -8,10 +8,9 @@ figures.  The CLI's ``energy`` and ``oracle`` are one-value ``field`` sweeps.
 Every figure is one entry of a table naming its builder and its parameter
 axes.  The field leaves both the dressed potential and the field-free
 coefficient parts unchanged: the potential figures evaluate the dressed
-potential once per screening length, and an energy figure whose curves differ
-in the field (fig2a, fig2b, fig2d) passes them all to `_breakdowns` at once,
-so each x point computes its coefficient parts once for every curve; a field
-sweep (fig2c's curves, Table 1's field row) computes them once in all.  Sweeps
+potential once per screening length, and every energy figure is one
+`_breakdowns` call with its field axis as ``fields``, so each point of its
+other axis computes its coefficient parts once for every field.  Sweeps
 without the oracle, the table and all seven figures compute in plain floats
 and load no numpy: the potential figures (fig1a-fig1c) take their radii from
 `_linspace` and evaluate the potentials one float radius at a time.  Oracle
@@ -228,10 +227,8 @@ def _short(name):
 
 
 def _dressed_curve(lambda_d, radii):
-    """The dressed potential at lambda_d and `_FIG1_ALPHA0`, one float per radius."""
-    p = ModelParams(lambda_d=lambda_d, alpha0=_FIG1_ALPHA0)
-    a = p.coulomb_strength
-    return [_dressed(r, a, lambda_d, p.alpha0) for r in radii]
+    """The dressed potential at Z = 1, lambda_d and `_FIG1_ALPHA0`, one float per radius."""
+    return [_dressed(r, 1.0, lambda_d, _FIG1_ALPHA0) for r in radii]
 
 
 def _with_field(dressed, radii, field):
@@ -248,9 +245,9 @@ def _potential_figure(tag, outer, inner):
     rows = []
     for a in outer_values:
         for b in inner_values:
-            p = ModelParams(alpha0=_FIG1_ALPHA0, **{outer_name: a, inner_name: b})
+            at = {outer_name: a, inner_name: b}
             label = f"{_short(outer_name)}={a:g},{_short(inner_name)}={b:g}"
-            curve = _with_field(dressed[p.lambda_d], radii, p.field)
+            curve = _with_field(dressed[at["lambda_d"]], radii, at["field"])
             rows.extend(zip(repeat(label), radii, curve))
     return FigureDataset(
         tag, "r", "V_eff",
@@ -284,20 +281,17 @@ def _fig1c(tag):
 def _energy_figure(tag, fixed, outer, x, about, remark=""):
     """Closed-form energy against the x axis, one curve per outer value.
 
-    An outer field axis is passed to `_breakdowns` whole, so each x point's
-    field-free coefficient parts serve every curve; its totals come point
-    by point, so curve k is every n-th total from the k-th.
+    The field axis, outer or x, is `_breakdowns`' fields, so each point of
+    the other axis computes its field-free coefficient parts once; the
+    totals come with the field varying fastest.
     """
     (outer_name, outer_values), (x_name, x_values) = outer, x
-    total, n = EnergyBreakdown.total.fget, len(outer_values)
-    if outer_name == "field":
-        start = ModelParams(**fixed, **{x_name: x_values[0]})
-        totals = list(map(total, _breakdowns(start, x_name, x_values, outer_values)))
-        curves = [totals[k::n] for k in range(n)]
-    else:
-        starts = (ModelParams(**fixed, **{outer_name: o, x_name: x_values[0]})
-                  for o in outer_values)
-        curves = [map(total, _breakdowns(start, x_name, x_values)) for start in starts]
+    n, m = len(outer_values), len(x_values)
+    (vary, values), (_, fields) = (x, outer) if outer_name == "field" else (outer, x)
+    start = ModelParams(**fixed, **{vary: values[0]})
+    totals = list(map(EnergyBreakdown.total.fget, _breakdowns(start, vary, values, fields)))
+    curves = ([totals[k::n] for k in range(n)] if outer_name == "field"
+              else [totals[k * m:(k + 1) * m] for k in range(n)])
     rows = []
     for o, curve in zip(outer_values, curves):
         rows.extend(zip(repeat(f"{_short(outer_name)}={o:g}"), x_values, curve))

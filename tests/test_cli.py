@@ -826,14 +826,32 @@ def test_unscreened_energy_output_is_unchanged(capsys):
 
 def test_values_from_1e16_print_in_scientific_notation(capsys):
     # in fixed point -1e200 would print as a 201-digit integer, most of its
-    # digits past what a double holds
-    code, out, _ = run_cli(capsys, ["potential", "--lambda-d", "5", "--r-min", "1e-200",
-                                    "--r-max", "2e-200", "--points", "2"])
+    # digits past what a double holds; from 10^max(15 - precision, 1) on,
+    # fixed point would show more than 15 digits (-1999999999.5999997 at 2e9)
+    for exponent in ("200", "09"):
+        code, out, _ = run_cli(capsys, ["potential", "--lambda-d", "5", "--r-min", f"1e-{exponent}",
+                                        "--r-max", f"2e-{exponent}", "--points", "2"])
+        assert code == EXIT_OK
+        _, header, rows = parse_csv(out)
+        assert dict(zip(header, rows[0])) == {
+            "r": f"1.0000000e-{exponent}", "screened": f"-1.0000000e+{exponent}",
+            "dressed": f"-2.0000000e+{exponent}", "effective": f"-2.0000000e+{exponent}",
+            "series": f"-2.0000000e+{exponent}"}
+
+
+def test_potential_refuses_a_quadrature_short_of_its_tolerance(capsys):
+    # 64 nodes put cycle_avg at -170.8891218 here, 14% off its converged value
+    argv = ["potential", "--lambda-d", "5", "--alpha0", "0.5", "--r-min", "0.5001",
+            "--r-max", "0.6", "--points", "2", "--with-quadrature"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err.startswith("numeric failure: cycle average on 64 nodes is off by up to 1.5e-01")
+    assert "at r = 0.5001, 1.0002 alpha0; it needs at least 709 nodes" in err
+    code, out, _ = run_cli(capsys, [*argv, "1024"])
     assert code == EXIT_OK
     _, header, rows = parse_csv(out)
-    assert dict(zip(header, rows[0])) == {
-        "r": "1.0000000e-200", "screened": "-1.0000000e+200", "dressed": "-2.0000000e+200",
-        "effective": "-2.0000000e+200", "series": "-2.0000000e+200"}
+    assert dict(zip(header, rows[0]))["cycle_avg"] == "-199.5918404"
 
 
 def test_potential_csv_columns(capsys):

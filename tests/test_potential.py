@@ -132,6 +132,17 @@ def test_ecsc_domain(name):
     assert np.all(np.isfinite(evaluate(np.array([0.5, 1.0]))))
 
 
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_zero_d_array_gives_the_float_radius_value(name):
+    # a 0-d array returns numpy's float64, a float; where it computes through
+    # numpy, exp and cos may differ from math's in the last bits
+    evaluate = EVALUATORS[name]
+    for r in (0.15, 0.5, 1.0, 2.5):
+        value = evaluate(np.array(r))
+        assert isinstance(value, float)
+        assert value == pytest.approx(evaluate(r), rel=1e-14)
+
+
 def test_ecsc_vectorized():
     p = ModelParams(lambda_d=2.0)
     r = np.array([0.5, 1.0, 2.0])
@@ -215,6 +226,27 @@ def test_quadrature_domain_errors():
         with pytest.raises(ValueError, match=re.escape(f"integer >= 8, got {n_nodes!r}")):
             v0_quadrature(1.0, p, n_nodes)
     assert v0_quadrature(1.0, p, np.int64(64)) == v0_quadrature(1.0, p, 64)
+
+
+@pytest.mark.parametrize("lambda_d, alpha0", [(5.0, 0.5), (100.0, 1e-3)])
+def test_quadrature_refuses_a_node_count_short_of_its_tolerance(lambda_d, alpha0):
+    # the N-node rule's relative error is 2 exp(-2 N acosh(r / alpha0)),
+    # whatever lambda_D is; at r = 1.0002 alpha0, 64 nodes are off by 14%
+    p = ModelParams(lambda_d=lambda_d, alpha0=alpha0)
+    r = 1.0002 * alpha0
+    error = abs(v0_quadrature(r, p, 709) / v0_quadrature(r, p, 40000) - 1.0)
+    assert 0.5 < error / (2.0 * math.exp(-2.0 * 709 * math.acosh(r / alpha0))) < 2.0
+    assert error < 1e-12
+    message = re.escape(f"r = {r:g}, 1.0002 alpha0; it needs at least 709 nodes")
+    for radii in (r, np.array([2.0 * alpha0, r])):  # the smallest radius decides
+        for n in (64, 708):
+            with pytest.raises(ValueError, match=message):
+                v0_quadrature(radii, p, n)
+    assert v0_quadrature(np.array([2.0 * alpha0, r]), p, 709)[1] == v0_quadrature(r, p, 709)
+    # 64 nodes meet the tolerance from r = 1.02459 alpha0 on
+    v0_quadrature(1.0246 * alpha0, p)
+    with pytest.raises(ValueError, match="at least 65 nodes"):
+        v0_quadrature(1.0245 * alpha0, p)
 
 
 def test_endpoint_error_envelope():

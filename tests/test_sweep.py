@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from laserplasma import sweep
 from laserplasma.oracle import ConvergenceError, RadialGrid
 from laserplasma.perturbation import EnergyBreakdown, total_energy
 from laserplasma.potential import (ModelParams, dressed_pair_eval, ecsc_eval, taylor_coefficients,
@@ -132,6 +133,20 @@ def test_energy_figures_are_bit_identical_to_total_energy():
         expected = [total_energy(ModelParams(**fixed, **{outer_name: o, x_name: v})).total
                     for o in outer_values for v in x_values]
         assert [energy for _, _, energy in figure_dataset(tag).rows] == expected
+
+
+def test_each_energy_figure_is_one_breakdowns_call(monkeypatch):
+    # every energy figure has a field axis, outer or x, and passes it to the
+    # kernel as its fields, so one call serves every curve
+    calls = []
+    kernel = sweep._breakdowns
+    monkeypatch.setattr(sweep, "_breakdowns", lambda *args: calls.append(args) or kernel(*args))
+    counts = {}
+    for tag in ("fig2a", "fig2b", "fig2c", "fig2d"):
+        calls.clear()
+        figure_dataset(tag)
+        counts[tag] = len(calls)
+    assert counts == {"fig2a": 1, "fig2b": 1, "fig2c": 1, "fig2d": 1}
 
 
 def test_figure_axes_equal_numpy_spacing():
