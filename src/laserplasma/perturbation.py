@@ -19,8 +19,8 @@ first three orders close in elementary functions:
 The constant c0 enters the total additively.  `_breakdowns` is the one
 plain-float loop from coefficients to energies, with the Table-1 third
 order: over one varying parameter it yields the five parts as
-`EnergyBreakdown` named tuples, with the ladder's (A, mu, hbar) factors and
-the fixed coefficient part computed once per sweep.  The static field
+`EnergyBreakdown` named tuples (OverflowError where a total is not finite),
+with the ladder's (A, mu, hbar) factors computed once per sweep.  The static field
 enters only c1, so the field-free coefficient parts are computed once per
 (lambda_D, alpha0) point and shared by every field value: once in all for
 a field sweep, once per point for a caller with several fields per point.
@@ -37,8 +37,7 @@ import math
 from itertools import repeat
 from typing import NamedTuple
 
-from .potential import (ModelParams, _alpha_terms, _coefficients, _lambda_terms, _lib,
-                        _radii, taylor_coefficients)
+from .potential import ModelParams, _coefficients, _lib, _radii, taylor_coefficients
 
 __all__ = [
     "EnergyBreakdown",
@@ -126,28 +125,29 @@ def _breakdowns(fixed: ModelParams, vary: str, values, fields=None):
     ``fixed.field`` were that field.  The field enters c1 alone, so the
     field-free coefficient parts are computed once per value and shared by
     every field; a ``field`` sweep is the ``alpha0`` sweep (fixed.alpha0,)
-    with its values as fields.  The ladder's factors are computed once per call.
+    with its values as fields; the other `_coefficients` argument repeats.  The
+    ladder's factors are computed once per call.  A total that is not finite
+    raises OverflowError, as a power past the floats does.
     """
     sig, e0, sig2, k2, q2, k_cross, q_cross, k_mixed, q_mixed, q3 = _ladder_terms(fixed)
     a, new = fixed.coulomb_strength, tuple.__new__
     if vary == "field":
         vary, values, fields = "alpha0", (fixed.alpha0,), values
-    if vary == "alpha0":
-        parts = map(_coefficients, map(_alpha_terms, repeat(a), values),
-                    repeat(_lambda_terms(fixed.lambda_d)))
-    else:
-        parts = map(_coefficients, repeat(_alpha_terms(a, fixed.alpha0)),
-                    map(_lambda_terms, values))
+    alphas = values if vary == "alpha0" else repeat(fixed.alpha0)
+    lams = values if vary == "lambda_d" else repeat(fixed.lambda_d)
     if fields is None:
         fields = (fixed.field,)
-    for c0, d8, d4, c2, c3 in parts:
+    for c0, d1, c2, c3 in map(_coefficients, repeat(a), alphas, lams):
         e2_quad, e3_cubic = 3.0 * c2 / sig2, 15.0 * c3
         for field in fields:
-            c1 = field - d8 + d4
+            c1 = field + d1
             c1_sq = c1**2
             e2 = e2_quad - k2 * c1_sq / q2
             e3 = (e3_cubic + k_cross * c1_sq / q_cross - k_mixed * c1 * c2 / q_mixed) / q3
-            yield new(EnergyBreakdown, (e0, c0, 1.5 * c1 / sig, e2, e3))
+            e1 = 1.5 * c1 / sig
+            if (e0 + c0 + e1 + e2 + e3) * 0.0:  # nan, not 0, once the total is inf or nan
+                raise OverflowError("energy is not finite")
+            yield new(EnergyBreakdown, (e0, c0, e1, e2, e3))
 
 
 def superpotential_set(p: ModelParams) -> SuperpotentialSet:

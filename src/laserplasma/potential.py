@@ -17,19 +17,19 @@ endpoint form can be validated against it.
 A static electric field F adds a radial term ``+F r``.  For r well inside
 the screening length the effective potential is a cubic polynomial plus
 the Coulomb pole; `taylor_coefficients` returns its coefficients for the
-closed forms of `laserplasma.perturbation`.  Each is a sum of A alpha0^(2k)
-over const lambda_D^n terms, split so that a sweep computes once the
-alpha0 numerators or the lambda_D denominators its parameter leaves fixed.
-The field enters c1 alone, as ``c1 = F - d8 + d4``: `_coefficients`
-returns the field-free parts (c0, d8, d4, c2, c3), and c1 is formed only
-where F is known, so one set of parts serves every field value.
+closed forms of `laserplasma.perturbation`.  Each term A alpha0^j / lambda_D^n,
+n = k + j + 1, of c_k is A lambda_D^-(k+1) times (alpha0/lambda_D)^j, so c_k
+is A lambda_D^-(k+1) times a polynomial in the one variable
+x = (alpha0/lambda_D)^2.  The field enters c1 alone, as ``c1 = F + d1``:
+`_coefficients` returns the field-free parts (c0, d1, c2, c3), and c1 is
+formed only where F is known, so one set of parts serves every field value.
 
 All quantities are in atomic units unless the generic ``mu``, ``hbar``,
 ``e_charge`` fields are overridden.  Every function here is pure and safe
 to call concurrently.  `ModelParams` and `taylor_coefficients` work in
-plain floats, and so does every evaluator at a float radius: exp and cos
-come from `math`, with numpy's inf or nan where those raise, and only an
-array of radii imports numpy.  Every radius must be finite and > 0.
+plain floats, and so does every evaluator at a float radius or a 0-d
+array: exp and cos come from `math`, with numpy's inf or nan where those
+raise, and only an array of radii imports numpy.  Every radius must be finite and > 0.
 """
 
 import math
@@ -180,9 +180,11 @@ def _dressed(r, strength, lambda_d, alpha0):
 
 
 def _radii(r):
-    """r as a float if it is a float (or int), anything else as a float array;
-    raises ValueError unless every radius is finite and > 0."""
-    arr = float(r) if isinstance(r, (int, float)) else _lib(r).asarray(r, dtype=float)
+    """r as a float if it is a float, an int or a 0-d array, anything else as a
+    float array; raises ValueError unless every radius is finite and > 0."""
+    arr = r if isinstance(r, (int, float)) else _lib(r).asarray(r, dtype=float)
+    if getattr(arr, "ndim", 0) == 0:  # so a 0-d array computes through math, as a float
+        arr = float(arr)
     # NaN is the one value that compares unequal to itself
     if _any((arr <= 0.0) | (arr == math.inf) | (arr != arr)):
         raise ValueError("radial distance must be finite and > 0")
@@ -295,33 +297,19 @@ def v0_quadrature(r, p: ModelParams, n_nodes: int = 64):
                for k in range(1, n + 1)) / n
 
 
-def _alpha_terms(a, alpha0):
-    """The A alpha0^(2k) numerators of the coefficients, in `_coefficients`' order."""
-    a2 = alpha0**2
-    a4 = a2 * a2
-    a6, a8, two_a = a4 * a2, a4 * a4, 2.0 * a
-    return a * a8, a * a6, a * a4, two_a * a2, two_a, a * a2, -a * a8, a
-
-
-def _lambda_terms(lam):
-    """The lambda_D denominators of the coefficients, one pow per distinct power."""
-    l3, l4, l5, l7 = lam**3, lam**4, lam**5, lam**7
-    l8, l9, l11, l12 = lam**8, lam**9, lam**11, lam**12
-    return (11340.0 * l9, 315.0 * l7, 15.0 * l5, 3.0 * l3, lam, 180.0 * l8, l4,
-            13860.0 * l11, 405.0 * l9, 21.0 * l7, 5.0 * l5, 22680.0 * l12, 36.0 * l8, 3.0 * l4)
-
-
-def _coefficients(num, den):
-    """The field-free parts (c0, d8, d4, c2, c3) from `_alpha_terms` and `_lambda_terms`,
-    with c1 = F - d8 + d4; k<i>_<n> is c_i's lambda_D^n term.  The constant of
-    c_i's A alpha0^j / lambda_D^n term is -2 C(i+j, j) a_n, n = i + j + 1, where
-    a_n = Re((1j - 1)^n) / n! is the t^n coefficient of exp(-t) cos(t)."""
-    n8, n6, n4, n2x2, n0x2, n2, neg8, n0 = num
-    k0_9, k0_7, k0_5, k0_3, k0_1, k1_8, k1_4, k2_11, k2_9, k2_7, k2_5, k3_12, k3_8, k3_4 = den
-    c0 = n8 / k0_9 + n6 / k0_7 - n4 / k0_5 - n2x2 / k0_3 + n0x2 / k0_1
-    c2 = neg8 / k2_11 + n6 / k2_9 + n4 / k2_7 - n2x2 / k2_5 - n0x2 / k0_3
-    c3 = n8 / k3_12 - n4 / k3_8 + n0 / k3_4
-    return c0, n6 / k1_8, n2 / k1_4, c2, c3
+def _coefficients(a, alpha0, lambda_d):
+    """The field-free parts (c0, d1, c2, c3), c1 = F + d1.  c_k is s_k = A lambda_D**-(k+1)
+    times a polynomial in x = (alpha0/lambda_D)^2 whose x^(j/2) coefficient is
+    -2 C(k+j, j) a_n, n = k + j + 1, with a_n = Re((1j - 1)^n) / n! the t^n coefficient of
+    exp(-t) cos(t): s_k x times the rest by Horner's rule, plus the constant term last.
+    The powers are ``**``, so one past the floats raises OverflowError."""
+    x, s0, s1 = (alpha0 / lambda_d)**2, a * lambda_d**-1, a * lambda_d**-2
+    s2, s3, y = a * lambda_d**-3, a * lambda_d**-4, x * x
+    c0 = s0 * x * (-2 / 3 + x * (-1 / 15 + x * (1 / 315 + x * (1 / 11340)))) + 2.0 * s0
+    c2 = s2 * x * (-2 / 5 + x * (1 / 21 + x * (1 / 405 + x * (-1 / 13860)))) - 2 / 3 * s2
+    c3 = s3 * y * (-1 / 36 + y * (1 / 22680)) + 1 / 3 * s3
+    # + 0.0 turns c2's -0.0 at lambda_D = inf into the 0.0 that e2 prints
+    return c0, s1 * x * (1.0 + y * (-1 / 180)), c2 + 0.0, c3
 
 
 def taylor_coefficients(p: ModelParams) -> EffectiveCoefficients:
@@ -332,8 +320,8 @@ def taylor_coefficients(p: ModelParams) -> EffectiveCoefficients:
     through r^3 and alpha0^8.  The static field contributes F to c1.
     """
     a = p.coulomb_strength
-    c0, d8, d4, c2, c3 = _coefficients(_alpha_terms(a, p.alpha0), _lambda_terms(p.lambda_d))
-    return EffectiveCoefficients(-2.0 * a, c0, p.field - d8 + d4, c2, c3)
+    c0, d1, c2, c3 = _coefficients(a, p.alpha0, p.lambda_d)
+    return EffectiveCoefficients(-2.0 * a, c0, p.field + d1, c2, c3)
 
 
 def veff_series_eval(r, c: EffectiveCoefficients):

@@ -52,6 +52,10 @@ TABLE1_LAMBDA_FIELD = 0.01
 TABLE1_LAMBDA_VALUES = (5.0, 10.0, 20.0, 40.0, 80.0, 100.0)
 TABLE1_LAMBDA_ENERGIES = (-1.5959955, -1.7929741, -1.8925671, -1.9425144, -1.9675077, -1.9725072)
 
+# c3 is A lambda_D^-4 (1/3 - y/36 + y^2/22680), y = (alpha0/lambda_D)^4: it turns
+# negative, and the cubic model loses its ground state, at y = 315 - sqrt(91665),
+# and positive again at y = 315 + sqrt(91665), alpha0/lambda_D = 4.98546
+_C3_ROOT = (7560.0 / (315.0 + 91665.0**0.5)) ** 0.25  # 1.8703595502933...
 _VARY_FIELDS = ("field", "lambda_d", "alpha0")
 _OUTPUT_CHOICES = ("breakdown", "oracle", "overlap")
 
@@ -67,7 +71,9 @@ class SweepSpec:
     requires "oracle", and it must pass `require_grid` at ``fixed``, as
     `default_grid` does.  The values are checked against the model's
     domain here, so a bad value fails at construction, naming the first one
-    in input order.
+    in input order.  The cubic model's domain is alpha0/lambda_D below
+    1.8703596, where c3 first changes sign; a ``field`` sweep outside it is
+    refused for ``fixed``, and any other sweep for its first value outside it.
     """
 
     vary: str
@@ -79,6 +85,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.vary not in _VARY_FIELDS:
             raise ValueError(f"vary must be one of {_VARY_FIELDS}, got {self.vary!r}")
+        if self.vary == "field":  # no field value moves alpha0/lambda_D
+            _require_cubic_domain(self.fixed)
         values = tuple(map(float, self.values))
         object.__setattr__(self, "values", values)
         if not values:
@@ -110,9 +118,17 @@ class SweepSpec:
 
     def _params_at(self, value: float) -> ModelParams:
         try:
-            return replace(self.fixed, **{self.vary: value})
+            return _require_cubic_domain(replace(self.fixed, **{self.vary: value}))
         except ValueError as exc:
             raise ValueError(f"sweep value {value!r} for {self.vary}: {exc}") from exc
+
+
+def _require_cubic_domain(p: ModelParams) -> ModelParams:
+    """p, if its alpha0/lambda_D lies below `_C3_ROOT`; raises ValueError otherwise."""
+    if not p.alpha0 / p.lambda_d < _C3_ROOT:
+        raise ValueError(f"the cubic model needs alpha0/lambda_d below {_C3_ROOT:.8g}, where "
+                         f"c3 first changes sign; got alpha0/lambda_d = {p.alpha0 / p.lambda_d:g}")
+    return p
 
 
 class SweepRow(NamedTuple):

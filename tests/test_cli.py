@@ -791,27 +791,84 @@ def test_oracle_box_of_twenty_decay_lengths_is_accepted(capsys):
 
 
 @pytest.mark.parametrize("argv, point", [
-    (["energy", "--lambda-d", "1e30"], "lambda_d=1e+30"),
     (["energy", "--lambda-d", "1e-80"], "lambda_d=1e-80"),
-    (["energy", "--lambda-d", "5", "--alpha0", "1e40"], "alpha0=1e+40"),
+    (["energy", "--lambda-d", "1e-77"], "lambda_d=1e-77"),
     (["energy", "--lambda-d", "5", "--field", "1e300"], "field=1e+300"),
     (["energy", "--lambda-d", "5", "--z", "1e200"], "z=1e+200"),
     (["energy", "--lambda-d", "5", "--z", "1e300"], "z=1e+300"),
-    (["sweep", "--vary", "lambda-d", "--values", "1e25,1e30"], "lambda_d=1e+30"),
+    (["sweep", "--vary", "lambda-d", "--values", "1e-20,1e-77"], "lambda_d=1e-77"),
     (["potential", "--lambda-d", "1e-120", "--alpha0", "1e-3", "--field", "0.01"],
      "lambda_d=1e-120"),
-    (["potential", "--lambda-d", "1e30"], "lambda_d=1e+30"),
-], ids=["lambda-huge", "lambda-tiny", "alpha0-huge", "field-huge", "z-huge", "z-errno",
-        "sweep-lambda", "potential-lambda-tiny", "potential-lambda-huge"])
+], ids=["lambda-tiny", "ladder-overflow", "field-huge", "z-huge", "z-errno", "sweep-ladder",
+        "potential-lambda-tiny"])
 def test_float_overflow_is_a_numeric_failure_naming_the_point(capsys, argv, point):
-    # the plain-float kernel raises OverflowError or ZeroDivisionError here
+    # a power of lambda_D raises OverflowError here, or the ladder's products
+    # leave the floats and the energy loop raises it for the non-finite total
     code, out, err = run_cli(capsys, argv)
     assert code == EXIT_NUMERIC
     assert out == ""
     assert err.startswith("numeric failure: ") and err.count("\n") == 1
-    assert point in err and "lambda_d=1e+25" not in err
+    assert point in err and "lambda_d=1e-20" not in err
     # the message is the error's text, not an (errno, text) tuple
     assert "(34, " not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["energy", "--lambda-d", "1e26"],
+    ["energy", "--lambda-d", "1e30"],
+    ["energy", "--lambda-d", "1e300"],
+    ["sweep", "--vary", "lambda-d", "--values", "1e25,1e30"],
+    ["potential", "--lambda-d", "1e30"],
+], ids=["lambda-1e26", "lambda-huge", "lambda-1e300", "sweep-lambda", "potential-lambda-huge"])
+def test_huge_screening_lengths_print_the_unscreened_row(capsys, argv):
+    # each coefficient is A lambda_D**-(k+1) times a polynomial in
+    # (alpha0/lambda_D)^2, so no power overflows past lambda_D = 4.87e25; every
+    # row rounds to the lambda_D = inf row at the printed 7 decimals (a part
+    # near 0, such as const_shift = 2e-30, prints in scientific notation)
+    code, out, _ = run_cli(capsys, argv)
+    assert code == EXIT_OK
+    _, _, rows = parse_csv(out)
+    if argv[0] == "sweep":  # each row leads with its lambda_d value
+        rows, argv = [row[1:] for row in rows], ["energy"]
+    _, _, unscreened = parse_csv(run_cli(capsys, [argv[0], "--lambda-d", "inf"])[1])
+    assert [[round(float(v), 7) for v in row] for row in rows] == [
+        [float(v) for v in row] for row in unscreened * (len(rows) // len(unscreened))]
+
+
+@pytest.mark.parametrize("argv, prefix, ratio", [
+    (["energy", "--lambda-d", "1", "--alpha0", "2.5"], "", "2.5"),
+    (["energy", "--lambda-d", "1", "--alpha0", "6"], "", "6"),
+    (["energy", "--lambda-d", "5", "--alpha0", "1e40"], "", "2e+39"),
+    (["oracle", "--lambda-d", "1", "--alpha0", "1.8703595502933186"], "", "1.87036"),
+    (["sweep", "--vary", "field", "--values", "0,0.01", "--lambda-d", "1", "--alpha0", "2.5"],
+     "", "2.5"),
+    (["sweep", "--vary", "alpha0", "--values", "1,2.5", "--lambda-d", "1"],
+     "sweep value 2.5 for alpha0: ", "2.5"),
+    (["sweep", "--vary", "lambda-d", "--values", "1,2", "--alpha0", "2.5"],
+     "sweep value 1.0 for lambda_d: ", "2.5"),
+], ids=["energy", "c3-positive-again", "alpha0-huge", "oracle-at-root", "sweep-field",
+        "sweep-alpha0", "sweep-lambda"])
+def test_alpha0_past_the_c3_sign_change_is_a_usage_error(capsys, argv, prefix, ratio):
+    # c3 = A lambda_D^-4 (1/3 - y/36 + y^2/22680), y = (alpha0/lambda_D)^4,
+    # changes sign at alpha0/lambda_D = 1.8703596 and again at 4.98546; the
+    # cubic model has no ground state between them (energy printed -4.2166301
+    # at 2.5), so every ratio from the first root on is refused; a field
+    # sweep's message names no sweep value, since no field moves the ratio
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"usage error: {prefix}the cubic model needs alpha0/lambda_d below "
+                   f"1.8703596, where c3 first changes sign; got alpha0/lambda_d = {ratio}\n")
+
+
+def test_alpha0_just_below_the_c3_sign_change_is_served(capsys):
+    # the refused set is a ratio interval, so sweep endpoints still bound it;
+    # potential prints radial curves and takes no energy, so it refuses nothing
+    for argv in (["energy", "--lambda-d", "1", "--alpha0", "1.87"],
+                 ["sweep", "--vary", "alpha0", "--values", "0,1.87", "--lambda-d", "1"],
+                 ["sweep", "--vary", "lambda-d", "--values", "1e4,1", "--alpha0", "1.87"],
+                 ["potential", "--lambda-d", "1", "--alpha0", "2.5"]):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == EXIT_OK and out
 
 
 def test_unscreened_energy_output_is_unchanged(capsys):

@@ -424,14 +424,14 @@ def _count_calls(monkeypatch, names):
 
 
 def test_total_energy_computes_coefficients_once(monkeypatch):
-    # total_energy is the one-value sweep of the one kernel loop, so it builds
-    # the alpha0 numerators, the lambda_D denominators and the coefficient parts once each
-    calls = _count_calls(monkeypatch, ("_alpha_terms", "_lambda_terms", "_coefficients"))
+    # total_energy is the one-value sweep of the one kernel loop, so it
+    # builds the coefficient parts once
+    calls = _count_calls(monkeypatch, ("_coefficients",))
     total_energy(ModelParams(lambda_d=20.0, alpha0=1e-3, field=0.01))
-    assert sorted(calls) == ["_alpha_terms", "_coefficients", "_lambda_terms"]
+    assert calls == ["_coefficients"]
     # the field enters c1 alone: a field sweep builds the field-free parts
     # once, and a figure whose curves differ in the field once per x point
-    calls = _count_calls(monkeypatch, ("_coefficients",))
+    calls.clear()
     fixed = ModelParams(lambda_d=20.0, alpha0=1e-3)
     rows = run_sweep(SweepSpec("field", [1e-4 + 1e-5 * i for i in range(1000)], fixed))
     assert (len(rows), len(calls)) == (1000, 1)
@@ -448,19 +448,26 @@ def test_total_energy_computes_coefficients_once(monkeypatch):
 
 def _reference_coefficients(a, lambda_d, alpha0, field):
     """(c_m1, c0, c1, c2, c3) summed in plain floats from the exact table,
-    in the kernel's operation order: descending j, each term
-    (p A alpha0^j) / (q lambda_D^n) for the table's coefficient +-p/q, and
-    A alpha0^j built as `_alpha_terms` builds it.  A factor 1 and
-    lambda_D**1 are exact, so they stand for the kernel's omitted ones."""
-    a2 = alpha0**2
-    a4 = a2 * a2
-    numerators = {0: a, 2: a * a2, 4: a * a4, 6: a * (a4 * a2), 8: a * (a4 * a4)}
+    in the kernel's operation order: with s = A lambda_D**-(k+1) and
+    x = (alpha0/lambda_D)**2, c_k is s u0 (Horner's rule in u over the
+    table's terms past j = 0, as floats) + float(j = 0 term) s, where u0 is
+    x^(j/2) at the lowest nonzero j and u is x^(j/2) at the step between
+    its js.  Adding 0.0 changes only a -0.0, as the kernel's c2 + 0.0 does."""
+    x = (alpha0 / lambda_d)**2
+    powers = {2: x, 4: x * x}
     coeffs = [-2.0 * a]
     for k in range(4):
-        c = field if k == 1 else 0.0
-        for j, n, coef in series_terms(k):
-            c += coef.numerator * numerators[j] / (coef.denominator * lambda_d**n)
-        coeffs.append(c)
+        s = a * lambda_d**-(k + 1)
+        terms = series_terms(k)  # (j, n, coef), descending j
+        rest = [(j, float(coef)) for j, _, coef in terms if j]
+        u = powers[rest[-2][0] - rest[-1][0]]
+        h = rest[0][1]
+        for _, coef in rest[1:]:
+            h = coef + u * h
+        c = s * powers[rest[-1][0]] * h
+        if terms[-1][0] == 0:
+            c = c + float(terms[-1][2]) * s
+        coeffs.append((field + c if k == 1 else c) + 0.0)
     return tuple(coeffs)
 
 
@@ -532,8 +539,7 @@ def test_kernel_matches_reference_bit_for_bit():
 # it holds only while the kernel is analytic arithmetic on its inputs.  A
 # math.* call refuses a complex value and abs drops its imaginary part, so
 # either one on a quantity that depends on lambda_D, F or alpha0 in
-# `_breakdowns`, `_coefficients`, `_alpha_terms` or `_lambda_terms` fails
-# these tests.
+# `_breakdowns` or `_coefficients` fails these tests.
 _STEP = 1e-30
 _DERIVATIVE_POINTS = [(100.0, 0.04, 1e-4), (20.0, 0.004, 1e-3), (5.0, 0.01, 1e-4),
                       (4.0, 0.01, 0.06), (1.0, 0.01, 0.3)]

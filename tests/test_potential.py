@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -134,13 +135,13 @@ def test_ecsc_domain(name):
 
 @pytest.mark.parametrize("name", EVALUATORS)
 def test_zero_d_array_gives_the_float_radius_value(name):
-    # a 0-d array returns numpy's float64, a float; where it computes through
-    # numpy, exp and cos may differ from math's in the last bits
+    # a 0-d array is read as the float it holds, so it computes through math
+    # and returns a Python float, bit for bit the float radius's value
     evaluate = EVALUATORS[name]
     for r in (0.15, 0.5, 1.0, 2.5):
         value = evaluate(np.array(r))
-        assert isinstance(value, float)
-        assert value == pytest.approx(evaluate(r), rel=1e-14)
+        assert type(value) is float
+        assert value == evaluate(r)
 
 
 def test_ecsc_vectorized():
@@ -326,16 +327,37 @@ def test_series_breaks_down_outside_validity_window():
     assert abs(series - exact) > 100.0 * abs(exact)
 
 
+def _series_points():
+    """(lambda_D, alpha0/lambda_D) pairs: 60 seeded draws with lambda_D in
+    [0.5, 1e4] and the ratio in [1e-6, 1], plus lambda_D = 1e26 and 1e300,
+    past 4.87e25, where a lambda_D^12 would overflow."""
+    rng = random.Random(36)
+    draws = [(math.exp(rng.uniform(math.log(0.5), math.log(1e4))),
+              math.exp(rng.uniform(math.log(1e-6), 0.0))) for _ in range(60)]
+    return draws + [(lam, ratio) for lam in (1e26, 1e300) for ratio in (0.0, 1e-3, 1.0)]
+
+
 def test_coefficients_equal_the_exact_series():
     # c0..c3 against the exact series of their own float inputs, through
     # alpha0^8 as in the kernel; Fraction(got) - want, since got - want
-    # would round to a float first
-    for field in (0.0, 0.01):
-        p = ModelParams(lambda_d=100.0, alpha0=1e-3, field=field)
-        c = taylor_coefficients(p)
-        for k, got in enumerate((c.c0, c.c1, c.c2, c.c3)):
-            want = exact_coefficient(k, p.coulomb_strength, p.lambda_d, p.alpha0, p.field)
-            assert abs(Fraction(got) - want) <= 1e-15 * abs(want)
+    # would round to a float first.  Where the exact value lies below the
+    # floats (c1 at F = 0, c2 and c3 at lambda_D = 1e300), got is the float it
+    # rounds to.
+    checked = 0
+    for lam, ratio in _series_points():
+        for z, field in itertools.product((1.0, 2.0), (0.0, 0.01)):
+            p = ModelParams(lambda_d=lam, alpha0=ratio * lam, field=field, z=z)
+            c = taylor_coefficients(p)
+            for k, got in enumerate((c.c0, c.c1, c.c2, c.c3)):
+                want = exact_coefficient(k, p.coulomb_strength, p.lambda_d, p.alpha0, p.field)
+                assert abs(Fraction(got) - want) <= 1e-15 * abs(want) or got == float(want)
+            checked += 1
+    assert checked >= 200
+    # at lambda_D = inf every field-free part is +0.0, and c1 is the field
+    for field, alpha0 in itertools.product((0.0, 0.01), (0.0, 1e-3, 5.0)):
+        c = taylor_coefficients(ModelParams(lambda_d=math.inf, alpha0=alpha0, field=field))
+        assert (c.c0, c.c1, c.c2, c.c3) == (0.0, field, 0.0, 0.0)
+        assert [math.copysign(1.0, v) for v in (c.c0, c.c1, c.c2, c.c3)] == [1.0] * 4
 
 
 def test_exact_series_sums_to_the_pole_free_potential():

@@ -95,6 +95,29 @@ def test_alpha0_sweep_rejects_laser_pair():
     assert len(run_sweep(SweepSpec("field", (0.001, 0.002), fixed))) == 2
 
 
+def test_sweep_spec_refuses_the_ratios_past_the_c3_sign_change():
+    # c3 is positive below alpha0/lambda_D = 1.8703596, negative up to
+    # 4.98546 and positive again past it; the one interval the cubic model
+    # keeps is the first, so a ratio from the root on is refused on every axis
+    def c3(ratio):
+        return taylor_coefficients(ModelParams(lambda_d=1.0, alpha0=ratio)).c3
+
+    assert c3(1.8703) > 0.0 > c3(1.8704) and c3(4.985) < 0.0 < c3(4.986)
+    root = sweep._C3_ROOT
+    assert root == 1.8703595502933186
+    below = math.nextafter(root, 0.0)
+    fixed = ModelParams(lambda_d=1.0, alpha0=below)
+    for spec in (SweepSpec("field", (0.0, 0.01), fixed), SweepSpec("alpha0", (0.0, below), fixed),
+                 SweepSpec("lambda_d", (1e4, 1.0), fixed)):
+        assert len(run_sweep(spec)) == 2
+    with pytest.raises(ValueError, match=r"^the cubic model needs alpha0/lambda_d below"):
+        SweepSpec("field", (0.0,), replace(fixed, alpha0=root))
+    with pytest.raises(ValueError, match=r"^sweep value 1\.8703595502933186 for alpha0: .* c3"):
+        SweepSpec("alpha0", (0.0, 1.0, root), fixed)
+    with pytest.raises(ValueError, match=r"^sweep value 0\.5 for lambda_d: .* c3"):
+        SweepSpec("lambda_d", (1e4, 1.0, 0.5), fixed)
+
+
 def test_breakdown_rows_are_bit_identical_to_total_energy():
     rng = random.Random(7)
     points = 0
