@@ -3,18 +3,27 @@
 Subcommands: potential (radial curves), energy (closed-form breakdown),
 oracle (eigensolver cross-check), sweep (one varying parameter), table1
 (reference-energy regeneration with deviations), figure (datasets behind
-the named figures).  Output is CSV with a self-describing ``#`` comment
-header, or JSON; ``sweep``'s header leaves out the varied parameter,
-which its rows hold.  Exit codes: 0 success, 2 usage error (including
+the named figures).  Exit codes: 0 success, 2 usage error (including
 parameters and sweep values outside the model's domain), 3 numeric
 failure, 4 I/O failure.
 
-argparse holds every default, and reads an ``@PATH`` argument as the
-flags in that file, written as on the command line.  Each subcommand
+A request runs in three stages.  `parse_args` reads argv into a validated
+`RunConfig`.  argparse holds every default, and reads an ``@PATH`` argument
+as the flags in that file, written as on the command line.  Each subcommand
 takes one request of a fixed type: ``sweep`` a `SweepSpec`, ``energy``
 and ``oracle`` the one-value ``field`` `SweepSpec` at its own field,
 ``potential`` a `PotentialTable`, ``figure`` a tag and ``table1`` None.
-Sweep rows print their breakdown and each later `SweepRow` field they fill.
+`run` then calls the subcommand's builder, which computes a table (a header
+dict, the column names and the rows) and writes nothing.  `_emit` alone
+renders the table and writes it, to stdout or to the ``--output`` file,
+which opens only once the table is built.  It has three shapes: CSV with
+a self-describing ``#`` comment header; a JSON table, the header's keys
+beside ``columns`` and ``rows``; and, for ``energy`` and ``oracle``, which
+print the one row of their sweep, a flat JSON record with the header
+under ``params``.  Sweep rows print their breakdown and each later
+`SweepRow` field they fill.  ``sweep``'s header leaves out the varied
+parameter, which its rows hold; a record leaves out the field column,
+which its header holds.
 """
 
 import argparse
@@ -89,14 +98,14 @@ class RunConfig:
     precision: int = 7
 
     def __post_init__(self):
-        if self.subcommand not in _RUNNERS:
+        if self.subcommand not in _BUILDERS:
             raise ValueError(f"unknown subcommand {self.subcommand!r}")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"output_format must be csv or json, got {self.output_format!r}")
         n = self.precision  # a bool is no count of decimal places
         if isinstance(n, bool) or not hasattr(n, "__index__") or not 1 <= n <= 17:
             raise ValueError(f"precision must be an integer in [1, 17], got {n!r}")
-        _, accepts, words = _RUNNERS[self.subcommand]
+        _, accepts, words = _BUILDERS[self.subcommand]
         if not accepts(self.request):
             raise ValueError(f"{self.subcommand} takes {words}, got {self.request!r}")
 
@@ -196,7 +205,8 @@ def _grid_from(ns, params):
 
 
 def _spacing(start, stop, num, geometric):
-    """np.linspace(start, stop, num), or np.geomspace if geometric, as a tuple of floats."""
+    """np.linspace(start, stop, num) bit for bit, or if geometric a log-spaced range with
+    both ends exact and every value within 1e-14 relative of np.geomspace; a tuple of floats."""
     if not geometric:
         return _linspace(start, stop, num)
     logs = _linspace(math.log10(start), math.log10(stop), num)
@@ -278,17 +288,12 @@ def _params_header(p: ModelParams):
     return {name: getattr(p, name) for name in names}
 
 
-def _write(config: RunConfig, text: str):
-    """The one output sink: stdout, or the --output file."""
-    if config.output_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+_RECORDS = ("energy", "oracle")  # these print the one row of their sweep as a record
 
 
 def _emit(config: RunConfig, header: dict, columns, rows):
-    """Table output: CSV (with # comment header) or JSON with columns and rows."""
+    """The one renderer, to stdout or the --output file: CSV with a ``#`` comment
+    header, a JSON table with columns and rows, or, for a record, a flat JSON object."""
     if config.output_format == "csv":
         buf = io.StringIO()
         buf.write(f"# laserplasma {config.subcommand}\n")
@@ -302,18 +307,24 @@ def _emit(config: RunConfig, header: dict, columns, rows):
         for row in rows:
             writer.writerow([_fmt(v, n, small, big) for v in row])
         text = buf.getvalue()
+    elif config.subcommand in _RECORDS:
+        payload = {"subcommand": config.subcommand, "params": header, **dict(zip(columns, rows[0]))}
+        text = json.dumps(payload, indent=2) + "\n"
     else:
         payload = {"subcommand": config.subcommand, **header,
-                   "columns": list(columns),
-                   "rows": [list(row) for row in rows]}
+                   "columns": list(columns), "rows": [list(row) for row in rows]}
         text = json.dumps(payload, indent=2) + "\n"
-    _write(config, text)
+    if config.output_path is None:
+        sys.stdout.write(text)
+    else:
+        with open(config.output_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 _BREAKDOWN_KEYS = EnergyBreakdown._fields + ("total",)
 
 
-def _run_potential(config: RunConfig):
+def _build_potential(config: RunConfig):
     table = config.request
     p, radii, n = table.params, table.radii, table.quad_nodes
     # the quadrature runs first, so radii r <= alpha0 are reported as such
@@ -333,66 +344,62 @@ def _run_potential(config: RunConfig):
         for r, value in zip(radii, column):
             if not math.isfinite(value):
                 raise ValueError(f"{name} is not finite at r = {r:g}")
-    _emit(config, _params_header(p), list(columns), zip(*columns.values()))
-    return EXIT_OK
+    r_min = min(radii)
+    ratio = p.alpha0 / r_min
+    estimate = ratio * ratio / 2  # the endpoint form's relative error where r >> alpha0
+    if estimate > 1e-3:
+        print(f"note: at r = {r_min:g} the dressed and effective columns (endpoint form) are "
+              f"off the cycle average by at least about {estimate:.2g} relative, "
+              "(alpha0/r)^2/2; --with-quadrature adds the exact cycle average", file=sys.stderr)
+    return _params_header(p), list(columns), zip(*columns.values())
 
 
-def _run_sweep(config: RunConfig):
-    """``sweep`` prints one row per value; ``energy`` and ``oracle`` print
-    the one record of their sweep, as a CSV row or a flat JSON object."""
+def _build_sweep(config: RunConfig):
+    """One row per value: the value, the breakdown with its total, then each later
+    `SweepRow` field that holds a value.  A record leaves the value out."""
     spec = config.request
     rows = run_sweep(spec)
-    # SweepRow decides the optional columns: the fields after breakdown that hold a value
     extra = [k for k in rows[0]._fields[2:] if getattr(rows[0], k) is not None]
-    records = [{spec.vary: row.value, **{k: getattr(row.breakdown, k) for k in _BREAKDOWN_KEYS},
-                **{k: getattr(row, k) for k in extra}} for row in rows]
     header = _params_header(spec.fixed)
-    if config.subcommand == "sweep":
-        del header[spec.vary]  # each row holds its own value
-    else:
-        del records[0]["field"]  # the header already holds the one field value
-        if config.output_format == "json":
-            payload = {"subcommand": config.subcommand, "params": header, **records[0]}
-            _write(config, json.dumps(payload, indent=2) + "\n")
-            return EXIT_OK
-    _emit(config, header, list(records[0]), [tuple(record.values()) for record in records])
-    return EXIT_OK
+    columns = [spec.vary, *_BREAKDOWN_KEYS, *extra]
+    table = [(row.value, *row.breakdown, row.breakdown.total, *(getattr(row, k) for k in extra))
+             for row in rows]
+    if config.subcommand in _RECORDS:  # the header already holds the one field value
+        return header, columns[1:], [table[0][1:]]
+    del header[spec.vary]  # each row holds its own value
+    return header, columns, table
 
 
-def _run_table1(config: RunConfig):
+def _build_table1(config: RunConfig):
     table = table1_rows()
-    header = {"z": 1.0, "alpha0": TABLE1_ALPHA0}
-    _emit(config, header, list(table[0]), [tuple(row.values()) for row in table])
-    return EXIT_OK
+    return {"z": 1.0, "alpha0": TABLE1_ALPHA0}, list(table[0]), [tuple(r.values()) for r in table]
 
 
-def _run_figure(config: RunConfig):
+def _build_figure(config: RunConfig):
     ds = figure_dataset(config.request)
-    header = {"figure": ds.tag, "note": ds.note,
-              "x_label": ds.x_label, "y_label": ds.y_label}
-    _emit(config, header, ["series", ds.x_label, ds.y_label], ds.rows)
-    return EXIT_OK
+    header = {"figure": ds.tag, "note": ds.note, "x_label": ds.x_label, "y_label": ds.y_label}
+    return header, ["series", ds.x_label, ds.y_label], ds.rows
 
 
 def _one_record(q):
     return isinstance(q, SweepSpec) and q.vary == "field" and q.values == (q.fixed.field,)
 
 
-_RUNNERS = {
-    "potential": (_run_potential, lambda q: isinstance(q, PotentialTable), "a PotentialTable"),
-    "energy": (_run_sweep, _one_record, "a one-value field sweep spec at its own field"),
-    "oracle": (_run_sweep, lambda q: _one_record(q) and "oracle" in q.outputs,
+_BUILDERS = {
+    "potential": (_build_potential, lambda q: isinstance(q, PotentialTable), "a PotentialTable"),
+    "energy": (_build_sweep, _one_record, "a one-value field sweep spec at its own field"),
+    "oracle": (_build_sweep, lambda q: _one_record(q) and "oracle" in q.outputs,
                "a one-value field sweep spec at its own field, with oracle outputs"),
-    "sweep": (_run_sweep, lambda q: isinstance(q, SweepSpec), "a sweep spec"),
-    "table1": (_run_table1, lambda q: q is None, "no request (None)"),
-    "figure": (_run_figure, lambda q: q in FIGURE_TAGS, f"a figure tag in {FIGURE_TAGS}"),
+    "sweep": (_build_sweep, lambda q: isinstance(q, SweepSpec), "a sweep spec"),
+    "table1": (_build_table1, lambda q: q is None, "no request (None)"),
+    "figure": (_build_figure, lambda q: q in FIGURE_TAGS, f"a figure tag in {FIGURE_TAGS}"),
 }
 
 
 def run(config: RunConfig) -> int:
-    """Execute a parsed RunConfig; returns the process exit code."""
+    """Build the config's table and print it; returns the process exit code."""
     try:
-        return _RUNNERS[config.subcommand][0](config)
+        _emit(config, *_BUILDERS[config.subcommand][0](config))
     except ConvergenceError as exc:
         print(exc, file=sys.stderr)
         return EXIT_NUMERIC
@@ -403,6 +410,7 @@ def run(config: RunConfig) -> int:
         target = config.output_path or "<stdout>"
         print(f"cannot write output to {target}: {exc}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK
 
 
 def main(argv=None) -> int:

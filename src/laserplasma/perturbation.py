@@ -86,10 +86,14 @@ def e3_hierarchy(p: ModelParams) -> float:
     E3 = (7.5 c3 - 27 slope scale) / sigma^3.  The total built on it
     misses the oracle on the cubic potential by an error that grows like
     F^4, the first order left out (+1.2e-7 at lambda_D = 100,
-    alpha0 = 1e-4, F = 0.04).
+    alpha0 = 1e-4, F = 0.04).  A result that is not finite raises OverflowError.
     """
-    slope, scale = superpotential_set(p)
-    return (7.5 * taylor_coefficients(p).c3 - 27.0 * slope * scale) / p.decay_rate**3
+    c = taylor_coefficients(p)
+    slope, scale = _superpotential(c, p)
+    e3 = (7.5 * c.c3 - 27.0 * slope * scale) / p.decay_rate**3
+    if not math.isfinite(e3):
+        raise OverflowError(f"e3 = {e3} is not finite")
+    return e3
 
 
 def total_energy(p: ModelParams) -> EnergyBreakdown:
@@ -155,12 +159,19 @@ def superpotential_set(p: ModelParams) -> SuperpotentialSet:
 
     W1 = slope * r solves 2 W0 W1 - k W1' = c1 r - E1, and
     W2 = scale * r (r + 2/sigma) solves W1^2 + 2 W0 W2 - k W2' = c2 r^2 - E2;
-    matching the r^2 coefficient fixes the scale uniquely.
+    matching the r^2 coefficient fixes the scale uniquely.  A slope or scale
+    that is not finite raises OverflowError.
     """
-    c = taylor_coefficients(p)
+    return _superpotential(taylor_coefficients(p), p)
+
+
+def _superpotential(c, p: ModelParams) -> SuperpotentialSet:
+    """`superpotential_set` from p's coefficients c."""
     sig, k = p.decay_rate, p.hbar / math.sqrt(2.0 * p.mu)
     slope = c.c1 / (2.0 * sig * k)
     scale = c.c2 / (2.0 * sig * k) - c.c1**2 / (8.0 * sig**3 * k**3)
+    if not math.isfinite(slope) or not math.isfinite(scale):
+        raise OverflowError(f"superpotential (slope {slope}, scale {scale}) is not finite")
     return SuperpotentialSet(slope, scale)
 
 

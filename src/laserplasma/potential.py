@@ -317,11 +317,16 @@ def taylor_coefficients(p: ModelParams) -> EffectiveCoefficients:
 
     The expansion is joint in r and alpha0: the Coulomb pole keeps its
     undressed strength -2A while the analytic remainder is expanded
-    through r^3 and alpha0^8.  The static field contributes F to c1.
+    through r^3 and alpha0^8.  The static field contributes F to c1.  A
+    coefficient that is not finite raises OverflowError naming it.
     """
     a = p.coulomb_strength
     c0, d1, c2, c3 = _coefficients(a, p.alpha0, p.lambda_d)
-    return EffectiveCoefficients(-2.0 * a, c0, p.field + d1, c2, c3)
+    coeffs = (-2.0 * a, c0, p.field + d1, c2, c3)
+    for name, value in zip(("c_m1", "c0", "c1", "c2", "c3"), coeffs):
+        if not math.isfinite(value):
+            raise OverflowError(f"coefficient {name} = {value} is not finite")
+    return EffectiveCoefficients(*coeffs)
 
 
 def veff_series_eval(r, c: EffectiveCoefficients):

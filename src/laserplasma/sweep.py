@@ -223,8 +223,8 @@ _FIG1_ALPHA0 = 1e-3
 _FIG2AB_FIELD_AXIS = ("field", (0.0001, 0.001, 0.01))
 _FIG2AB_ALPHA_AXIS = ("alpha0", _linspace(0.0, 0.5, 51))
 _FIG2_ALPHA0 = 1e-4
-# np.geomspace(1e-4, 4e-2, 25), written out: a pow-based formula rounds 15
-# of the 25 values differently
+# np.geomspace(1e-4, 4e-2, 25), written out: the CLI's pow-based `_spacing`
+# rounds 1 of the 25 values (index 2) differently in the last bit
 _FIG2C_FIELD_AXIS = ("field", (
     0.0001, 0.00012835688421125162, 0.00016475489724420656, 0.00021147425268811283,
     0.00027144176165949066, 0.00034841418771425404, 0.00044721359549995795,

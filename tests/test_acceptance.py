@@ -18,10 +18,14 @@ import math
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+
+if __name__ == "__main__":  # run as a script, import this checkout's package, installed or not
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from laserplasma.cli import main as cli_main
 from laserplasma.oracle import RadialGrid, overlap, solve_ground_state, solve_on_grid

@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import io
@@ -7,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -322,6 +324,58 @@ def test_oracle_json_schema(capsys):
     assert 0.0 < payload["error_estimate"] < 1e-4
     assert abs(payload["deviation"]) < 1e-4
     assert payload["overlap"] >= 0.999
+
+
+_ONE_TABLE_CASES = [
+    ["energy", "--lambda-d", "100", "--alpha0", "1e-4", "--field", "0.04"],
+    ["oracle", "--lambda-d", "100", "--alpha0", "1e-4", "--field", "0.01", "--grid-rmax", "20"],
+    ["sweep", "--vary", "field", "--values", "0.0001,0.01", "--lambda-d", "100",
+     "--alpha0", "1e-4", "--with-overlap", "--grid-rmax", "20"],
+    ["table1"],
+    ["figure", "--which", "fig1c"],
+    ["potential", "--lambda-d", "5", "--alpha0", "0.001", "--field", "0.01", "--points", "5",
+     "--log", "--with-quadrature"],
+]
+
+
+def _printed_to_its_places(token, value):
+    """Whether a CSV token is the JSON value rounded to the decimal places it shows."""
+    if not isinstance(value, float):
+        return token == str(value)
+    mantissa, _, exponent = token.partition("e")
+    places = len(mantissa.partition(".")[2]) - int(exponent or 0)
+    return abs(Decimal(token) - Decimal(value)) <= Decimal(10) ** -places / 2
+
+
+@pytest.mark.parametrize("argv", _ONE_TABLE_CASES, ids=lambda argv: argv[0])
+def test_csv_and_json_print_one_table(capsys, argv):
+    # both formats render the same header, columns and rows; energy and
+    # oracle print their one row as a flat JSON record under "params"
+    code, text, _ = run_cli(capsys, [*argv, "--precision", "17"])
+    assert code == EXIT_OK
+    comments, columns, rows = parse_csv(text)
+    assert comments[0] == f"laserplasma {argv[0]}"
+    header = dict(comment.split(" = ", 1) for comment in comments[1:])
+    code, text, _ = run_cli(capsys, [*argv, "--format", "json"])
+    assert code == EXIT_OK
+    payload = json.loads(text)
+    assert payload.pop("subcommand") == argv[0]
+    if argv[0] in ("energy", "oracle"):
+        json_header = payload.pop("params")
+        json_columns, json_rows = list(payload), [list(payload.values())]
+    else:
+        json_columns, json_rows = payload.pop("columns"), payload.pop("rows")
+        json_header = payload
+    assert list(json_header) == list(header)
+    for key, value in json_header.items():
+        assert (ast.literal_eval(header[key]) if isinstance(value, str)
+                else float(header[key])) == value, key
+    assert json_columns == columns
+    assert len(json_rows) == len(rows) >= 1
+    for row, json_row in zip(rows, json_rows):
+        assert len(row) == len(json_row) == len(columns)
+        for token, value in zip(row, json_row):
+            assert _printed_to_its_places(token, value), (token, value)
 
 
 def test_table1_output(capsys):
@@ -755,6 +809,37 @@ def test_potential_overflow_is_a_numeric_failure_naming_the_radius(capsys):
     ]:
         code, out, err = run_cli(capsys, ["potential", *argv, "--points", "3"])
         assert (code, out, err) == (EXIT_NUMERIC, "", f"numeric failure: {message}\n"), argv
+
+
+def test_potential_names_the_point_whose_coefficients_leave_the_floats(capsys):
+    code, out, err = run_cli(capsys, ["potential", "--lambda-d", "1e-77", "--z", "10"])
+    p = ModelParams(lambda_d=1e-77, z=10.0)
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert err == f"numeric failure: coefficient c3 = nan is not finite at {p}\n"
+
+
+def test_potential_notes_the_endpoint_form_error_on_stderr(capsys, tmp_path):
+    # (alpha0/r_min)^2/2 above 1e-3 prints one note; stdout and the exit code
+    # are those of the same table written to a file
+    argv = ["potential", "--lambda-d", "5", "--points", "4"]
+    for flags, r_min, estimate in [
+        (["--alpha0", "0.01"], "0.05", "0.02"),
+        (["--alpha0", "0.0023"], "0.05", "0.0011"),
+        (["--alpha0", "0.5", "--r-min", "0.6", "--r-max", "1", "--log"], "0.6", "0.35"),
+        (["--alpha0", "0.5", "--r-min", "0.6", "--with-quadrature", "2000"], "0.6", "0.35"),
+        (["--alpha0", "0.0022"], None, None),
+        (["--alpha0", "0.001"], None, None),
+        ([], None, None),
+    ]:
+        code, out, err = run_cli(capsys, [*argv, *flags])
+        target = tmp_path / "table.csv"
+        assert run_cli(capsys, [*argv, *flags, "--output", str(target)])[:2] == (EXIT_OK, "")
+        assert (code, out) == (EXIT_OK, target.read_text(encoding="utf-8")), flags
+        if r_min is None:
+            assert err == "", flags
+        else:
+            assert err.count("\n") == 1 and err.startswith(f"note: at r = {r_min} "), err
+            assert f"at least about {estimate} relative" in err and "--with-quadrature" in err
 
 
 @pytest.mark.filterwarnings("error")

@@ -257,6 +257,26 @@ def test_e3_hierarchy_equals_its_expanded_form():
         assert e3_hierarchy(p) == pytest.approx(expanded, rel=1e-14, abs=0.0)
 
 
+def test_hierarchy_refuses_a_value_past_the_floats(monkeypatch):
+    # every coefficient is finite at lambda_D = 1e-77, but 7.5 c3 is not;
+    # at hbar = 1e10 the scale's c1^2 / (8 sigma^3 k^3) overflows as a quotient
+    with pytest.raises(OverflowError, match=r"^e3 = inf is not finite$"):
+        e3_hierarchy(ModelParams(lambda_d=1e-77))
+    p = ModelParams(lambda_d=100.0, field=1e150, hbar=1e10)
+    taylor_coefficients(p)
+    for evaluate in (superpotential_set, e3_hierarchy):
+        with pytest.raises(OverflowError, match=r"^superpotential \(slope 3\.5\d*e\+159, "
+                                                r"scale -inf\) is not finite$"):
+            evaluate(p)
+    # e3_hierarchy takes its coefficients in one pass
+    calls = []
+    monkeypatch.setattr(perturbation, "taylor_coefficients",
+                        lambda q: calls.append(q) or taylor_coefficients(q))
+    p = ModelParams(lambda_d=20.0, alpha0=1e-3, field=0.01)
+    e3_hierarchy(p)
+    assert calls == [p]
+
+
 def test_e3_hierarchy_total_matches_oracle():
     # The oracle solves the same cubic potential.  With the hierarchy's
     # third order the total misses it by an F^4 term (1.19e-7 here); the

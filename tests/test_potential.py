@@ -295,6 +295,17 @@ def test_coefficients_weak_dressing_linear_term():
     assert c.c1 == pytest.approx(expected, rel=1e-15)
 
 
+def test_coefficients_refuse_a_value_past_the_floats():
+    # A lambda_D**-4 overflows as a product at lambda_D = 1e-77, Z = 10, and
+    # meets (alpha0/lambda_D)^4 = 0: c3 = inf * 0 + inf is nan; -2 A leaves
+    # the floats at Z = 1e308
+    for p, message in [(ModelParams(lambda_d=1e-77, z=10.0), "c3 = nan"),
+                       (ModelParams(lambda_d=100.0, z=1e308), "c_m1 = -inf")]:
+        with pytest.raises(OverflowError, match=f"^coefficient {re.escape(message)} is not finite$"):
+            taylor_coefficients(p)
+    assert 3e307 < taylor_coefficients(ModelParams(lambda_d=1e-77)).c3 < math.inf
+
+
 def test_series_eval_is_cubic_plus_pole():
     c = EffectiveCoefficients(c_m1=-2.0, c0=0.1, c1=0.2, c2=-0.05, c3=0.003)
     r = np.linspace(0.4, 3.4, 16)
