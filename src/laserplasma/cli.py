@@ -14,9 +14,10 @@ takes one request of a fixed type: ``sweep`` a `SweepSpec`, ``energy``
 and ``oracle`` the one-value ``field`` `SweepSpec` at its own field,
 ``potential`` a `PotentialTable`, ``figure`` a tag and ``table1`` None.
 `run` then calls the subcommand's builder, which computes a table (a header
-dict, the column names and the rows) and writes nothing.  `_emit` alone
-renders the table and writes it, to stdout or to the ``--output`` file,
-which opens only once the table is built.  It has three shapes: CSV with
+dict, the column names and the rows, and for ``potential`` a note or None)
+and writes nothing.  `_emit` alone renders the table and writes it, to
+stdout or to the ``--output`` file, which opens only once the table is
+built, and writes the note to stderr.  It has three shapes: CSV with
 a self-describing ``#`` comment header; a JSON table, the header's keys
 beside ``columns`` and ``rows``; and, for ``energy`` and ``oracle``, which
 print the one row of their sweep, a flat JSON record with the header
@@ -291,9 +292,10 @@ def _params_header(p: ModelParams):
 _RECORDS = ("energy", "oracle")  # these print the one row of their sweep as a record
 
 
-def _emit(config: RunConfig, header: dict, columns, rows):
+def _emit(config: RunConfig, header: dict, columns, rows, note=None):
     """The one renderer, to stdout or the --output file: CSV with a ``#`` comment
-    header, a JSON table with columns and rows, or, for a record, a flat JSON object."""
+    header, a JSON table with columns and rows, or, for a record, a flat JSON object.
+    A builder's note goes to stderr, before the table is written."""
     if config.output_format == "csv":
         buf = io.StringIO()
         buf.write(f"# laserplasma {config.subcommand}\n")
@@ -314,6 +316,8 @@ def _emit(config: RunConfig, header: dict, columns, rows):
         payload = {"subcommand": config.subcommand, **header,
                    "columns": list(columns), "rows": [list(row) for row in rows]}
         text = json.dumps(payload, indent=2) + "\n"
+    if note is not None:
+        print(note, file=sys.stderr)
     if config.output_path is None:
         sys.stdout.write(text)
     else:
@@ -347,11 +351,14 @@ def _build_potential(config: RunConfig):
     r_min = min(radii)
     ratio = p.alpha0 / r_min
     estimate = ratio * ratio / 2  # the endpoint form's relative error where r >> alpha0
+    note = None
     if estimate > 1e-3:
-        print(f"note: at r = {r_min:g} the dressed and effective columns (endpoint form) are "
-              f"off the cycle average by at least about {estimate:.2g} relative, "
-              "(alpha0/r)^2/2; --with-quadrature adds the exact cycle average", file=sys.stderr)
-    return _params_header(p), list(columns), zip(*columns.values())
+        where = ("--with-quadrature adds the cycle average" if n is None
+                 else "the cycle_avg column holds the cycle average")
+        note = (f"note: at r = {r_min:g} the dressed and effective columns (endpoint form) are "
+                f"off the cycle average by at least about {estimate:.2g} relative, "
+                f"(alpha0/r)^2/2; {where}")
+    return _params_header(p), list(columns), zip(*columns.values()), note
 
 
 def _build_sweep(config: RunConfig):

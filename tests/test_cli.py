@@ -20,6 +20,7 @@ from laserplasma.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
+    _BUILDERS,
     PotentialTable,
     RunConfig,
     UsageError,
@@ -839,7 +840,26 @@ def test_potential_notes_the_endpoint_form_error_on_stderr(capsys, tmp_path):
             assert err == "", flags
         else:
             assert err.count("\n") == 1 and err.startswith(f"note: at r = {r_min} "), err
-            assert f"at least about {estimate} relative" in err and "--with-quadrature" in err
+            assert f"at least about {estimate} relative" in err
+            points_at = ("the cycle_avg column holds the cycle average\n"
+                         if "--with-quadrature" in flags
+                         else "--with-quadrature adds the cycle average\n")
+            assert err.endswith(points_at) and "exact" not in err, err
+
+
+def test_builders_write_nothing(capsys):
+    # every builder only returns its table, the potential note included;
+    # the renderer is the one writer
+    for argv in (["potential", "--lambda-d", "5", "--alpha0", "0.01"],
+                 ["energy", "--lambda-d", "20"],
+                 ["sweep", "--lambda-d", "20", "--vary", "field", "--values", "0,0.01"],
+                 ["table1"], ["figure", "--which", "fig1a"]):
+        config = parse_args(argv)
+        built = _BUILDERS[config.subcommand][0](config)
+        assert capsys.readouterr() == ("", ""), argv
+        assert len(built) == (4 if argv[0] == "potential" else 3), argv
+        if argv[0] == "potential":
+            assert built[3].startswith("note: at r = 0.05 ")
 
 
 @pytest.mark.filterwarnings("error")
