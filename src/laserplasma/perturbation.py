@@ -27,21 +27,25 @@ a field sweep, once per point for a caller with several fields per point.
 `total_energy` is its one-value case, so every printed energy comes from
 here; its e0 is the zeroth order, and `wavefunction_eval` at lambda_D =
 inf, alpha0 = F = 0, where both superpotential coefficients are 0, is chi0.
-`superpotential_set` gives the two superpotential coefficients, the W1
-slope and the W2 scale; `e3_hierarchy` and `wavefunction_eval` are built
-from them.  The energies are plain floats, and the radial functions map a
-float radius to a float, so neither loads numpy; only an array of radii does.
+`_hierarchy` is the one superpotential pass: it calls `taylor_coefficients`
+once and returns the coefficients, sigma, k, the W1 slope and the W2 scale,
+and `e3_hierarchy`, `superpotential_set` (a plain (slope, scale) pair) and
+`wavefunction_eval` read from it.  `total_energy` and `e3_hierarchy` refuse
+alpha0/lambda_D from the smaller root of c3 on, where the cubic model has no
+ground state (`laserplasma.potential._require_cubic_domain`).  The energies
+are plain floats, and the radial functions map a float radius to a float, so
+neither loads numpy; only an array of radii does.
 """
 
 import math
 from itertools import repeat
 from typing import NamedTuple
 
-from .potential import ModelParams, _coefficients, _lib, _radii, taylor_coefficients
+from .potential import (ModelParams, _coefficients, _lib, _radii, _require_cubic_domain,
+                        taylor_coefficients)
 
 __all__ = [
     "EnergyBreakdown",
-    "SuperpotentialSet",
     "e3_hierarchy",
     "total_energy",
     "superpotential_set",
@@ -66,15 +70,21 @@ class EnergyBreakdown(NamedTuple):
         return self.e0 + self.const_shift + self.e1 + self.e2 + self.e3
 
 
-class SuperpotentialSet(NamedTuple):
-    """The two coefficients that fix the first- and second-order superpotentials.
-
-    W1(r) = w1_slope * r and W2(r) = w2_scale * r (r + 2/sigma), so
-    callers build the profiles and their derivatives in closed form.
-    """
-
-    w1_slope: float
-    w2_scale: float
+def _hierarchy(p: ModelParams):
+    """(coefficients, sigma, k, slope, scale) at p, from one `taylor_coefficients` call:
+    k = hbar / sqrt(2 mu), W1 = slope * r and W2 = scale * r (r + 2/sigma).  A slope
+    or scale that is not finite raises OverflowError naming p, as a power of sigma or
+    k past the floats, or one underflowing to a zero divisor, does."""
+    c = taylor_coefficients(p)
+    try:
+        sig, k = p.decay_rate, p.hbar / math.sqrt(2.0 * p.mu)
+        slope = c.c1 / (2.0 * sig * k)
+        scale = c.c2 / (2.0 * sig * k) - c.c1**2 / (8.0 * sig**3 * k**3)
+    except ArithmeticError as exc:  # ZeroDivisionError once sigma**3 k**3 underflows to 0
+        raise OverflowError(f"superpotential past the floats ({exc.args[-1]}) at {p}") from None
+    if not math.isfinite(slope) or not math.isfinite(scale):
+        raise OverflowError(f"superpotential (slope {slope}, scale {scale}) is not finite at {p}")
+    return c, sig, k, slope, scale
 
 
 def e3_hierarchy(p: ModelParams) -> float:
@@ -86,11 +96,11 @@ def e3_hierarchy(p: ModelParams) -> float:
     E3 = (7.5 c3 - 27 slope scale) / sigma^3.  The total built on it
     misses the oracle on the cubic potential by an error that grows like
     F^4, the first order left out (+1.2e-7 at lambda_D = 100,
-    alpha0 = 1e-4, F = 0.04).  A result that is not finite raises OverflowError.
+    alpha0 = 1e-4, F = 0.04).  A point past the smaller root of c3 raises
+    ValueError, and a result that is not finite OverflowError.
     """
-    c = taylor_coefficients(p)
-    slope, scale = _superpotential(c, p)
-    e3 = (7.5 * c.c3 - 27.0 * slope * scale) / p.decay_rate**3
+    c, sig, _, slope, scale = _hierarchy(_require_cubic_domain(p))
+    e3 = (7.5 * c.c3 - 27.0 * slope * scale) / sig**3
     if not math.isfinite(e3):
         raise OverflowError(f"e3 = {e3} is not finite")
     return e3
@@ -110,16 +120,13 @@ def total_energy(p: ModelParams) -> EnergyBreakdown:
     Against the finite-difference oracle on the cubic potential the total
     is off by an error that grows like F^2 (+3.9e-5 at lambda_D = 100,
     alpha0 = 1e-4, F = 0.04), so it is wrong at second order in the field.
-    `e3_hierarchy` is the consistent third order.
+    `e3_hierarchy` is the consistent third order.  A point past the smaller
+    root of c3 raises ValueError; an ArithmeticError names p.
     """
-    return next(_breakdowns(p, "field", (p.field,)))
-
-
-def _ladder_terms(p: ModelParams):
-    """The (A, mu, hbar) factors of `_breakdowns`' ladder, computed once per sweep."""
-    sig, a, mu, hbar = p.decay_rate, p.coulomb_strength, p.mu, p.hbar
-    return (sig, -sig * a, sig**2, 3.0 * hbar**6, 32.0 * mu**3 * a**4, 27.0 * mu**2,
-            4.0 * hbar**4 * sig**4, 27.0 * mu, 2.0 * hbar**2 * sig**2, 2.0 * sig**3)
+    try:
+        return next(_breakdowns(_require_cubic_domain(p), "field", (p.field,)))
+    except ArithmeticError as exc:
+        raise type(exc)(f"{exc.args[-1]} at {p}") from exc
 
 
 def _breakdowns(fixed: ModelParams, vary: str, values, fields=None):
@@ -130,11 +137,20 @@ def _breakdowns(fixed: ModelParams, vary: str, values, fields=None):
     field-free coefficient parts are computed once per value and shared by
     every field; a ``field`` sweep is the ``alpha0`` sweep (fixed.alpha0,)
     with its values as fields; the other `_coefficients` argument repeats.  The
-    ladder's factors are computed once per call.  A total that is not finite
-    raises OverflowError, as a power past the floats does.
+    ladder's (A, mu, hbar) factors are computed once per call; one past the
+    floats, or a divisor among them that underflows to 0, raises OverflowError
+    naming it, as a total that is not finite does.  The caller names the point.
     """
-    sig, e0, sig2, k2, q2, k_cross, q_cross, k_mixed, q_mixed, q3 = _ladder_terms(fixed)
-    a, new = fixed.coulomb_strength, tuple.__new__
+    mu, hbar, new = fixed.mu, fixed.hbar, tuple.__new__
+    try:
+        a, sig = fixed.coulomb_strength, fixed.decay_rate
+        e0, sig2, k2, q2 = -sig * a, sig**2, 3.0 * hbar**6, 32.0 * mu**3 * a**4
+        k_cross, q_cross, k_mixed = 27.0 * mu**2, 4.0 * hbar**4 * sig**4, 27.0 * mu
+        q_mixed, q3 = 2.0 * hbar**2 * sig**2, 2.0 * sig**3
+    except OverflowError as exc:
+        raise OverflowError(f"ladder factor past the floats ({exc.args[-1]})") from None
+    if 0.0 in (sig2, q2, q_cross, q_mixed, q3):
+        raise OverflowError("ladder divisor underflows to 0")
     if vary == "field":
         vary, values, fields = "alpha0", (fixed.alpha0,), values
     alphas = values if vary == "alpha0" else repeat(fixed.alpha0)
@@ -154,25 +170,15 @@ def _breakdowns(fixed: ModelParams, vary: str, values, fields=None):
             yield new(EnergyBreakdown, (e0, c0, e1, e2, e3))
 
 
-def superpotential_set(p: ModelParams) -> SuperpotentialSet:
-    """The W1 slope and W2 scale of the first- and second-order superpotentials.
+def superpotential_set(p: ModelParams) -> tuple[float, float]:
+    """The pair (slope, scale) of the first- and second-order superpotentials.
 
     W1 = slope * r solves 2 W0 W1 - k W1' = c1 r - E1, and
     W2 = scale * r (r + 2/sigma) solves W1^2 + 2 W0 W2 - k W2' = c2 r^2 - E2;
     matching the r^2 coefficient fixes the scale uniquely.  A slope or scale
-    that is not finite raises OverflowError.
+    that is not finite raises OverflowError naming p.
     """
-    return _superpotential(taylor_coefficients(p), p)
-
-
-def _superpotential(c, p: ModelParams) -> SuperpotentialSet:
-    """`superpotential_set` from p's coefficients c."""
-    sig, k = p.decay_rate, p.hbar / math.sqrt(2.0 * p.mu)
-    slope = c.c1 / (2.0 * sig * k)
-    scale = c.c2 / (2.0 * sig * k) - c.c1**2 / (8.0 * sig**3 * k**3)
-    if not math.isfinite(slope) or not math.isfinite(scale):
-        raise OverflowError(f"superpotential (slope {slope}, scale {scale}) is not finite")
-    return SuperpotentialSet(slope, scale)
+    return _hierarchy(p)[3:]
 
 
 def wavefunction_eval(r, p: ModelParams):
@@ -187,8 +193,7 @@ def wavefunction_eval(r, p: ModelParams):
     raise OverflowError naming r and ``p``, where an array holds inf.
     """
     r_arr = _radii(r)
-    slope, scale = superpotential_set(p)
-    sig, k = p.decay_rate, p.hbar / math.sqrt(2.0 * p.mu)
+    _, sig, k, slope, scale = _hierarchy(p)
     # P(r) = int_0^r (W1 + W2) = (slope/2 + scale/sigma) r^2 + (scale/3) r^3
     quad_coeff = 0.5 * slope + scale / sig
     cubic_coeff = scale / 3.0

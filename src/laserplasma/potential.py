@@ -312,6 +312,20 @@ def _coefficients(a, alpha0, lambda_d):
     return c0, s1 * x * (1.0 + y * (-1 / 180)), c2 + 0.0, c3
 
 
+# c3 is A lambda_D^-4 (1/3 - y/36 + y^2/22680), y = (alpha0/lambda_D)^4: it turns
+# negative, and the cubic model loses its ground state, at y = 315 - sqrt(91665),
+# and positive again at y = 315 + sqrt(91665), alpha0/lambda_D = 4.98546
+_C3_ROOT = (7560.0 / (315.0 + 91665.0**0.5)) ** 0.25  # 1.8703595502933...
+
+
+def _require_cubic_domain(p: ModelParams) -> ModelParams:
+    """p, if its alpha0/lambda_D lies below `_C3_ROOT`; raises ValueError otherwise."""
+    if not p.alpha0 / p.lambda_d < _C3_ROOT:
+        raise ValueError(f"the cubic model needs alpha0/lambda_d below {_C3_ROOT:.8g}, where "
+                         f"c3 first changes sign; got alpha0/lambda_d = {p.alpha0 / p.lambda_d:g}")
+    return p
+
+
 def taylor_coefficients(p: ModelParams) -> EffectiveCoefficients:
     """Small-r expansion coefficients of the dressed potential plus field term.
 

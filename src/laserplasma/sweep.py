@@ -24,7 +24,8 @@ from typing import NamedTuple
 from .oracle import (RadialGrid, default_grid, overlap, require_converged, require_grid,
                      solve_ground_state)
 from .perturbation import EnergyBreakdown, _breakdowns, wavefunction_eval
-from .potential import ModelParams, _dressed, taylor_coefficients, veff_series_eval
+from .potential import (ModelParams, _dressed, _require_cubic_domain, taylor_coefficients,
+                        veff_series_eval)
 
 __all__ = [
     "SweepSpec",
@@ -52,10 +53,6 @@ TABLE1_LAMBDA_FIELD = 0.01
 TABLE1_LAMBDA_VALUES = (5.0, 10.0, 20.0, 40.0, 80.0, 100.0)
 TABLE1_LAMBDA_ENERGIES = (-1.5959955, -1.7929741, -1.8925671, -1.9425144, -1.9675077, -1.9725072)
 
-# c3 is A lambda_D^-4 (1/3 - y/36 + y^2/22680), y = (alpha0/lambda_D)^4: it turns
-# negative, and the cubic model loses its ground state, at y = 315 - sqrt(91665),
-# and positive again at y = 315 + sqrt(91665), alpha0/lambda_D = 4.98546
-_C3_ROOT = (7560.0 / (315.0 + 91665.0**0.5)) ** 0.25  # 1.8703595502933...
 _VARY_FIELDS = ("field", "lambda_d", "alpha0")
 _OUTPUT_CHOICES = ("breakdown", "oracle", "overlap")
 
@@ -71,9 +68,10 @@ class SweepSpec:
     requires "oracle", and it must pass `require_grid` at ``fixed``, as
     `default_grid` does.  The values are checked against the model's
     domain here, so a bad value fails at construction, naming the first one
-    in input order.  The cubic model's domain is alpha0/lambda_D below
-    1.8703596, where c3 first changes sign; a ``field`` sweep outside it is
-    refused for ``fixed``, and any other sweep for its first value outside it.
+    in input order.  The cubic model's domain is alpha0/lambda_D below the
+    smaller root of c3 (`laserplasma.potential._require_cubic_domain`); a ``field``
+    sweep outside it is refused for ``fixed``, and any other sweep for its first
+    value outside it.
     """
 
     vary: str
@@ -121,14 +119,6 @@ class SweepSpec:
             return _require_cubic_domain(replace(self.fixed, **{self.vary: value}))
         except ValueError as exc:
             raise ValueError(f"sweep value {value!r} for {self.vary}: {exc}") from exc
-
-
-def _require_cubic_domain(p: ModelParams) -> ModelParams:
-    """p, if its alpha0/lambda_D lies below `_C3_ROOT`; raises ValueError otherwise."""
-    if not p.alpha0 / p.lambda_d < _C3_ROOT:
-        raise ValueError(f"the cubic model needs alpha0/lambda_d below {_C3_ROOT:.8g}, where "
-                         f"c3 first changes sign; got alpha0/lambda_d = {p.alpha0 / p.lambda_d:g}")
-    return p
 
 
 class SweepRow(NamedTuple):

@@ -217,11 +217,14 @@ def test_shift_search_is_certified_whatever_the_guess():
     ModelParams(lambda_d=math.inf, field=4.0, alpha0=1e-3),
     ModelParams(lambda_d=math.inf, field=4.0, alpha0=0.05),
     ModelParams(lambda_d=5.0, field=0.5, hbar=1.5),
+    ModelParams(lambda_d=2.0, field=4.0),
 ], ids=lambda p: f"lambda{p.lambda_d:g}-F{p.field:g}-alpha{p.alpha0:g}-hbar{p.hbar:g}")
 def test_well_separated_states_settle_at_rounding(p):
     # E_1 - E_0 is 1.8 to 5.8 Ha here, so the iteration reaches rounding in a
-    # few steps and then stalls near 1e-13, above its 1e-15 |E| target; it
-    # used to bisect the shift at each stall until the factorization cap
+    # few steps; it used to bisect the shift at each stall until the
+    # factorization cap.  At lambda_D = 2, F = 4 the 8000- and 4000-point
+    # solves stall near 1e-13, above their 1e-15 |E| target, and settle at
+    # rounding; without that return the 8000-point solve raises GroundStateError
     grid = default_grid(p)
     for n in (grid.n_points, grid.n_points // 2, grid.n_points // 4):
         coarse = RadialGrid(0.0, grid.r_max, n)

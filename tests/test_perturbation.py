@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from laserplasma import perturbation
+from laserplasma import perturbation, potential
 from laserplasma.perturbation import (
     EnergyBreakdown,
     e3_hierarchy,
@@ -132,12 +132,17 @@ def test_e1_sign_threshold():
     # threshold is negative here, so even F = 0 keeps e1 positive
     assert threshold < 0
     assert total_energy(ModelParams(lambda_d=lam, alpha0=a0)).e1 >= 0.0
-    # extreme quiver amplitude flips the threshold sign
+    # extreme quiver amplitude flips the threshold sign, but only past
+    # alpha0/lambda_D = 180**(1/4) = 3.66, beyond the smaller root of c3:
+    # total_energy refuses the point, and the unchecked ladder loop shows it
     a0, lam = 8.0, 2.0
     threshold = a0**6 / (180.0 * lam**8) - a0**2 / lam**4
     assert threshold > 0
-    assert total_energy(ModelParams(lambda_d=lam, alpha0=a0, field=2.0)).e1 >= 0.0
-    assert total_energy(ModelParams(lambda_d=lam, alpha0=a0, field=1.0)).e1 < 0.0
+    fixed = ModelParams(lambda_d=lam, alpha0=a0)
+    with pytest.raises(ValueError, match=r"^the cubic model needs alpha0/lambda_d below"):
+        total_energy(replace(fixed, field=2.0))
+    above, below = perturbation._breakdowns(fixed, "field", (2.0, 1.0))
+    assert above.e1 >= 0.0 > below.e1
 
 
 def test_w1_profile():
@@ -153,7 +158,7 @@ def test_w1_riccati_residual():
     for p in random_params(6, seed=11):
         c = taylor_coefficients(p)
         w0, w1, _ = profiles(p)
-        k, dw1 = p.hbar / math.sqrt(2.0 * p.mu), superpotential_set(p).w1_slope
+        k, dw1 = p.hbar / math.sqrt(2.0 * p.mu), superpotential_set(p)[0]
         e1 = total_energy(p).e1
         for r in (0.1, 0.5, 1.0, 2.0, 5.0):
             lhs = 2.0 * w0(r) * w1(r) - k * dw1
@@ -206,7 +211,7 @@ def test_w2_riccati_residual():
     for p in random_params(8, seed=99):
         c = taylor_coefficients(p)
         w0, w1, w2 = profiles(p)
-        k, scale = p.hbar / math.sqrt(2.0 * p.mu), superpotential_set(p).w2_scale
+        k, scale = p.hbar / math.sqrt(2.0 * p.mu), superpotential_set(p)[1]
         e2 = total_energy(p).e2
         two_over_sig = 2.0 / p.decay_rate
         for r in (0.1, 0.5, 1.0, 2.0, 5.0):
@@ -266,8 +271,23 @@ def test_hierarchy_refuses_a_value_past_the_floats(monkeypatch):
     taylor_coefficients(p)
     for evaluate in (superpotential_set, e3_hierarchy):
         with pytest.raises(OverflowError, match=r"^superpotential \(slope 3\.5\d*e\+159, "
-                                                r"scale -inf\) is not finite$"):
+                                                r"scale -inf\) is not finite"
+                                                + re.escape(f" at {p}") + "$"):
             evaluate(p)
+    # at hbar = 1e80 sigma**3 underflows to a zero divisor, and hbar**6 overflows;
+    # at hbar = 1e50 the ladder's 4 hbar**4 sigma**4 underflows to 0
+    p = ModelParams(lambda_d=100.0, hbar=1e80)
+    point = re.escape(f" at {p}") + "$"
+    for evaluate in (superpotential_set, e3_hierarchy, lambda q: wavefunction_eval(1.0, q)):
+        with pytest.raises(OverflowError, match=r"^superpotential past the floats "
+                                                r"\(float division by zero\)" + point):
+            evaluate(p)
+    with pytest.raises(OverflowError, match=r"^ladder factor past the floats "
+                                            r"\(Numerical result out of range\)" + point):
+        total_energy(p)
+    message = f"ladder divisor underflows to 0 at {ModelParams(lambda_d=100.0, hbar=1e50)}"
+    with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+        total_energy(ModelParams(lambda_d=100.0, hbar=1e50))
     # e3_hierarchy takes its coefficients in one pass
     calls = []
     monkeypatch.setattr(perturbation, "taylor_coefficients",
@@ -275,6 +295,22 @@ def test_hierarchy_refuses_a_value_past_the_floats(monkeypatch):
     p = ModelParams(lambda_d=20.0, alpha0=1e-3, field=0.01)
     e3_hierarchy(p)
     assert calls == [p]
+
+
+def test_library_energies_refuse_the_ratios_past_the_c3_sign_change():
+    # the CLI's refusal, raised by the library too: past the smaller root of
+    # c3 the cubic model has no ground state, where total_energy gave
+    # -4.2166301 and e3_hierarchy 7.2186 at alpha0/lambda_D = 2.5
+    root = potential._C3_ROOT
+    for p, ratio in ((ModelParams(lambda_d=1.0, alpha0=2.5), "2.5"),
+                     (ModelParams(lambda_d=2.0, alpha0=2.0 * root), "1.87036")):
+        for evaluate in (total_energy, e3_hierarchy):
+            with pytest.raises(ValueError, match=r"^the cubic model needs alpha0/lambda_d below "
+                                                 r"1\.8703596, where c3 first changes sign; "
+                                                 rf"got alpha0/lambda_d = {ratio}$"):
+                evaluate(p)
+    below = ModelParams(lambda_d=1.0, alpha0=math.nextafter(root, 0.0))
+    assert math.isfinite(total_energy(below).total) and math.isfinite(e3_hierarchy(below))
 
 
 def test_e3_hierarchy_total_matches_oracle():
@@ -581,10 +617,11 @@ def _central_difference(p, axis):
 def test_field_derivative_is_the_analytic_c1_derivative(lambda_d, field, alpha0):
     # the field enters c1 alone, with dc1/dF = 1, so dE/dF is dE/dc1 of the ladder
     p = ModelParams(lambda_d=lambda_d, field=field, alpha0=alpha0)
-    sig, _, _, k2, q2, k_cross, q_cross, k_mixed, q_mixed, q3 = perturbation._ladder_terms(p)
+    sig, a, mu, hbar = p.decay_rate, p.coulomb_strength, p.mu, p.hbar
     c = taylor_coefficients(p)
-    analytic = (1.5 / sig - 2.0 * k2 * c.c1 / q2
-                + (2.0 * k_cross * c.c1 / q_cross - k_mixed * c.c2 / q_mixed) / q3)
+    analytic = (1.5 / sig - 6.0 * hbar**6 * c.c1 / (32.0 * mu**3 * a**4)
+                + (54.0 * mu**2 * c.c1 / (4.0 * hbar**4 * sig**4)
+                   - 27.0 * mu * c.c2 / (2.0 * hbar**2 * sig**2)) / (2.0 * sig**3))
     assert _complex_step(p, "field") == pytest.approx(analytic, rel=1e-14, abs=0.0)
 
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from laserplasma import sweep
+from laserplasma import potential, sweep
 from laserplasma.oracle import ConvergenceError, RadialGrid
 from laserplasma.perturbation import EnergyBreakdown, total_energy
 from laserplasma.potential import (ModelParams, dressed_pair_eval, ecsc_eval, taylor_coefficients,
@@ -103,7 +103,7 @@ def test_sweep_spec_refuses_the_ratios_past_the_c3_sign_change():
         return taylor_coefficients(ModelParams(lambda_d=1.0, alpha0=ratio)).c3
 
     assert c3(1.8703) > 0.0 > c3(1.8704) and c3(4.985) < 0.0 < c3(4.986)
-    root = sweep._C3_ROOT
+    root = potential._C3_ROOT
     assert root == 1.8703595502933186
     below = math.nextafter(root, 0.0)
     fixed = ModelParams(lambda_d=1.0, alpha0=below)
