@@ -40,7 +40,6 @@ from .oracle import ConvergenceError, GroundStateError, _require_points, default
 from .perturbation import EnergyBreakdown
 from .potential import (
     ModelParams,
-    _require_nodes,
     dressed_pair_eval,
     ecsc_eval,
     taylor_coefficients,
@@ -72,11 +71,11 @@ class UsageError(Exception):
 @dataclass(frozen=True)
 class PotentialTable:
     """``potential``'s request: two or more finite radii > 0, stored as a tuple of
-    floats; ``quad_nodes`` a `v0_quadrature` node count, or None for no cycle_avg column."""
+    floats; ``with_quadrature`` adds the `v0_quadrature` cycle_avg column."""
 
     params: ModelParams
     radii: tuple
-    quad_nodes: int | None = None
+    with_quadrature: bool = False
 
     def __post_init__(self):
         radii = tuple(map(float, self.radii))
@@ -86,8 +85,6 @@ class PotentialTable:
         for r in radii:
             if not 0.0 < r < float("inf"):
                 raise ValueError(f"radii must be finite and > 0, got {r}")
-        if self.quad_nodes is not None:
-            _require_nodes(self.quad_nodes, "quad_nodes")
 
 
 @dataclass(frozen=True)
@@ -153,9 +150,8 @@ def _build_parser():
     p_pot.add_argument("--r-max", type=float, default=10.0)
     p_pot.add_argument("--points", type=int, default=100)
     p_pot.add_argument("--log", action="store_true", help="log-spaced radii")
-    p_pot.add_argument("--with-quadrature", nargs="?", type=int, const=64, metavar="NODES",
-                       help="add the cycle-average column on NODES nodes, default 64 "
-                            "(needs r > alpha0; the count must grow near r = alpha0)")
+    p_pot.add_argument("--with-quadrature", action="store_true",
+                       help="add the cycle-average column (needs r > alpha0)")
 
     sub.add_parser("energy", parents=[params, output],
                    help="closed-form energy breakdown")
@@ -330,15 +326,12 @@ _BREAKDOWN_KEYS = EnergyBreakdown._fields + ("total",)
 
 def _build_potential(config: RunConfig):
     table = config.request
-    p, radii, n = table.params, table.radii, table.quad_nodes
+    p, radii = table.params, table.radii
     # the quadrature runs first, so radii r <= alpha0 are reported as such
     # and not as the dressed form's pole at r = alpha0
-    quadrature = None if n is None else [v0_quadrature(r, p, n) for r in radii]
+    quadrature = [v0_quadrature(r, p) for r in radii] if table.with_quadrature else None
     dressed = [dressed_pair_eval(r, p) for r in radii]
-    try:
-        coeffs = taylor_coefficients(p)
-    except ArithmeticError as exc:
-        raise type(exc)(f"{exc.args[-1]} at {p}") from exc
+    coeffs = taylor_coefficients(p)
     columns = {"r": radii, "screened": [ecsc_eval(r, p) for r in radii],
                "dressed": dressed, "effective": _with_field(dressed, radii, p.field),
                "series": [veff_series_eval(r, coeffs) for r in radii]}
@@ -353,7 +346,7 @@ def _build_potential(config: RunConfig):
     estimate = ratio * ratio / 2  # the endpoint form's relative error where r >> alpha0
     note = None
     if estimate > 1e-3:
-        where = ("--with-quadrature adds the cycle average" if n is None
+        where = ("--with-quadrature adds the cycle average" if quadrature is None
                  else "the cycle_avg column holds the cycle average")
         note = (f"note: at r = {r_min:g} the dressed and effective columns (endpoint form) are "
                 f"off the cycle average by at least about {estimate:.2g} relative, "

@@ -97,12 +97,12 @@ def e3_hierarchy(p: ModelParams) -> float:
     misses the oracle on the cubic potential by an error that grows like
     F^4, the first order left out (+1.2e-7 at lambda_D = 100,
     alpha0 = 1e-4, F = 0.04).  A point past the smaller root of c3 raises
-    ValueError, and a result that is not finite OverflowError.
+    ValueError, and a result that is not finite OverflowError naming p.
     """
     c, sig, _, slope, scale = _hierarchy(_require_cubic_domain(p))
     e3 = (7.5 * c.c3 - 27.0 * slope * scale) / sig**3
     if not math.isfinite(e3):
-        raise OverflowError(f"e3 = {e3} is not finite")
+        raise OverflowError(f"e3 = {e3} is not finite at {p}")
     return e3
 
 

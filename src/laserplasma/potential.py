@@ -49,8 +49,9 @@ __all__ = [
 # Evaluation closer to the r = alpha0 pole than this (times max(1, alpha0))
 # is refused rather than returning a huge value that silently poisons sweeps.
 POLE_GUARD = 1e-12
-# `v0_quadrature` refuses a node count whose estimated relative error exceeds this.
+# `v0_quadrature`'s relative error bound, and the most nodes it chooses to meet it
 _QUADRATURE_TOL = 1e-12
+_MAX_NODES = 2**14
 
 
 class PoleProximityError(ValueError):
@@ -237,12 +238,6 @@ def dressed_pair_eval(r, p: ModelParams):
     return _dressed(arr, p.coulomb_strength, p.lambda_d, p.alpha0)
 
 
-def _require_nodes(n, name):
-    """Refuse a quadrature order that is not an integer >= 8, naming it ``name``."""
-    if not hasattr(n, "__index__") or n < 8:
-        raise ValueError(f"{name} must be an integer >= 8, got {n!r}")
-
-
 def v0_quadrature(r, p: ModelParams, n_nodes: int = 64):
     """Exact laser cycle average of the screened potential by quadrature.
 
@@ -263,36 +258,38 @@ def v0_quadrature(r, p: ModelParams, n_nodes: int = 64):
         integrand pole stays outside the integration path.
     p : ModelParams
     n_nodes : int
-        Quadrature order, an integer of at least 8.  The integrand is smooth on the
-        node interval, so convergence is geometric: the relative error is
-        2 exp(-2 N acosh(r / alpha0)) whatever lambda_D is.  A count whose error
-        exceeds 1e-12 at the smallest radius raises ValueError naming the
-        count that meets it; 64 is ample from r = 1.025 alpha0, 709 nodes reach
-        r = 1.0002 alpha0.
+        Least quadrature order, an integer of at least 8.  The integrand is smooth
+        on the node interval, so convergence is geometric: the relative error is
+        2 exp(-2 N acosh(r / alpha0)) whatever lambda_D is.  The rule runs on the
+        fewest nodes, at least n_nodes, that keep it within 1e-12 at the smallest
+        radius: 64 from r = 1.025 alpha0, 709 at r = 1.0002 alpha0.  Rather than
+        go past both n_nodes and `_MAX_NODES` = 2**14 (below about r = 1.0000004
+        alpha0), it raises ValueError naming the count.
 
     Returns
     -------
     float or ndarray
     """
-    _require_nodes(n_nodes, "n_nodes")
+    if not hasattr(n_nodes, "__index__") or n_nodes < 8:
+        raise ValueError(f"n_nodes must be an integer >= 8, got {n_nodes!r}")
     arr = _radii(r)
     if _any(arr <= p.alpha0):
         raise ValueError(
             f"cycle-average quadrature requires r > alpha0 = {p.alpha0:g} "
             "(pole crosses the integration path otherwise)"
         )
+    n = n_nodes
     if p.alpha0 > 0.0:
-        # one plain-float check at the smallest radius, where the error is largest
+        # one plain-float count at the smallest radius, where the error is largest
         r_min = arr if isinstance(arr, float) else float(arr.min(initial=math.inf))
         rate = 2.0 * math.acosh(r_min / p.alpha0)
         needed = math.ceil(math.log(2.0 / _QUADRATURE_TOL) / rate)
-        if n_nodes < needed:
-            raise ValueError(
-                f"cycle average on {n_nodes} nodes is off by up to "
-                f"{2.0 * math.exp(-n_nodes * rate):.1e} (relative) at r = {r_min:g}, "
-                f"{r_min / p.alpha0:.6g} alpha0; it needs at least {needed} nodes"
-            )
-    a, lam, n = p.coulomb_strength, p.lambda_d, n_nodes
+        if needed > max(n_nodes, _MAX_NODES):
+            raise ValueError(f"cycle average at r = {r_min:.10g}, {r_min / p.alpha0:.10g} alpha0 "
+                             f"needs {needed} nodes to meet {_QUADRATURE_TOL:g}, past the cap "
+                             f"of {_MAX_NODES}")
+        n = max(n, needed)
+    a, lam = p.coulomb_strength, p.lambda_d
     return sum(_dressed(arr, a, lam, p.alpha0 * math.cos((2.0 * k - 1.0) * math.pi / (2.0 * n)))
                for k in range(1, n + 1)) / n
 
@@ -331,15 +328,21 @@ def taylor_coefficients(p: ModelParams) -> EffectiveCoefficients:
 
     The expansion is joint in r and alpha0: the Coulomb pole keeps its
     undressed strength -2A while the analytic remainder is expanded
-    through r^3 and alpha0^8.  The static field contributes F to c1.  A
-    coefficient that is not finite raises OverflowError naming it.
+    through r^3 and alpha0^8.  The static field contributes F to c1.  A, a power
+    or a coefficient that leaves the floats raises OverflowError naming p.
     """
-    a = p.coulomb_strength
-    c0, d1, c2, c3 = _coefficients(a, p.alpha0, p.lambda_d)
+    try:
+        a = p.coulomb_strength
+    except OverflowError:
+        raise OverflowError(f"Coulomb strength A = Z e^2 past the floats at {p}") from None
+    try:
+        c0, d1, c2, c3 = _coefficients(a, p.alpha0, p.lambda_d)
+    except OverflowError as exc:
+        raise OverflowError(f"{exc.args[-1]} at {p}") from exc
     coeffs = (-2.0 * a, c0, p.field + d1, c2, c3)
     for name, value in zip(("c_m1", "c0", "c1", "c2", "c3"), coeffs):
         if not math.isfinite(value):
-            raise OverflowError(f"coefficient {name} = {value} is not finite")
+            raise OverflowError(f"coefficient {name} = {value} is not finite at {p}")
     return EffectiveCoefficients(*coeffs)
 
 

@@ -90,11 +90,18 @@ class SweepSpec:
         if not values:
             raise ValueError("sweep needs at least one value")
         rest = values[1:]
-        if not (all(map(float.__lt__, values, rest)) or all(map(float.__gt__, values, rest))):
-            # a value outside the domain (NaN breaks every order) is the real fault
+        monotone = all(map(float.__lt__, values, rest)) or all(map(float.__gt__, values, rest))
+        inside = monotone
+        try:  # every domain is an interval, so monotone values lie inside when both ends do
+            if monotone:
+                self._params_at(values[0]), self._params_at(values[-1])
+        except ValueError:
+            inside = False
+        if not inside:  # name the first value outside the domain; NaN breaks every order
             for value in values:
                 self._params_at(value)
-            raise ValueError("sweep values must be strictly monotone")
+            if not monotone:
+                raise ValueError("sweep values must be strictly monotone")
         unknown = set(self.outputs) - set(_OUTPUT_CHOICES)
         if unknown:
             raise ValueError(f"unknown outputs {sorted(unknown)}")
@@ -106,13 +113,6 @@ class SweepSpec:
         if grid is not None:
             require_grid(grid, self.fixed, "oracle_grid")
         object.__setattr__(self, "outputs", frozenset(self.outputs))
-        # the values are strictly monotone and every domain is an interval,
-        # so valid endpoints make every value valid
-        try:
-            self._params_at(values[0]), self._params_at(values[-1])
-        except ValueError:
-            for value in values:
-                self._params_at(value)
 
     def _params_at(self, value: float) -> ModelParams:
         try:

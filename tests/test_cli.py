@@ -256,7 +256,7 @@ def test_runconfig_header_comes_from_the_request(capsys):
     assert run(RunConfig("sweep", spec)) == EXIT_OK
     out = capsys.readouterr().out
     assert "# lambda_d = 100\n" in out and out.endswith(",-1.9725072\n")
-    table = PotentialTable(P5, (1.0, 2.0), quad_nodes=None)
+    table = PotentialTable(P5, (1.0, 2.0), with_quadrature=False)
     assert run(RunConfig("potential", table)) == EXIT_OK
     _, header, rows = parse_csv(capsys.readouterr().out)
     assert header[-1] == "series" and len(rows) == 2
@@ -636,7 +636,7 @@ def test_bad_sweep_values_are_usage_errors(capsys, argv):
     # flags that no printed column uses
     (["sweep", "--vary", "field", "--values", "0.01", "--lambda-d", "5", "--grid-points", "20000"],
      None, 'oracle_grid requires the "oracle" output'),
-    # --with-quadrature takes the node count itself
+    # the cycle average chooses its own node count
     (["potential", "--lambda-d", "5", "--quad-nodes", "32"], None,
      "unrecognized arguments: --quad-nodes 32"),
     # a non-finite endpoint used to reach the domain check as a NaN the user never gave
@@ -728,22 +728,20 @@ def test_sweep_oracle_nonconvergence_matches_oracle_command(capsys):
 
 
 def test_potential_rejects_too_few_quadrature_nodes(capsys):
-    code, out, err = run_cli(
-        capsys, ["potential", "--lambda-d", "5", "--with-quadrature", "4"]
-    )
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert "quad_nodes must be an integer >= 8, got 4" in err
+    # --with-quadrature takes no node count, too few or any other
+    for count in ("4", "32"):
+        code, out, err = run_cli(
+            capsys, ["potential", "--lambda-d", "5", "--with-quadrature", count]
+        )
+        assert (code, out, err) == (EXIT_USAGE, "",
+                                    f"usage error: unrecognized arguments: {count}\n")
 
 
-def test_with_quadrature_takes_its_node_count(capsys):
+def test_with_quadrature_is_a_switch():
     argv = ["potential", "--lambda-d", "5", "--alpha0", "0.001", "--field", "0.01"]
-    nodes = [parse_args([*argv, *flag]).request.quad_nodes
-             for flag in ([], ["--with-quadrature"], ["--with-quadrature", "32"])]
-    assert nodes == [None, 64, 32]
-    # the cycle average has converged at 32 nodes to the printed digits
-    assert (run_cli(capsys, [*argv, "--with-quadrature", "32"])
-            == run_cli(capsys, [*argv, "--with-quadrature"]))
+    switch = [parse_args([*argv, *flag]).request.with_quadrature
+              for flag in ([], ["--with-quadrature"])]
+    assert switch == [False, True]
 
 
 @pytest.mark.parametrize("argv", [[], ["potential"], ["energy"], ["oracle"], ["sweep"],
@@ -756,7 +754,7 @@ def test_help_exits_zero(capsys, argv):
     out = capsys.readouterr().out
     assert out.startswith("usage: laserplasma")
     if argv == ["potential"]:
-        assert "[--with-quadrature [NODES]]" in out
+        assert "[--with-quadrature]" in out
 
 
 def test_negative_point_count_is_a_usage_error(capsys):
@@ -767,17 +765,15 @@ def test_negative_point_count_is_a_usage_error(capsys):
     assert err == "usage error: --points must be >= 2, got -1\n"
 
 
-@pytest.mark.parametrize("radii, quad_nodes, message", [
-    ((0.0, 1.0), None, "radii must be finite and > 0, got 0.0"),
-    ((1.0, 2.0), 4, "quad_nodes must be an integer >= 8, got 4"),
-    ((1.0, 2.0), 8.5, "quad_nodes must be an integer >= 8, got 8.5"),
-    ((), None, "potential needs at least 2 radii, got 0"),
-    ((1.0,), None, "potential needs at least 2 radii, got 1"),
-], ids=["zero-radius", "four-nodes", "fractional-nodes", "no-radii", "one-radius"])
-def test_potential_table_refuses_what_potential_cannot_print(radii, quad_nodes, message):
+@pytest.mark.parametrize("radii, message", [
+    ((0.0, 1.0), "radii must be finite and > 0, got 0.0"),
+    ((), "potential needs at least 2 radii, got 0"),
+    ((1.0,), "potential needs at least 2 radii, got 1"),
+], ids=["zero-radius", "no-radii", "one-radius"])
+def test_potential_table_refuses_what_potential_cannot_print(radii, message):
     # each of these used to exit 3 or print a table with fewer than two rows
     with pytest.raises(ValueError, match=message):
-        PotentialTable(ModelParams(lambda_d=5.0), radii, quad_nodes)
+        PotentialTable(ModelParams(lambda_d=5.0), radii, with_quadrature=True)
 
 
 def test_potential_table_stores_radii_as_floats():
@@ -827,7 +823,7 @@ def test_potential_notes_the_endpoint_form_error_on_stderr(capsys, tmp_path):
         (["--alpha0", "0.01"], "0.05", "0.02"),
         (["--alpha0", "0.0023"], "0.05", "0.0011"),
         (["--alpha0", "0.5", "--r-min", "0.6", "--r-max", "1", "--log"], "0.6", "0.35"),
-        (["--alpha0", "0.5", "--r-min", "0.6", "--with-quadrature", "2000"], "0.6", "0.35"),
+        (["--alpha0", "0.5", "--r-min", "0.6", "--with-quadrature"], "0.6", "0.35"),
         (["--alpha0", "0.0022"], None, None),
         (["--alpha0", "0.001"], None, None),
         ([], None, None),
@@ -1002,18 +998,18 @@ def test_values_from_1e16_print_in_scientific_notation(capsys):
 
 
 def test_potential_refuses_a_quadrature_short_of_its_tolerance(capsys):
-    # 64 nodes put cycle_avg at -170.8891218 here, 14% off its converged value
-    argv = ["potential", "--lambda-d", "5", "--alpha0", "0.5", "--r-min", "0.5001",
-            "--r-max", "0.6", "--points", "2", "--with-quadrature"]
-    code, out, err = run_cli(capsys, argv)
-    assert code == EXIT_NUMERIC
-    assert out == ""
-    assert err.startswith("numeric failure: cycle average on 64 nodes is off by up to 1.5e-01")
-    assert "at r = 0.5001, 1.0002 alpha0; it needs at least 709 nodes" in err
-    code, out, _ = run_cli(capsys, [*argv, "1024"])
+    # r = 1.0002 alpha0 takes 709 nodes (64 put cycle_avg at -170.8891218, 14% off);
+    # r = 1.0000003 alpha0 would take 18284, past the cap of 2**14
+    argv = ["potential", "--lambda-d", "5", "--alpha0", "0.5", "--r-max", "0.6",
+            "--points", "2", "--with-quadrature"]
+    code, out, _ = run_cli(capsys, [*argv, "--r-min", "0.5001"])
     assert code == EXIT_OK
     _, header, rows = parse_csv(out)
     assert dict(zip(header, rows[0]))["cycle_avg"] == "-199.5918404"
+    code, out, err = run_cli(capsys, [*argv, "--r-min", "0.50000015"])
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert err == ("numeric failure: cycle average at r = 0.50000015, 1.0000003 alpha0 needs "
+                   "18284 nodes to meet 1e-12, past the cap of 16384\n")
 
 
 def test_potential_csv_columns(capsys):

@@ -264,9 +264,15 @@ def test_e3_hierarchy_equals_its_expanded_form():
 
 def test_hierarchy_refuses_a_value_past_the_floats(monkeypatch):
     # every coefficient is finite at lambda_D = 1e-77, but 7.5 c3 is not;
+    # A = Z e**2 leaves the floats at e = 1e200, in `taylor_coefficients`;
     # at hbar = 1e10 the scale's c1^2 / (8 sigma^3 k^3) overflows as a quotient
-    with pytest.raises(OverflowError, match=r"^e3 = inf is not finite$"):
-        e3_hierarchy(ModelParams(lambda_d=1e-77))
+    p = ModelParams(lambda_d=1e-77)
+    with pytest.raises(OverflowError, match=f"^{re.escape(f'e3 = inf is not finite at {p}')}$"):
+        e3_hierarchy(p)
+    p = ModelParams(lambda_d=1.0, e_charge=1e200)
+    with pytest.raises(OverflowError, match=r"^Coulomb strength A = Z e\^2 past the floats"
+                                            + re.escape(f" at {p}") + "$"):
+        e3_hierarchy(p)
     p = ModelParams(lambda_d=100.0, field=1e150, hbar=1e10)
     taylor_coefficients(p)
     for evaluate in (superpotential_set, e3_hierarchy):
@@ -396,12 +402,13 @@ def test_energy_breakdown_is_an_immutable_hashable_record():
 
 
 def test_total_monotonic_in_field_and_screening():
+    # the total rises with F on a grid over the benchmark window (lambda_D 5-100,
+    # alpha0 1e-4 - 1e-2, F 1e-4 - 0.04), and falls as lambda_D grows
     fields = (0.0001, 0.0004, 0.001, 0.004, 0.01, 0.04)
-    totals = [
-        total_energy(ModelParams(lambda_d=100.0, alpha0=1e-4, field=f)).total
-        for f in fields
-    ]
-    assert all(a < b for a, b in zip(totals, totals[1:]))
+    for lam, alpha0 in itertools.product((5.0, 10.0, 30.0, 100.0), (1e-4, 1e-3, 1e-2)):
+        totals = [total_energy(ModelParams(lambda_d=lam, alpha0=alpha0, field=f)).total
+                  for f in fields]
+        assert all(a < b for a, b in zip(totals, totals[1:])), (lam, alpha0)
     lams = (5.0, 10.0, 20.0, 40.0, 80.0, 100.0)
     totals = [
         total_energy(ModelParams(lambda_d=lam, alpha0=1e-4, field=0.01)).total

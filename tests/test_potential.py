@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from laserplasma import potential
 from laserplasma.potential import (
     EffectiveCoefficients,
     ModelParams,
@@ -229,25 +230,58 @@ def test_quadrature_domain_errors():
     assert v0_quadrature(1.0, p, np.int64(64)) == v0_quadrature(1.0, p, 64)
 
 
+def _rule(r, p, n):
+    """The n-node Chebyshev-Gauss cycle average, summed as `v0_quadrature` sums it."""
+    a, lam, dressed = p.coulomb_strength, p.lambda_d, potential._dressed
+    return sum(dressed(r, a, lam, p.alpha0 * math.cos((2.0 * k - 1.0) * math.pi / (2.0 * n)))
+               for k in range(1, n + 1)) / n
+
+
+def _needed(r, alpha0):
+    """The fewest nodes whose relative error 2 exp(-2 N acosh(r / alpha0)) is within 1e-12."""
+    return math.ceil(math.log(2e12) / (2.0 * math.acosh(r / alpha0)))
+
+
 @pytest.mark.parametrize("lambda_d, alpha0", [(5.0, 0.5), (100.0, 1e-3)])
-def test_quadrature_refuses_a_node_count_short_of_its_tolerance(lambda_d, alpha0):
+def test_quadrature_lifts_a_node_count_short_of_its_tolerance(lambda_d, alpha0):
     # the N-node rule's relative error is 2 exp(-2 N acosh(r / alpha0)),
     # whatever lambda_D is; at r = 1.0002 alpha0, 64 nodes are off by 14%
     p = ModelParams(lambda_d=lambda_d, alpha0=alpha0)
     r = 1.0002 * alpha0
-    error = abs(v0_quadrature(r, p, 709) / v0_quadrature(r, p, 40000) - 1.0)
+    error = abs(_rule(r, p, 709) / v0_quadrature(r, p, 40000) - 1.0)
     assert 0.5 < error / (2.0 * math.exp(-2.0 * 709 * math.acosh(r / alpha0))) < 2.0
     assert error < 1e-12
-    message = re.escape(f"r = {r:g}, 1.0002 alpha0; it needs at least 709 nodes")
-    for radii in (r, np.array([2.0 * alpha0, r])):  # the smallest radius decides
-        for n in (64, 708):
-            with pytest.raises(ValueError, match=message):
-                v0_quadrature(radii, p, n)
-    assert v0_quadrature(np.array([2.0 * alpha0, r]), p, 709)[1] == v0_quadrature(r, p, 709)
+    # so any count below 709 runs on 709 nodes; in an array the smallest radius decides
+    for n in (8, 64, 708, 709):
+        assert v0_quadrature(r, p, n) == _rule(r, p, 709)
+    assert v0_quadrature(r, p, 710) == _rule(r, p, 710)
+    assert v0_quadrature(np.array([2.0 * alpha0, r]), p)[1] == _rule(r, p, 709)
     # 64 nodes meet the tolerance from r = 1.02459 alpha0 on
-    v0_quadrature(1.0246 * alpha0, p)
-    with pytest.raises(ValueError, match="at least 65 nodes"):
-        v0_quadrature(1.0245 * alpha0, p)
+    assert v0_quadrature(1.0246 * alpha0, p) == _rule(1.0246 * alpha0, p, 64)
+    assert v0_quadrature(1.0245 * alpha0, p) == _rule(1.0245 * alpha0, p, 65)
+    # 2**14 nodes serve down to about r = 1.0000004 alpha0; a radius below it is refused
+    # unless the count given meets the tolerance there
+    assert _needed(1.0000004 * alpha0, alpha0) <= 2**14
+    r = 1.0000003 * alpha0
+    message = (f"cycle average at r = {r:.10g}, 1.0000003 alpha0 needs 18284 nodes "
+               "to meet 1e-12, past the cap of 16384")
+    for radii in (r, np.array([2.0 * alpha0, r])):
+        for n in (64, 18283):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                v0_quadrature(radii, p, n)
+    assert v0_quadrature(r, p, 18284) == _rule(r, p, 18284)
+
+
+def test_quadrature_keeps_the_bits_of_every_count_that_meets_its_tolerance():
+    # a count n that meets 1e-12 runs as given, and a count short of it runs on the
+    # fewest nodes that meet it: the n-node value wherever the count used to be taken
+    rng = random.Random(39)
+    for _ in range(200):
+        alpha0 = 10.0 ** rng.uniform(-4.0, 0.0)
+        p = ModelParams(lambda_d=10.0 ** rng.uniform(0.0, 2.0), alpha0=alpha0)
+        r = alpha0 * (1.0 + 10.0 ** rng.uniform(-3.5, 1.0))
+        n = rng.randrange(8, 800)
+        assert v0_quadrature(r, p, n) == _rule(r, p, max(n, _needed(r, alpha0))), (r, p, n)
 
 
 def test_endpoint_error_envelope():
@@ -298,10 +332,16 @@ def test_coefficients_weak_dressing_linear_term():
 def test_coefficients_refuse_a_value_past_the_floats():
     # A lambda_D**-4 overflows as a product at lambda_D = 1e-77, Z = 10, and
     # meets (alpha0/lambda_D)^4 = 0: c3 = inf * 0 + inf is nan; -2 A leaves
-    # the floats at Z = 1e308
-    for p, message in [(ModelParams(lambda_d=1e-77, z=10.0), "c3 = nan"),
-                       (ModelParams(lambda_d=100.0, z=1e308), "c_m1 = -inf")]:
-        with pytest.raises(OverflowError, match=f"^coefficient {re.escape(message)} is not finite$"):
+    # the floats at Z = 1e308; lambda_D**-4 itself at lambda_D = 1e-80, and
+    # A = Z e**2 at e = 1e200; each error names its point
+    for p, message in [
+        (ModelParams(lambda_d=1e-77, z=10.0), "coefficient c3 = nan is not finite"),
+        (ModelParams(lambda_d=100.0, z=1e308), "coefficient c_m1 = -inf is not finite"),
+        (ModelParams(lambda_d=1e-80), "Numerical result out of range"),
+        (ModelParams(lambda_d=1.0, e_charge=1e200),
+         "Coulomb strength A = Z e^2 past the floats"),
+    ]:
+        with pytest.raises(OverflowError, match=f"^{re.escape(f'{message} at {p}')}$"):
             taylor_coefficients(p)
     assert 3e307 < taylor_coefficients(ModelParams(lambda_d=1e-77)).c3 < math.inf
 

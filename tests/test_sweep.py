@@ -85,6 +85,18 @@ def test_first_bad_value_in_input_order_is_named():
         SweepSpec("field", (0.02, -0.01, -0.03), FIXED)
 
 
+def test_a_domain_fault_is_named_before_an_outputs_or_grid_fault():
+    # monotone or not, values outside the domain are named before a bad output or grid;
+    # values only out of order are named as such before them too
+    for values, message in [((0.02, -0.01), r"sweep value -0\.01 for field"),
+                            ((0.02, -0.01, 0.03), r"sweep value -0\.01 for field"),
+                            ((0.02, 0.01, 0.03), "strictly monotone")]:
+        with pytest.raises(ValueError, match=message):
+            SweepSpec("field", values, FIXED, outputs=frozenset({"banana"}))
+        with pytest.raises(ValueError, match=message):
+            SweepSpec("field", values, FIXED, oracle_grid=RadialGrid(0.0, 20.0, 2000))
+
+
 def test_alpha0_sweep_rejects_laser_pair():
     # omega and e0_amp fix alpha0 = 0.25, so the first other value is named
     fixed = ModelParams(lambda_d=5.0, omega=2.0, e0_amp=1.0)
