@@ -24,10 +24,10 @@ from the Coulomb pole's own state r exp(-s r), s = ``p.decay_rate``,
 floored so it is positive at every node, and from its Rayleigh quotient, an
 upper bound of E_0, so every iterate is >= 0 exactly, and the iteration
 converges to the nodeless ground state with no node check; the first
-shift sits 2e-4 max(1, |Q|) below that quotient Q.  The unit start vector
-of each (grid, s) is built once and cached.  numpy is imported only by
-the functions that build or read the grid arrays, and scipy (LAPACK) only
-when a solve runs, so importing this module loads neither.
+shift sits 2e-4 max(1, |Q|) below that quotient Q.  The unit start of
+each (grid, s) is built once and cached read-only.  numpy is imported
+only by the functions that build or read the grid arrays, and scipy
+(LAPACK) only when a solve runs, so importing this module loads neither.
 
 This solver shares no code with the closed-form energy ladder in
 `laserplasma.perturbation`, which is exactly what makes it usable as a
@@ -183,7 +183,9 @@ def _sample(function, r, name):
 
 @functools.lru_cache(maxsize=8)
 def _start(grid: RadialGrid, decay_rate: float):
-    """Unit u ~ r exp(-s r), s = ``decay_rate``, floored > 0; u^2; sum u_i u_{i+1}."""
+    """Unit u ~ r exp(-s r), s = ``decay_rate``, floored > 0, gives u^2 and
+    sum u_i u_{i+1} for the guess; the first iterate, returned with them, is
+    that u divided by its norm once more."""
     import numpy as np
 
     r = grid.points
@@ -191,8 +193,10 @@ def _start(grid: RadialGrid, decay_rate: float):
     u = np.exp(log_u - np.max(log_u))  # 1 at its peak node, so u @ u cannot underflow
     u = np.maximum(u / math.sqrt(u @ u), sys.float_info.min)
     square = u * u
+    cross = float(u[:-1] @ u[1:])
+    u /= math.sqrt(u @ u)
     u.flags.writeable = square.flags.writeable = False
-    return u, square, float(u[:-1] @ u[1:])
+    return u, square, cross
 
 
 def hamiltonian_arrays(potential, grid: RadialGrid, p: ModelParams):
@@ -201,7 +205,12 @@ def hamiltonian_arrays(potential, grid: RadialGrid, p: ModelParams):
 
     h = grid.spacing
     kin = p.hbar**2 / (2.0 * p.mu * h * h)
-    diag = 2.0 * kin + _sample(potential, grid.points, "potential")
+    diag = np.full(grid.n_points, 2.0 * kin)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by grid point
+        diag += potential(grid.points)
+    # NaN propagates through min and max; a finite diag has a finite potential
+    if not (diag.min() > -math.inf and diag.max() < math.inf):
+        _sample(potential, grid.points, "potential")  # names the first bad grid point
     off = np.full(grid.n_points - 1, -kin)
     return diag, off
 
@@ -213,24 +222,24 @@ def _lowest_eigenpair(diag, off, guess, start):
     2e-4 max(1, |guess|) below it and moves down by steps growing 4-fold
     until T - shift I factors, and is bisected towards the current energy
     (an upper bound of E_0) whenever the iteration contracts slowly.
-    ``start``, positive at every node, is the first iterate.  Returns the
-    energy and a positive unit vector; raises `GroundStateError` when a cap
-    is reached.
+    ``start``, positive at every node and of unit norm, is the first iterate;
+    it is only read.  Returns the energy and a positive unit vector; raises
+    `GroundStateError` when a cap is reached.
     """
     import numpy as np
     from scipy.linalg.lapack import dpttrf, dpttrs
 
-    u = start / math.sqrt(start @ start)
+    u = start
     lo, hi, step = -np.inf, np.inf, 2e-4 * max(1.0, abs(guess))
     shift, energy, changes = guess - step, np.inf, []
-    ulp = np.spacing(max(diag.max(), -diag.min()))
+    ulp = math.ulp(max(diag.max(), -diag.min()))
     for _ in range(_MAX_FACTORIZATIONS):
         # on the ulp grid of diag's largest entry, diag - shift is exact
         # (barring a carry into the next binade), so the factored matrix is
         # T - shift I itself: eigenvalues agree with a long-double solve to
         # ~1e-13 instead of ~1e-11
-        shift = ulp * np.round(shift / ulp)
-        d, e, info = dpttrf(diag - shift, off)
+        shift = ulp * round(shift / ulp)
+        d, e, info = dpttrf(diag - shift, off, overwrite_d=True)
         if info != 0:  # not positive definite: E_0 <= shift
             hi, step = shift, 4.0 * step
             shift = guess - step if lo == -np.inf else 0.5 * (lo + hi)
@@ -240,7 +249,8 @@ def _lowest_eigenpair(diag, off, guess, start):
             y, _ = dpttrs(d, e, u)
             q = 1.0 / (u @ y)
             changes.append(abs(shift + q - energy))
-            energy, u = shift + q, y / math.sqrt(y @ y)
+            y /= math.sqrt(y @ y)
+            energy, u = shift + q, y
             # not the Rayleigh quotient of T, whose terms cancel from ~1e5
             if changes[-1] <= 1e-15 * (abs(shift) + q):
                 return float(energy), u
@@ -272,7 +282,8 @@ def solve_on_grid(potential, grid: RadialGrid, p: ModelParams):
     # start's Rayleigh quotient, an upper bound of E_0 (start is unit, off constant)
     guess = float(square @ diag + 2.0 * off[0] * cross)
     energy, u = _lowest_eigenpair(diag, off, guess, start)
-    return energy, u / math.sqrt(grid.spacing)
+    u /= math.sqrt(grid.spacing)  # a fresh iterate, never the cached start
+    return energy, u
 
 
 def solve_ground_state(potential, grid: RadialGrid, p: ModelParams) -> OracleResult:

@@ -137,13 +137,14 @@ def _breakdowns(fixed: ModelParams, vary: str, values, fields=None):
     field-free coefficient parts are computed once per value and shared by
     every field; a ``field`` sweep is the ``alpha0`` sweep (fixed.alpha0,)
     with its values as fields; the other `_coefficients` argument repeats.  The
-    ladder's (A, mu, hbar) factors are computed once per call; one past the
-    floats, or a divisor among them that underflows to 0, raises OverflowError
+    ladder's (A, mu, hbar) factors are computed once per call.  A past the floats
+    raises `ModelParams.coulomb_strength`'s OverflowError; another factor past
+    them, or a divisor among them that underflows to 0, raises OverflowError
     naming it, as a total that is not finite does.  The caller names the point.
     """
-    mu, hbar, new = fixed.mu, fixed.hbar, tuple.__new__
+    mu, hbar, new, a = fixed.mu, fixed.hbar, tuple.__new__, fixed.coulomb_strength
     try:
-        a, sig = fixed.coulomb_strength, fixed.decay_rate
+        sig = fixed.decay_rate
         e0, sig2, k2, q2 = -sig * a, sig**2, 3.0 * hbar**6, 32.0 * mu**3 * a**4
         k_cross, q_cross, k_mixed = 27.0 * mu**2, 4.0 * hbar**4 * sig**4, 27.0 * mu
         q_mixed, q3 = 2.0 * hbar**2 * sig**2, 2.0 * sig**3

@@ -127,8 +127,12 @@ class ModelParams:
 
     @property
     def coulomb_strength(self):
-        """Coulomb coupling A = Z e^2 (a.u. energy times length)."""
-        return self.z * self.e_charge**2
+        """Coulomb coupling A = Z e^2 (a.u. energy times length); OverflowError where
+        e^2 leaves the floats."""
+        try:
+            return self.z * self.e_charge**2
+        except OverflowError:
+            raise OverflowError("Coulomb strength A = Z e^2 past the floats") from None
 
     @property
     def decay_rate(self):
@@ -186,8 +190,9 @@ def _radii(r):
     arr = r if isinstance(r, (int, float)) else _lib(r).asarray(r, dtype=float)
     if getattr(arr, "ndim", 0) == 0:  # so a 0-d array computes through math, as a float
         arr = float(arr)
-    # NaN is the one value that compares unequal to itself
-    if _any((arr <= 0.0) | (arr == math.inf) | (arr != arr)):
+    # NaN fails every comparison, and numpy's min and max propagate it
+    if not (0.0 < arr < math.inf if isinstance(arr, float)
+            else arr.min(initial=math.inf) > 0.0 and arr.max(initial=0.0) < math.inf):
         raise ValueError("radial distance must be finite and > 0")
     return arr
 
@@ -294,14 +299,30 @@ def v0_quadrature(r, p: ModelParams, n_nodes: int = 64):
                for k in range(1, n + 1)) / n
 
 
+def _power_past_the_floats(alpha0, lambda_d):
+    """The first of `_coefficients`' powers, in its order, that raises OverflowError,
+    given that one does."""
+    for name, base, n in (("(alpha0/lambda_D)**2", alpha0 / lambda_d, 2),
+                          ("lambda_D**-1", lambda_d, -1), ("lambda_D**-2", lambda_d, -2),
+                          ("lambda_D**-3", lambda_d, -3)):
+        try:
+            base**n
+        except OverflowError:
+            return name
+    return "lambda_D**-4"
+
+
 def _coefficients(a, alpha0, lambda_d):
     """The field-free parts (c0, d1, c2, c3), c1 = F + d1.  c_k is s_k = A lambda_D**-(k+1)
     times a polynomial in x = (alpha0/lambda_D)^2 whose x^(j/2) coefficient is
     -2 C(k+j, j) a_n, n = k + j + 1, with a_n = Re((1j - 1)^n) / n! the t^n coefficient of
     exp(-t) cos(t): s_k x times the rest by Horner's rule, plus the constant term last.
-    The powers are ``**``, so one past the floats raises OverflowError."""
-    x, s0, s1 = (alpha0 / lambda_d)**2, a * lambda_d**-1, a * lambda_d**-2
-    s2, s3, y = a * lambda_d**-3, a * lambda_d**-4, x * x
+    The powers are ``**``, so one past the floats raises OverflowError naming it."""
+    try:
+        x, s0, s1 = (alpha0 / lambda_d)**2, a * lambda_d**-1, a * lambda_d**-2
+        s2, s3, y = a * lambda_d**-3, a * lambda_d**-4, x * x
+    except OverflowError:
+        raise OverflowError(f"{_power_past_the_floats(alpha0, lambda_d)} past the floats") from None
     c0 = s0 * x * (-2 / 3 + x * (-1 / 15 + x * (1 / 315 + x * (1 / 11340)))) + 2.0 * s0
     c2 = s2 * x * (-2 / 5 + x * (1 / 21 + x * (1 / 405 + x * (-1 / 13860)))) - 2 / 3 * s2
     c3 = s3 * y * (-1 / 36 + y * (1 / 22680)) + 1 / 3 * s3
@@ -333,12 +354,9 @@ def taylor_coefficients(p: ModelParams) -> EffectiveCoefficients:
     """
     try:
         a = p.coulomb_strength
-    except OverflowError:
-        raise OverflowError(f"Coulomb strength A = Z e^2 past the floats at {p}") from None
-    try:
         c0, d1, c2, c3 = _coefficients(a, p.alpha0, p.lambda_d)
     except OverflowError as exc:
-        raise OverflowError(f"{exc.args[-1]} at {p}") from exc
+        raise OverflowError(f"{exc.args[-1]} at {p}") from None
     coeffs = (-2.0 * a, c0, p.field + d1, c2, c3)
     for name, value in zip(("c_m1", "c0", "c1", "c2", "c3"), coeffs):
         if not math.isfinite(value):
@@ -353,4 +371,14 @@ def veff_series_eval(r, c: EffectiveCoefficients):
     outside that window it departs rapidly from the exact dressed form.
     """
     arr = _radii(r)
-    return c.c_m1 / arr + c.c0 + arr * (c.c1 + arr * (c.c2 + arr * c.c3))
+    # c_m1 / r + c0 + r (c1 + r (c2 + r c3)) one operation at a time, in place
+    # on an array; on a float, += and *= rebind to the same value
+    poly = arr * c.c3
+    poly += c.c2
+    poly *= arr
+    poly += c.c1
+    poly *= arr
+    value = c.c_m1 / arr
+    value += c.c0
+    value += poly
+    return value

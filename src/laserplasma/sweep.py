@@ -94,7 +94,9 @@ class SweepSpec:
         inside = monotone
         try:  # every domain is an interval, so monotone values lie inside when both ends do
             if monotone:
-                self._params_at(values[0]), self._params_at(values[-1])
+                self._params_at(values[0])
+                if rest:
+                    self._params_at(rest[-1])
         except ValueError:
             inside = False
         if not inside:  # name the first value outside the domain; NaN breaks every order

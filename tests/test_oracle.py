@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -41,6 +42,11 @@ def harmonic(r):
 def model_potential(p):
     c = taylor_coefficients(p)
     return lambda r: veff_series_eval(r, c)
+
+
+def flat(n):
+    """A unit start vector far from any state's shape."""
+    return np.full(n, 1.0 / math.sqrt(n))
 
 
 # corners and middle of the window the benchmark draws its points from
@@ -202,7 +208,7 @@ def test_shift_search_is_certified_whatever_the_guess():
     exact = _bisected_lowest(diag, off)
     assert -2.0 < exact < -1.99
     for guess in (-0.4, exact - 100.0):
-        energy, u = _lowest_eigenpair(diag, off, guess, np.ones(diag.size))
+        energy, u = _lowest_eigenpair(diag, off, guess, flat(diag.size))
         assert abs(energy - exact) <= _rounding_bound(diag, off)
         assert np.all(u > 0.0)
         assert np.linalg.norm(u) == pytest.approx(1.0)
@@ -301,7 +307,14 @@ def test_cached_start_is_read_only_and_keyed_by_grid_and_decay_rate():
     assert oracle._start(RadialGrid(0.0, 40.0, 1001), charges[0].decay_rate)[0] is not start
     assert oracle._start(grid, charges[1].decay_rate)[0] is not start
     assert np.linalg.norm(start) == pytest.approx(1.0, abs=1e-15)
-    assert np.array_equal(square, start * start) and cross == start[:-1] @ start[1:]
+    # the guess's terms come from the floored unit u, and the first iterate is
+    # that u divided by its norm once more
+    r = grid.points
+    log_u = np.log(r) - charges[0].decay_rate * r
+    u = np.exp(log_u - np.max(log_u))
+    u = np.maximum(u / math.sqrt(u @ u), sys.float_info.min)
+    assert np.array_equal(square, u * u) and cross == float(u[:-1] @ u[1:])
+    assert np.array_equal(start, u / math.sqrt(u @ u))
 
     def solve(p):
         result = solve_ground_state(model_potential(p), grid, p)
@@ -317,18 +330,26 @@ def test_cached_start_is_read_only_and_keyed_by_grid_and_decay_rate():
         assert warm[:2] == cold[:2]
         assert np.array_equal(warm[2], cold[2])
         assert warm[2].flags.writeable
+    # two solves only read the cached start, and each hands out a vector of its own
+    p = charges[0]
+    start = oracle._start(grid, p.decay_rate)[0]
+    cached = start.tobytes()
+    vectors = [solve_on_grid(model_potential(p), grid, p)[1] for _ in range(2)]
+    assert oracle._start(grid, p.decay_rate)[0] is start and start.tobytes() == cached
+    for u in vectors:
+        assert u.flags.writeable and not np.shares_memory(u, start)
 
 
 def test_solver_caps_raise_instead_of_returning_a_number(monkeypatch):
     diag, off = hamiltonian_arrays(coulomb, COULOMB_GRID, AU)
     monkeypatch.setattr(oracle, "_MAX_ITERATIONS", 1)
     with pytest.raises(GroundStateError, match="did not settle"):
-        _lowest_eigenpair(diag, off, -2.0, np.ones(diag.size))
+        _lowest_eigenpair(diag, off, -2.0, flat(diag.size))
     monkeypatch.undo()
     monkeypatch.setattr(oracle, "_MAX_FACTORIZATIONS", 3)
     with pytest.raises(GroundStateError, match="no certified shift"):
         # three steps down from -0.4 stay above E_0
-        _lowest_eigenpair(diag, off, -0.4, np.ones(diag.size))
+        _lowest_eigenpair(diag, off, -0.4, flat(diag.size))
 
 
 def test_second_order_convergence_ratio():

@@ -264,15 +264,17 @@ def test_e3_hierarchy_equals_its_expanded_form():
 
 def test_hierarchy_refuses_a_value_past_the_floats(monkeypatch):
     # every coefficient is finite at lambda_D = 1e-77, but 7.5 c3 is not;
-    # A = Z e**2 leaves the floats at e = 1e200, in `taylor_coefficients`;
-    # at hbar = 1e10 the scale's c1^2 / (8 sigma^3 k^3) overflows as a quotient
+    # A = Z e**2 leaves the floats at e = 1e200, and both the hierarchy and
+    # the ladder name it; at hbar = 1e10 the scale's c1^2 / (8 sigma^3 k^3)
+    # overflows as a quotient
     p = ModelParams(lambda_d=1e-77)
     with pytest.raises(OverflowError, match=f"^{re.escape(f'e3 = inf is not finite at {p}')}$"):
         e3_hierarchy(p)
     p = ModelParams(lambda_d=1.0, e_charge=1e200)
-    with pytest.raises(OverflowError, match=r"^Coulomb strength A = Z e\^2 past the floats"
-                                            + re.escape(f" at {p}") + "$"):
-        e3_hierarchy(p)
+    for evaluate in (e3_hierarchy, total_energy):
+        with pytest.raises(OverflowError, match=r"^Coulomb strength A = Z e\^2 past the floats"
+                                                + re.escape(f" at {p}") + "$"):
+            evaluate(p)
     p = ModelParams(lambda_d=100.0, field=1e150, hbar=1e10)
     taylor_coefficients(p)
     for evaluate in (superpotential_set, e3_hierarchy):

@@ -126,12 +126,13 @@ def test_ecsc_domain(name):
     # a radius must be finite and > 0, as a float and at every element of an
     # array, or NaN and +-inf would come back as NaN without a word
     evaluate = EVALUATORS[name]
-    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+    for bad in (0.0, -0.0, -1.0, math.nan, math.inf, -math.inf):
         for r in (bad, np.array([1.0, bad]), [bad]):
             with pytest.raises(ValueError, match="radial distance must be finite and > 0"):
                 evaluate(r)
     assert math.isfinite(evaluate(1.0))
     assert np.all(np.isfinite(evaluate(np.array([0.5, 1.0]))))
+    assert evaluate(np.array([])).shape == (0,)  # no radius, no fault
 
 
 @pytest.mark.parametrize("name", EVALUATORS)
@@ -332,12 +333,15 @@ def test_coefficients_weak_dressing_linear_term():
 def test_coefficients_refuse_a_value_past_the_floats():
     # A lambda_D**-4 overflows as a product at lambda_D = 1e-77, Z = 10, and
     # meets (alpha0/lambda_D)^4 = 0: c3 = inf * 0 + inf is nan; -2 A leaves
-    # the floats at Z = 1e308; lambda_D**-4 itself at lambda_D = 1e-80, and
-    # A = Z e**2 at e = 1e200; each error names its point
+    # the floats at Z = 1e308; lambda_D**-4 itself at lambda_D = 1e-80,
+    # lambda_D**-2 first at 1e-300, (alpha0/lambda_D)**2 at alpha0/lambda_D =
+    # 1e200, and A = Z e**2 at e = 1e200; each error names the power and its point
     for p, message in [
         (ModelParams(lambda_d=1e-77, z=10.0), "coefficient c3 = nan is not finite"),
         (ModelParams(lambda_d=100.0, z=1e308), "coefficient c_m1 = -inf is not finite"),
-        (ModelParams(lambda_d=1e-80), "Numerical result out of range"),
+        (ModelParams(lambda_d=1e-80), "lambda_D**-4 past the floats"),
+        (ModelParams(lambda_d=1e-300), "lambda_D**-2 past the floats"),
+        (ModelParams(lambda_d=1e-199, alpha0=10.0), "(alpha0/lambda_D)**2 past the floats"),
         (ModelParams(lambda_d=1.0, e_charge=1e200),
          "Coulomb strength A = Z e^2 past the floats"),
     ]:

@@ -97,6 +97,18 @@ def test_a_domain_fault_is_named_before_an_outputs_or_grid_fault():
             SweepSpec("field", values, FIXED, oracle_grid=RadialGrid(0.0, 20.0, 2000))
 
 
+def test_a_sweep_checks_each_endpoint_once(monkeypatch):
+    # a monotone sweep checks its two endpoints; a one-value sweep's one value once
+    checked = []
+    params_at = SweepSpec._params_at
+    monkeypatch.setattr(SweepSpec, "_params_at",
+                        lambda spec, value: checked.append(value) or params_at(spec, value))
+    for values in ((0.01,), (0.01, 0.02, 0.03)):
+        checked.clear()
+        SweepSpec("field", values, FIXED)
+        assert checked == sorted({values[0], values[-1]})
+
+
 def test_alpha0_sweep_rejects_laser_pair():
     # omega and e0_amp fix alpha0 = 0.25, so the first other value is named
     fixed = ModelParams(lambda_d=5.0, omega=2.0, e0_amp=1.0)
