@@ -19,11 +19,11 @@ first three orders close in elementary functions:
 The constant c0 enters the total additively.  `_breakdowns` is the one
 plain-float loop from coefficients to energies, with the Table-1 third
 order: over one varying parameter it yields the five parts as
-`EnergyBreakdown` named tuples (OverflowError where a total is not finite),
-with the ladder's (A, mu, hbar) factors computed once per sweep.  The static field
-enters only c1, so the field-free coefficient parts are computed once per
-(lambda_D, alpha0) point and shared by every field value: once in all for
-a field sweep, once per point for a caller with several fields per point.
+`EnergyBreakdown` named tuples, with the ladder's (A, mu, hbar) factors
+computed once per sweep.  The static field enters only c1, so the
+field-free coefficient parts are computed once per (lambda_D, alpha0)
+point and shared by every field value: once in all for a field sweep,
+once per point for a caller with several fields per point.
 `total_energy` is its one-value case, so every printed energy comes from
 here; its e0 is the zeroth order, and `wavefunction_eval` at lambda_D =
 inf, alpha0 = F = 0, where both superpotential coefficients are 0, is chi0.
@@ -32,9 +32,11 @@ once and returns the coefficients, sigma, k, the W1 slope and the W2 scale,
 and `e3_hierarchy`, `superpotential_set` (a plain (slope, scale) pair) and
 `wavefunction_eval` read from it.  `total_energy` and `e3_hierarchy` refuse
 alpha0/lambda_D from the smaller root of c3 on, where the cubic model has no
-ground state (`laserplasma.potential._require_cubic_domain`).  The energies
-are plain floats, and the radial functions map a float radius to a float, so
-neither loads numpy; only an array of radii does.
+ground state (`laserplasma.potential._require_cubic_domain`).  On
+`ModelParams`' band every coefficient, superpotential and energy is a finite
+float, so none of them checks for overflow.  The energies are plain floats,
+and the radial functions map a float radius to a float, so neither loads
+numpy; only an array of radii does.
 """
 
 import math
@@ -72,18 +74,11 @@ class EnergyBreakdown(NamedTuple):
 
 def _hierarchy(p: ModelParams):
     """(coefficients, sigma, k, slope, scale) at p, from one `taylor_coefficients` call:
-    k = hbar / sqrt(2 mu), W1 = slope * r and W2 = scale * r (r + 2/sigma).  A slope
-    or scale that is not finite raises OverflowError naming p, as a power of sigma or
-    k past the floats, or one underflowing to a zero divisor, does."""
+    k = hbar / sqrt(2 mu), W1 = slope * r and W2 = scale * r (r + 2/sigma)."""
     c = taylor_coefficients(p)
-    try:
-        sig, k = p.decay_rate, p.hbar / math.sqrt(2.0 * p.mu)
-        slope = c.c1 / (2.0 * sig * k)
-        scale = c.c2 / (2.0 * sig * k) - c.c1**2 / (8.0 * sig**3 * k**3)
-    except ArithmeticError as exc:  # ZeroDivisionError once sigma**3 k**3 underflows to 0
-        raise OverflowError(f"superpotential past the floats ({exc.args[-1]}) at {p}") from None
-    if not math.isfinite(slope) or not math.isfinite(scale):
-        raise OverflowError(f"superpotential (slope {slope}, scale {scale}) is not finite at {p}")
+    sig, k = p.decay_rate, p.hbar / math.sqrt(2.0 * p.mu)
+    slope = c.c1 / (2.0 * sig * k)
+    scale = c.c2 / (2.0 * sig * k) - c.c1**2 / (8.0 * sig**3 * k**3)
     return c, sig, k, slope, scale
 
 
@@ -97,13 +92,10 @@ def e3_hierarchy(p: ModelParams) -> float:
     misses the oracle on the cubic potential by an error that grows like
     F^4, the first order left out (+1.2e-7 at lambda_D = 100,
     alpha0 = 1e-4, F = 0.04).  A point past the smaller root of c3 raises
-    ValueError, and a result that is not finite OverflowError naming p.
+    ValueError.
     """
     c, sig, _, slope, scale = _hierarchy(_require_cubic_domain(p))
-    e3 = (7.5 * c.c3 - 27.0 * slope * scale) / sig**3
-    if not math.isfinite(e3):
-        raise OverflowError(f"e3 = {e3} is not finite at {p}")
-    return e3
+    return (7.5 * c.c3 - 27.0 * slope * scale) / sig**3
 
 
 def total_energy(p: ModelParams) -> EnergyBreakdown:
@@ -121,12 +113,9 @@ def total_energy(p: ModelParams) -> EnergyBreakdown:
     is off by an error that grows like F^2 (+3.9e-5 at lambda_D = 100,
     alpha0 = 1e-4, F = 0.04), so it is wrong at second order in the field.
     `e3_hierarchy` is the consistent third order.  A point past the smaller
-    root of c3 raises ValueError; an ArithmeticError names p.
+    root of c3 raises ValueError.
     """
-    try:
-        return next(_breakdowns(_require_cubic_domain(p), "field", (p.field,)))
-    except ArithmeticError as exc:
-        raise type(exc)(f"{exc.args[-1]} at {p}") from exc
+    return next(_breakdowns(_require_cubic_domain(p), "field", (p.field,)))
 
 
 def _breakdowns(fixed: ModelParams, vary: str, values, fields=None):
@@ -137,21 +126,15 @@ def _breakdowns(fixed: ModelParams, vary: str, values, fields=None):
     field-free coefficient parts are computed once per value and shared by
     every field; a ``field`` sweep is the ``alpha0`` sweep (fixed.alpha0,)
     with its values as fields; the other `_coefficients` argument repeats.  The
-    ladder's (A, mu, hbar) factors are computed once per call.  A past the floats
-    raises `ModelParams.coulomb_strength`'s OverflowError; another factor past
-    them, or a divisor among them that underflows to 0, raises OverflowError
-    naming it, as a total that is not finite does.  The caller names the point.
+    ladder's (A, mu, hbar) factors are computed once per call.  The values must
+    lie in `ModelParams`' band, as `SweepSpec` checks; a total that is not finite
+    raises OverflowError all the same, and the caller names the point.
     """
     mu, hbar, new, a = fixed.mu, fixed.hbar, tuple.__new__, fixed.coulomb_strength
-    try:
-        sig = fixed.decay_rate
-        e0, sig2, k2, q2 = -sig * a, sig**2, 3.0 * hbar**6, 32.0 * mu**3 * a**4
-        k_cross, q_cross, k_mixed = 27.0 * mu**2, 4.0 * hbar**4 * sig**4, 27.0 * mu
-        q_mixed, q3 = 2.0 * hbar**2 * sig**2, 2.0 * sig**3
-    except OverflowError as exc:
-        raise OverflowError(f"ladder factor past the floats ({exc.args[-1]})") from None
-    if 0.0 in (sig2, q2, q_cross, q_mixed, q3):
-        raise OverflowError("ladder divisor underflows to 0")
+    sig = fixed.decay_rate
+    e0, sig2, k2, q2 = -sig * a, sig**2, 3.0 * hbar**6, 32.0 * mu**3 * a**4
+    k_cross, q_cross, k_mixed = 27.0 * mu**2, 4.0 * hbar**4 * sig**4, 27.0 * mu
+    q_mixed, q3 = 2.0 * hbar**2 * sig**2, 2.0 * sig**3
     if vary == "field":
         vary, values, fields = "alpha0", (fixed.alpha0,), values
     alphas = values if vary == "alpha0" else repeat(fixed.alpha0)
@@ -176,8 +159,7 @@ def superpotential_set(p: ModelParams) -> tuple[float, float]:
 
     W1 = slope * r solves 2 W0 W1 - k W1' = c1 r - E1, and
     W2 = scale * r (r + 2/sigma) solves W1^2 + 2 W0 W2 - k W2' = c2 r^2 - E2;
-    matching the r^2 coefficient fixes the scale uniquely.  A slope or scale
-    that is not finite raises OverflowError naming p.
+    matching the r^2 coefficient fixes the scale uniquely.
     """
     return _hierarchy(p)[3:]
 

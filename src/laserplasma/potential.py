@@ -52,6 +52,11 @@ POLE_GUARD = 1e-12
 # `v0_quadrature`'s relative error bound, and the most nodes it chooses to meet it
 _QUADRATURE_TOL = 1e-12
 _MAX_NODES = 2**14
+# every bound of `ModelParams`' band is BAND times an atomic-scale unit; inside it no
+# coefficient, superpotential or energy below the c3 root leaves the floats
+BAND = 1e3
+_LOWER_BOUNDS = (("z", 1.0), ("mu", 1 / BAND), ("hbar", 1 / BAND), ("e_charge", 1 / BAND))
+_UNITS = "a0 = hbar^2/(mu z e_charge^2), E_h = z e_charge^2/a0"
 
 
 class PoleProximityError(ValueError):
@@ -62,21 +67,26 @@ class PoleProximityError(ValueError):
 class ModelParams:
     """Physical parameters of the screened, dressed, field-driven atom.
 
+    Each field must lie in its band, set by `BAND` = 1e3 in the Bohr radius
+    a0 = hbar^2 / (mu Z e^2) and the energy E_h = Z e^2 / a0; a value outside
+    it raises ValueError naming the field and its band.
+
     Parameters
     ----------
     lambda_d : float
-        Debye screening length (a.u., > 0; inf is the unscreened limit).
+        Debye screening length (a.u., >= a0 / BAND; inf is the unscreened limit).
     alpha0 : float or None
-        Laser quiver amplitude of a free electron (a.u., finite, >= 0).
+        Laser quiver amplitude of a free electron (a.u., 0 <= alpha0 <= BAND a0).
         None, the default, stands for 0 without a laser pair and for the
         derived value with one.
     field : float
-        Static electric field strength F (a.u., finite, >= 0), entering as +F r.
+        Static electric field strength F (a.u., 0 <= F <= BAND E_h / a0), entering
+        as +F r.
     z : float
-        Nuclear charge number (finite, >= 1).
+        Nuclear charge number (1 <= Z <= BAND).
     mu, hbar, e_charge : float
         Effective electron mass, reduced Planck constant and elementary
-        charge (finite, > 0).  Defaults of 1 select atomic units.
+        charge (each in [1 / BAND, BAND]).  Defaults of 1 select atomic units.
     omega, e0_amp : float or None
         Optional laser angular frequency (finite, > 0) and field amplitude
         (finite, >= 0), given both or neither.  Every formula depends on
@@ -101,11 +111,10 @@ class ModelParams:
             raise ValueError(f"lambda_d must be > 0, got {self.lambda_d}")
         if not 0 <= self.field < math.inf:
             raise ValueError(f"field must be finite and >= 0, got {self.field}")
-        if not 1 <= self.z < math.inf:
-            raise ValueError(f"z must be finite and >= 1, got {self.z}")
-        for name in ("mu", "hbar", "e_charge"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        for name, low in _LOWER_BOUNDS:
+            value = getattr(self, name)
+            if not low <= value <= BAND:
+                raise ValueError(f"{name} must lie in [{low:g}, {BAND:g}], got {value}")
         if (self.omega is None) != (self.e0_amp is None):
             raise ValueError("omega and e0_amp must be given together")
         if self.omega is not None:
@@ -124,15 +133,22 @@ class ModelParams:
             object.__setattr__(self, "alpha0", 0.0)
         if not 0 <= self.alpha0 < math.inf:
             raise ValueError(f"alpha0 must be finite and >= 0, got {self.alpha0}")
+        a = self.coulomb_strength
+        a0 = self.hbar**2 / (self.mu * a)
+        if not self.lambda_d >= a0 / BAND:
+            raise ValueError(f"lambda_d must be inf or >= {1 / BAND:g} a0 = {a0 / BAND:g} "
+                             f"({_UNITS}); got {self.lambda_d}")
+        for name, unit, high in (("alpha0", "a0", BAND * a0),
+                                 ("field", "E_h/a0", BAND * a / a0**2)):
+            value = getattr(self, name)
+            if not value <= high:
+                raise ValueError(f"{name} must be <= {BAND:g} {unit} = {high:g} ({_UNITS}); "
+                                 f"got {value}")
 
     @property
     def coulomb_strength(self):
-        """Coulomb coupling A = Z e^2 (a.u. energy times length); OverflowError where
-        e^2 leaves the floats."""
-        try:
-            return self.z * self.e_charge**2
-        except OverflowError:
-            raise OverflowError("Coulomb strength A = Z e^2 past the floats") from None
+        """Coulomb coupling A = Z e^2 (a.u. energy times length)."""
+        return self.z * self.e_charge**2
 
     @property
     def decay_rate(self):
@@ -299,30 +315,13 @@ def v0_quadrature(r, p: ModelParams, n_nodes: int = 64):
                for k in range(1, n + 1)) / n
 
 
-def _power_past_the_floats(alpha0, lambda_d):
-    """The first of `_coefficients`' powers, in its order, that raises OverflowError,
-    given that one does."""
-    for name, base, n in (("(alpha0/lambda_D)**2", alpha0 / lambda_d, 2),
-                          ("lambda_D**-1", lambda_d, -1), ("lambda_D**-2", lambda_d, -2),
-                          ("lambda_D**-3", lambda_d, -3)):
-        try:
-            base**n
-        except OverflowError:
-            return name
-    return "lambda_D**-4"
-
-
 def _coefficients(a, alpha0, lambda_d):
     """The field-free parts (c0, d1, c2, c3), c1 = F + d1.  c_k is s_k = A lambda_D**-(k+1)
     times a polynomial in x = (alpha0/lambda_D)^2 whose x^(j/2) coefficient is
     -2 C(k+j, j) a_n, n = k + j + 1, with a_n = Re((1j - 1)^n) / n! the t^n coefficient of
-    exp(-t) cos(t): s_k x times the rest by Horner's rule, plus the constant term last.
-    The powers are ``**``, so one past the floats raises OverflowError naming it."""
-    try:
-        x, s0, s1 = (alpha0 / lambda_d)**2, a * lambda_d**-1, a * lambda_d**-2
-        s2, s3, y = a * lambda_d**-3, a * lambda_d**-4, x * x
-    except OverflowError:
-        raise OverflowError(f"{_power_past_the_floats(alpha0, lambda_d)} past the floats") from None
+    exp(-t) cos(t): s_k x times the rest by Horner's rule, plus the constant term last."""
+    x, s0, s1 = (alpha0 / lambda_d)**2, a * lambda_d**-1, a * lambda_d**-2
+    s2, s3, y = a * lambda_d**-3, a * lambda_d**-4, x * x
     c0 = s0 * x * (-2 / 3 + x * (-1 / 15 + x * (1 / 315 + x * (1 / 11340)))) + 2.0 * s0
     c2 = s2 * x * (-2 / 5 + x * (1 / 21 + x * (1 / 405 + x * (-1 / 13860)))) - 2 / 3 * s2
     c3 = s3 * y * (-1 / 36 + y * (1 / 22680)) + 1 / 3 * s3
@@ -349,19 +348,12 @@ def taylor_coefficients(p: ModelParams) -> EffectiveCoefficients:
 
     The expansion is joint in r and alpha0: the Coulomb pole keeps its
     undressed strength -2A while the analytic remainder is expanded
-    through r^3 and alpha0^8.  The static field contributes F to c1.  A, a power
-    or a coefficient that leaves the floats raises OverflowError naming p.
+    through r^3 and alpha0^8.  The static field contributes F to c1.  Every
+    coefficient is finite on `ModelParams`' band.
     """
-    try:
-        a = p.coulomb_strength
-        c0, d1, c2, c3 = _coefficients(a, p.alpha0, p.lambda_d)
-    except OverflowError as exc:
-        raise OverflowError(f"{exc.args[-1]} at {p}") from None
-    coeffs = (-2.0 * a, c0, p.field + d1, c2, c3)
-    for name, value in zip(("c_m1", "c0", "c1", "c2", "c3"), coeffs):
-        if not math.isfinite(value):
-            raise OverflowError(f"coefficient {name} = {value} is not finite at {p}")
-    return EffectiveCoefficients(*coeffs)
+    a = p.coulomb_strength
+    c0, d1, c2, c3 = _coefficients(a, p.alpha0, p.lambda_d)
+    return EffectiveCoefficients(-2.0 * a, c0, p.field + d1, c2, c3)
 
 
 def veff_series_eval(r, c: EffectiveCoefficients):

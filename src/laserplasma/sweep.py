@@ -68,9 +68,10 @@ class SweepSpec:
     requires "oracle", and it must pass `require_grid` at ``fixed``, as
     `default_grid` does.  The values are checked against the model's
     domain here, so a bad value fails at construction, naming the first one
-    in input order.  The cubic model's domain is alpha0/lambda_D below the
-    smaller root of c3 (`laserplasma.potential._require_cubic_domain`); a ``field``
-    sweep outside it is refused for ``fixed``, and any other sweep for its first
+    in input order.  Each value must give a `ModelParams` inside its band,
+    and the cubic model's domain is alpha0/lambda_D below the smaller root
+    of c3 (`laserplasma.potential._require_cubic_domain`); a ``field`` sweep
+    outside it is refused for ``fixed``, and any other sweep for its first
     value outside it.
     """
 

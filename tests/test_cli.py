@@ -39,6 +39,9 @@ from laserplasma.potential import (
 )
 from laserplasma.sweep import SweepSpec
 
+# the units that ModelParams' band refusals state their bounds in
+UNITS = "a0 = hbar^2/(mu z e_charge^2), E_h = z e_charge^2/a0"
+
 
 def run_cli(capsys, argv):
     code = main(argv)
@@ -797,22 +800,24 @@ def test_potential_overflow_is_a_numeric_failure_naming_the_radius(capsys):
     # a column leaves the floats at a finite radius: the cubic series, the
     # dressed form past exp's range (alpha0 > r + 709 lambda_D), the screened
     # form's 1/r at a subnormal radius, and r / lambda_D past the largest
-    # float; no inf row, no numpy warning
+    # float, where math.cos(inf) raises; no inf row, no numpy warning
     for argv, message in [
         (["--lambda-d", "20", "--r-max", "1e300"], "series is not finite at r = 5e+299"),
         (["--lambda-d", "1", "--alpha0", "1000"], "dressed is not finite at r = 0.05"),
         (["--lambda-d", "5", "--r-min", "1e-320"], "screened is not finite at r = 9.99989e-321"),
-        (["--lambda-d", "1e-9", "--r-max", "1e300"], "screened is not finite at r = 5e+299"),
+        (["--lambda-d", "0.01", "--r-max", "1e307"], "screened is not finite at r = 5e+306"),
     ]:
         code, out, err = run_cli(capsys, ["potential", *argv, "--points", "3"])
         assert (code, out, err) == (EXIT_NUMERIC, "", f"numeric failure: {message}\n"), argv
 
 
 def test_potential_names_the_point_whose_coefficients_leave_the_floats(capsys):
+    # c3 was nan here; the band refuses the screening length, in units of the
+    # Bohr radius a0 = 1/Z, before any coefficient is computed
     code, out, err = run_cli(capsys, ["potential", "--lambda-d", "1e-77", "--z", "10"])
-    p = ModelParams(lambda_d=1e-77, z=10.0)
-    assert (code, out) == (EXIT_NUMERIC, "")
-    assert err == f"numeric failure: coefficient c3 = nan is not finite at {p}\n"
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"usage error: lambda_d must be inf or >= 0.001 a0 = 0.0001 ({UNITS}); "
+                   "got 1e-77\n")
 
 
 def test_potential_notes_the_endpoint_form_error_on_stderr(capsys, tmp_path):
@@ -891,27 +896,29 @@ def test_oracle_box_of_twenty_decay_lengths_is_accepted(capsys):
     assert code == EXIT_OK
 
 
-@pytest.mark.parametrize("argv, point", [
-    (["energy", "--lambda-d", "1e-80"], "lambda_d=1e-80"),
-    (["energy", "--lambda-d", "1e-77"], "lambda_d=1e-77"),
-    (["energy", "--lambda-d", "5", "--field", "1e300"], "field=1e+300"),
-    (["energy", "--lambda-d", "5", "--z", "1e200"], "z=1e+200"),
-    (["energy", "--lambda-d", "5", "--z", "1e300"], "z=1e+300"),
-    (["sweep", "--vary", "lambda-d", "--values", "1e-20,1e-77"], "lambda_d=1e-77"),
+@pytest.mark.parametrize("argv, message", [
+    (["energy", "--lambda-d", "1e-80"], f"lambda_d must be inf or >= 0.001 a0 = 0.001 ({UNITS}); "
+     "got 1e-80"),
+    (["energy", "--lambda-d", "1e-77"], f"lambda_d must be inf or >= 0.001 a0 = 0.001 ({UNITS}); "
+     "got 1e-77"),
+    (["energy", "--lambda-d", "5", "--field", "1e300"],
+     f"field must be <= 1000 E_h/a0 = 1000 ({UNITS}); got 1e+300"),
+    (["energy", "--lambda-d", "5", "--z", "1e200"], "z must lie in [1, 1000], got 1e+200"),
+    (["energy", "--lambda-d", "5", "--z", "1e300"], "z must lie in [1, 1000], got 1e+300"),
+    # the first value outside the band is named, not the first value
+    (["sweep", "--vary", "lambda-d", "--values", "1,0.01,1e-20"],
+     f"sweep value 1e-20 for lambda_d: lambda_d must be inf or >= 0.001 a0 = 0.001 ({UNITS}); "
+     "got 1e-20"),
     (["potential", "--lambda-d", "1e-120", "--alpha0", "1e-3", "--field", "0.01"],
-     "lambda_d=1e-120"),
+     f"lambda_d must be inf or >= 0.001 a0 = 0.001 ({UNITS}); got 1e-120"),
 ], ids=["lambda-tiny", "ladder-overflow", "field-huge", "z-huge", "z-errno", "sweep-ladder",
         "potential-lambda-tiny"])
-def test_float_overflow_is_a_numeric_failure_naming_the_point(capsys, argv, point):
-    # a power of lambda_D raises OverflowError here, or the ladder's products
-    # leave the floats and the energy loop raises it for the non-finite total
+def test_float_overflow_is_a_numeric_failure_naming_the_point(capsys, argv, message):
+    # these inputs left the floats (a power of lambda_D, e3, the ladder's
+    # products) and exited 3; each lies outside ModelParams' band, which
+    # refuses it as one usage line naming the parameter and its band
     code, out, err = run_cli(capsys, argv)
-    assert code == EXIT_NUMERIC
-    assert out == ""
-    assert err.startswith("numeric failure: ") and err.count("\n") == 1
-    assert point in err and "lambda_d=1e-20" not in err
-    # the message is the error's text, not an (errno, text) tuple
-    assert "(34, " not in err
+    assert (code, out, err) == (EXIT_USAGE, "", f"usage error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -939,7 +946,7 @@ def test_huge_screening_lengths_print_the_unscreened_row(capsys, argv):
 @pytest.mark.parametrize("argv, prefix, ratio", [
     (["energy", "--lambda-d", "1", "--alpha0", "2.5"], "", "2.5"),
     (["energy", "--lambda-d", "1", "--alpha0", "6"], "", "6"),
-    (["energy", "--lambda-d", "5", "--alpha0", "1e40"], "", "2e+39"),
+    (["energy", "--lambda-d", "5", "--alpha0", "1000"], "", "200"),
     (["oracle", "--lambda-d", "1", "--alpha0", "1.8703595502933186"], "", "1.87036"),
     (["sweep", "--vary", "field", "--values", "0,0.01", "--lambda-d", "1", "--alpha0", "2.5"],
      "", "2.5"),

@@ -18,7 +18,7 @@ from laserplasma.perturbation import (
 )
 from laserplasma.oracle import RadialGrid, solve_ground_state
 from laserplasma.potential import ModelParams, taylor_coefficients, veff_series_eval
-from laserplasma.sweep import SweepSpec, figure_dataset, run_sweep, table1_rows
+from laserplasma.sweep import SweepSpec, _linspace, figure_dataset, run_sweep, table1_rows
 
 from exact import series_terms
 
@@ -263,39 +263,26 @@ def test_e3_hierarchy_equals_its_expanded_form():
 
 
 def test_hierarchy_refuses_a_value_past_the_floats(monkeypatch):
-    # every coefficient is finite at lambda_D = 1e-77, but 7.5 c3 is not;
-    # A = Z e**2 leaves the floats at e = 1e200, and both the hierarchy and
-    # the ladder name it; at hbar = 1e10 the scale's c1^2 / (8 sigma^3 k^3)
-    # overflows as a quotient
-    p = ModelParams(lambda_d=1e-77)
-    with pytest.raises(OverflowError, match=f"^{re.escape(f'e3 = inf is not finite at {p}')}$"):
-        e3_hierarchy(p)
-    p = ModelParams(lambda_d=1.0, e_charge=1e200)
-    for evaluate in (e3_hierarchy, total_energy):
-        with pytest.raises(OverflowError, match=r"^Coulomb strength A = Z e\^2 past the floats"
-                                                + re.escape(f" at {p}") + "$"):
-            evaluate(p)
-    p = ModelParams(lambda_d=100.0, field=1e150, hbar=1e10)
-    taylor_coefficients(p)
-    for evaluate in (superpotential_set, e3_hierarchy):
-        with pytest.raises(OverflowError, match=r"^superpotential \(slope 3\.5\d*e\+159, "
-                                                r"scale -inf\) is not finite"
-                                                + re.escape(f" at {p}") + "$"):
-            evaluate(p)
-    # at hbar = 1e80 sigma**3 underflows to a zero divisor, and hbar**6 overflows;
-    # at hbar = 1e50 the ladder's 4 hbar**4 sigma**4 underflows to 0
-    p = ModelParams(lambda_d=100.0, hbar=1e80)
-    point = re.escape(f" at {p}") + "$"
-    for evaluate in (superpotential_set, e3_hierarchy, lambda q: wavefunction_eval(1.0, q)):
-        with pytest.raises(OverflowError, match=r"^superpotential past the floats "
-                                                r"\(float division by zero\)" + point):
-            evaluate(p)
-    with pytest.raises(OverflowError, match=r"^ladder factor past the floats "
-                                            r"\(Numerical result out of range\)" + point):
-        total_energy(p)
-    message = f"ladder divisor underflows to 0 at {ModelParams(lambda_d=100.0, hbar=1e50)}"
-    with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
-        total_energy(ModelParams(lambda_d=100.0, hbar=1e50))
+    # the inputs whose hierarchy or ladder left the floats (e3 = inf at
+    # lambda_D = 1e-77, A = Z e**2 at e = 1e200, the scale's c1^2 /
+    # (8 sigma^3 k^3) at hbar = 1e10, F = 1e150, a zero divisor sigma**3 at
+    # hbar = 1e80 and 4 hbar**4 sigma**4 at hbar = 1e50) lie outside
+    # ModelParams' band, which refuses them before any energy is computed
+    for kwargs, name in (({"lambda_d": 1e-77}, "lambda_d"),
+                         ({"lambda_d": 1.0, "e_charge": 1e200}, "e_charge"),
+                         ({"lambda_d": 100.0, "field": 1e150, "hbar": 1e10}, "hbar"),
+                         ({"lambda_d": 100.0, "hbar": 1e80}, "hbar"),
+                         ({"lambda_d": 100.0, "hbar": 1e50}, "hbar")):
+        with pytest.raises(ValueError, match=f"^{name} must "):
+            ModelParams(**kwargs)
+    # at the band's edges in hbar, with lambda_D = 100 a0 and alpha0 = a0 for
+    # the Bohr radius a0 = hbar^2, and at the band's largest field, every
+    # superpotential and energy is finite
+    for hbar in (1e-3, 1e3):
+        for field in (0.0, 1e3 / (hbar**2) ** 2):
+            p = ModelParams(lambda_d=100.0 * hbar**2, alpha0=hbar**2, field=field, hbar=hbar)
+            values = (*superpotential_set(p), e3_hierarchy(p), *total_energy(p))
+            assert all(map(math.isfinite, values)), p
     # e3_hierarchy takes its coefficients in one pass
     calls = []
     monkeypatch.setattr(perturbation, "taylor_coefficients",
@@ -319,6 +306,55 @@ def test_library_energies_refuse_the_ratios_past_the_c3_sign_change():
                 evaluate(p)
     below = ModelParams(lambda_d=1.0, alpha0=math.nextafter(root, 0.0))
     assert math.isfinite(total_energy(below).total) and math.isfinite(e3_hierarchy(below))
+
+
+def _band_corners():
+    """(corner, largest field) for every corner of ModelParams' band, with lambda_D
+    at a0/BAND or inf, and at each (mu, hbar, e_charge, Z, F) corner alpha0/lambda_D
+    just below the c3 root at the smallest lambda_D; the bounds are computed as
+    ModelParams computes them, so each corner lies in the band."""
+    band, root = potential.BAND, potential._C3_ROOT
+    for mu, hbar, e_charge, z in itertools.product(*[(1 / band, band)] * 3, (1.0, band)):
+        base = ModelParams(lambda_d=math.inf, z=z, mu=mu, hbar=hbar, e_charge=e_charge)
+        a0 = hbar**2 / (mu * base.coulomb_strength)
+        field_max = band * base.coulomb_strength / a0**2
+        for field in (0.0, field_max):
+            for lambda_d, alpha0 in itertools.product((a0 / band, math.inf), (0.0, band * a0)):
+                yield replace(base, lambda_d=lambda_d, alpha0=alpha0, field=field), field_max
+            alpha0 = root * a0 / band
+            while not alpha0 / (a0 / band) < root:
+                alpha0 = math.nextafter(alpha0, 0.0)
+            yield replace(base, lambda_d=a0 / band, alpha0=alpha0, field=field), field_max
+
+
+def test_every_corner_of_the_band_is_finite():
+    # the band is what lets the closed forms drop their overflow checks: at each
+    # corner every coefficient, superpotential and energy is a finite float, and
+    # no RuntimeWarning is raised (pyproject turns it into an error); where
+    # alpha0/lambda_D lies past the c3 root the energies refuse the point instead
+    corners = 0
+    for p, field_max in _band_corners():
+        values = [*vars(taylor_coefficients(p)).values(), *superpotential_set(p)]
+        if p.alpha0 / p.lambda_d < potential._C3_ROOT:
+            rows = run_sweep(SweepSpec("field", _linspace(0.0, field_max, 1000), p))
+            assert len(rows) == 1000
+            values += [*total_energy(p), e3_hierarchy(p), *(row.breakdown.total for row in rows)]
+        else:
+            for evaluate in (total_energy, e3_hierarchy):
+                with pytest.raises(ValueError, match="^the cubic model needs"):
+                    evaluate(p)
+        assert all(map(math.isfinite, values)), p
+        corners += 1
+    assert corners == 16 * 2 * 5
+
+
+def test_physical_atoms_lie_in_the_band():
+    # muonic hydrogen (reduced mass 185.84), positronium (mu = 0.5) and Z = 118
+    # are accepted, with finite energies, from lambda_D = 1 to the unscreened limit
+    for atom in ({"mu": 185.84}, {"mu": 0.5}, {"z": 118.0}):
+        for lambda_d in (1.0, 100.0, math.inf):
+            p = ModelParams(lambda_d=lambda_d, alpha0=1e-4, field=0.01, **atom)
+            assert all(map(math.isfinite, (*total_energy(p), e3_hierarchy(p)))), p
 
 
 def test_e3_hierarchy_total_matches_oracle():

@@ -81,10 +81,11 @@ def test_from_laser_derives_alpha0():
     with pytest.raises(ValueError, match=r"alpha0 = 0\.1, but omega and e0_amp fix it at 0\.2"):
         ModelParams(lambda_d=10.0, omega=2.0, e0_amp=0.8, alpha0=0.1)
     # the derived alpha0 is the written-out rule bit for bit, and an alpha0
-    # equal to it is accepted, so replace() keeps a laser point
+    # equal to it is accepted, so replace() keeps a laser point; the draws
+    # keep alpha0 <= 46, inside the band's 1000 a0 >= 138
     rng = random.Random(24)
     for _ in range(2000):
-        omega, e0_amp = math.exp(rng.uniform(-5.0, 5.0)), math.exp(rng.uniform(-9.0, 3.0))
+        omega, e0_amp = math.exp(rng.uniform(-1.0, 5.0)), math.exp(rng.uniform(-9.0, 1.0))
         mu, e_charge = rng.choice((1.0, 0.75, 2.5)), rng.choice((1.0, 0.5, 1.7))
         p = ModelParams(lambda_d=10.0, omega=omega, e0_amp=e0_amp, mu=mu, e_charge=e_charge)
         assert p.alpha0 == e_charge * e0_amp / (mu * omega**2)
@@ -182,10 +183,10 @@ def test_dressed_pole_guard_and_divergence():
 
 @pytest.mark.parametrize("evaluate, r, p", [
     (dressed_pair_eval, 0.05, ModelParams(lambda_d=1.0, alpha0=1000.0)),
-    (dressed_pair_eval, 0.05, ModelParams(lambda_d=1.0, alpha0=1002.5)),
-    (ecsc_eval, 1e300, ModelParams(lambda_d=1e-9)),
-    (dressed_pair_eval, 1e300, ModelParams(lambda_d=1e-9, alpha0=1.0)),
-    (v0_quadrature, 1e300, ModelParams(lambda_d=1e-9, alpha0=1.0)),
+    (dressed_pair_eval, 0.05, ModelParams(lambda_d=1.0, alpha0=996.0)),
+    (ecsc_eval, 1e307, ModelParams(lambda_d=0.01)),
+    (dressed_pair_eval, 1e307, ModelParams(lambda_d=0.01, alpha0=1.0)),
+    (v0_quadrature, 1e307, ModelParams(lambda_d=0.01, alpha0=1.0)),
 ], ids=["dressed-exp-range", "dressed-exp-range-other-sign", "screened-infinite-t",
         "dressed-infinite-t", "quadrature-infinite-t"])
 def test_float_radius_gives_the_array_value_where_math_raises(evaluate, r, p):
@@ -331,23 +332,30 @@ def test_coefficients_weak_dressing_linear_term():
 
 
 def test_coefficients_refuse_a_value_past_the_floats():
-    # A lambda_D**-4 overflows as a product at lambda_D = 1e-77, Z = 10, and
-    # meets (alpha0/lambda_D)^4 = 0: c3 = inf * 0 + inf is nan; -2 A leaves
-    # the floats at Z = 1e308; lambda_D**-4 itself at lambda_D = 1e-80,
-    # lambda_D**-2 first at 1e-300, (alpha0/lambda_D)**2 at alpha0/lambda_D =
-    # 1e200, and A = Z e**2 at e = 1e200; each error names the power and its point
-    for p, message in [
-        (ModelParams(lambda_d=1e-77, z=10.0), "coefficient c3 = nan is not finite"),
-        (ModelParams(lambda_d=100.0, z=1e308), "coefficient c_m1 = -inf is not finite"),
-        (ModelParams(lambda_d=1e-80), "lambda_D**-4 past the floats"),
-        (ModelParams(lambda_d=1e-300), "lambda_D**-2 past the floats"),
-        (ModelParams(lambda_d=1e-199, alpha0=10.0), "(alpha0/lambda_D)**2 past the floats"),
-        (ModelParams(lambda_d=1.0, e_charge=1e200),
-         "Coulomb strength A = Z e^2 past the floats"),
+    # every input whose coefficients used to leave the floats (c3 = nan at
+    # lambda_D = 1e-77, Z = 10; c_m1 = -inf at Z = 1e308; lambda_D**-4 at 1e-80,
+    # lambda_D**-2 at 1e-300, (alpha0/lambda_D)**2 at alpha0/lambda_D = 1e200,
+    # A = Z e**2 at e = 1e200) lies outside ModelParams' band, which refuses it
+    # with one ValueError naming the parameter and its band
+    units = "(a0 = hbar^2/(mu z e_charge^2), E_h = z e_charge^2/a0)"
+    for kwargs, message in [
+        ({"lambda_d": 1e-77, "z": 10.0}, f"lambda_d must be inf or >= 0.001 a0 = 0.0001 {units}; "
+                                         "got 1e-77"),
+        ({"lambda_d": 100.0, "z": 1e308}, "z must lie in [1, 1000], got 1e+308"),
+        ({"lambda_d": 1e-80}, f"lambda_d must be inf or >= 0.001 a0 = 0.001 {units}; got 1e-80"),
+        ({"lambda_d": 1e-300}, f"lambda_d must be inf or >= 0.001 a0 = 0.001 {units}; "
+                               "got 1e-300"),
+        ({"lambda_d": 1.0, "alpha0": 1e200}, f"alpha0 must be <= 1000 a0 = 1000 {units}; "
+                                             "got 1e+200"),
+        ({"lambda_d": 1.0, "e_charge": 1e200}, "e_charge must lie in [0.001, 1000], got 1e+200"),
+        ({"lambda_d": 1.0, "field": 1e300}, f"field must be <= 1000 E_h/a0 = 1000 {units}; "
+                                            "got 1e+300"),
     ]:
-        with pytest.raises(OverflowError, match=f"^{re.escape(f'{message} at {p}')}$"):
-            taylor_coefficients(p)
-    assert 3e307 < taylor_coefficients(ModelParams(lambda_d=1e-77)).c3 < math.inf
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ModelParams(**kwargs)
+    # the band's edges lie in it, and every coefficient there is finite
+    p = ModelParams(lambda_d=1e-3, alpha0=1e3, field=1e3)
+    assert all(map(math.isfinite, vars(taylor_coefficients(p)).values()))
 
 
 def test_series_eval_is_cubic_plus_pole():
@@ -384,12 +392,13 @@ def test_series_breaks_down_outside_validity_window():
 
 def _series_points():
     """(lambda_D, alpha0/lambda_D) pairs: 60 seeded draws with lambda_D in
-    [0.5, 1e4] and the ratio in [1e-6, 1], plus lambda_D = 1e26 and 1e300,
-    past 4.87e25, where a lambda_D^12 would overflow."""
+    [0.5, 400] and the ratio in [1e-6, 1], plus lambda_D = 1e26 and 1e300,
+    past 4.87e25, where a lambda_D^12 would overflow, at alpha0 = 0, 1 and
+    100; every alpha0 lies inside the band's 1000 a0 at Z <= 2."""
     rng = random.Random(36)
-    draws = [(math.exp(rng.uniform(math.log(0.5), math.log(1e4))),
+    draws = [(math.exp(rng.uniform(math.log(0.5), math.log(400.0))),
               math.exp(rng.uniform(math.log(1e-6), 0.0))) for _ in range(60)]
-    return draws + [(lam, ratio) for lam in (1e26, 1e300) for ratio in (0.0, 1e-3, 1.0)]
+    return draws + [(lam, alpha0 / lam) for lam in (1e26, 1e300) for alpha0 in (0.0, 1.0, 100.0)]
 
 
 def test_coefficients_equal_the_exact_series():

@@ -165,9 +165,10 @@ def test_breakdown_rows_are_bit_identical_to_total_energy():
 
 
 def test_fixed_value_of_the_varied_parameter_is_never_evaluated():
-    # the fixed value is a stand-in that every row replaces; its powers would overflow
+    # the fixed value is a stand-in that every row replaces; at alpha0/lambda_D = 2,
+    # past the smaller root of c3, the cubic model has no ground state
     for vary, fixed in (("lambda_d", ModelParams(lambda_d=1e30)),
-                        ("alpha0", ModelParams(lambda_d=5.0, alpha0=1e200))):
+                        ("alpha0", ModelParams(lambda_d=5.0, alpha0=10.0))):
         values = (1e-3, 5.0)
         rows = run_sweep(SweepSpec(vary, values, fixed))
         assert [row.breakdown for row in rows] == [
