@@ -24,10 +24,15 @@ from the Coulomb pole's own state r exp(-s r), s = ``p.decay_rate``,
 floored so it is positive at every node, and from its Rayleigh quotient, an
 upper bound of E_0, so every iterate is >= 0 exactly, and the iteration
 converges to the nodeless ground state with no node check; the first
-shift sits 2e-4 max(1, |Q|) below that quotient Q.  The unit start of
-each (grid, s) is built once and cached read-only.  numpy is imported
-only by the functions that build or read the grid arrays, and scipy
-(LAPACK) only when a solve runs, so importing this module loads neither.
+shift sits 2e-4 max(1, |Q|) below that quotient Q.  Each back-substitution
+y = (T - shift I)^-1 u gives two values, E_0 <= Rayleigh quotient of y
+<= inverse-iteration value shift + 1/(u.y), and the iteration stops once
+they agree to about 1e-15 |E|; the energy is the Rayleigh quotient.  A
+Coulomb-like state, near its start r exp(-s r), takes one factorization
+and two back-substitutions per grid.  The unit start of each (grid, s) is
+built once and cached read-only.  numpy is imported only by the functions
+that build or read the grid arrays, and scipy (LAPACK) only when a solve
+runs, so importing this module loads neither.
 
 This solver shares no code with the closed-form energy ladder in
 `laserplasma.perturbation`, which is exactly what makes it usable as a
@@ -223,15 +228,25 @@ def _lowest_eigenpair(diag, off, guess, start):
     until T - shift I factors, and is bisected towards the current energy
     (an upper bound of E_0) whenever the iteration contracts slowly.
     ``start``, positive at every node and of unit norm, is the first iterate;
-    it is only read.  Returns the energy and a positive unit vector; raises
-    `GroundStateError` when a cap is reached.
+    it is only read.
+
+    Each solve y = (T - shift I)^-1 u of a unit u yields both the Rayleigh
+    quotient of y, shift + (u.y)/(y.y), exact because (T - shift I) y = u,
+    and the inverse-iteration value shift + 1/(u.y); by Cauchy-Schwarz
+    E_0 <= Rayleigh <= inverse-iteration.  The energy is the Rayleigh
+    quotient, and the iteration stops once their gap is at most
+    1e-15 (|shift| + 1/(u.y)).  The gap only estimates the error: its ratio
+    to the Rayleigh quotient's error depends on how much each solve
+    contracts the error, which the stop check does not test.  Returns the
+    energy and a positive unit vector; raises `GroundStateError` when a cap
+    is reached.
     """
     import numpy as np
     from scipy.linalg.lapack import dpttrf, dpttrs
 
     u = start
     lo, hi, step = -np.inf, np.inf, 2e-4 * max(1.0, abs(guess))
-    shift, energy, changes = guess - step, np.inf, []
+    shift, energy, gaps = guess - step, np.inf, []
     ulp = math.ulp(max(diag.max(), -diag.min()))
     for _ in range(_MAX_FACTORIZATIONS):
         # on the ulp grid of diag's largest entry, diag - shift is exact
@@ -245,23 +260,25 @@ def _lowest_eigenpair(diag, off, guess, start):
             shift = guess - step if lo == -np.inf else 0.5 * (lo + hi)
             continue
         lo = shift
-        while len(changes) < _MAX_ITERATIONS:
+        while len(gaps) < _MAX_ITERATIONS:
             y, _ = dpttrs(d, e, u)
-            q = 1.0 / (u @ y)
-            changes.append(abs(shift + q - energy))
-            y /= math.sqrt(y @ y)
-            energy, u = shift + q, y
-            # not the Rayleigh quotient of T, whose terms cancel from ~1e5
-            if changes[-1] <= 1e-15 * (abs(shift) + q):
+            uy, yy = u @ y, y @ y
+            q = 1.0 / uy
+            # Rayleigh quotient of y from (T - shift I) y = u: no cancellation
+            # between T's ~1e5 kinetic terms, as y.Ty would have
+            gaps.append(max(0.0, q - uy / yy))
+            y /= math.sqrt(yy)
+            energy, u = shift + uy / yy, y
+            if gaps[-1] <= 1e-15 * (abs(shift) + q):
                 return float(energy), u
-            if len(changes) > 2 and changes[-1] > changes[-2] / 16.0:
-                if changes[-1] <= ulp:
+            if len(gaps) > 2 and gaps[-1] > gaps[-2] / 16.0:
+                if gaps[-1] <= ulp:
                     # stalled at rounding, below the resolution of diag itself:
                     # a tighter shift cannot do better, so settle here
                     return float(energy), u
                 break  # shift too far below E_0 for the gap: tighten it
         else:
-            raise GroundStateError(f"inverse iteration did not settle in {len(changes)} steps")
+            raise GroundStateError(f"inverse iteration did not settle in {len(gaps)} steps")
         hi = min(hi, energy)
         shift = 0.5 * (lo + hi)
     raise GroundStateError(f"no certified shift within {_MAX_FACTORIZATIONS} factorizations")
