@@ -234,12 +234,13 @@ def _lowest_eigenpair(diag, off, guess, start):
     quotient of y, shift + (u.y)/(y.y), exact because (T - shift I) y = u,
     and the inverse-iteration value shift + 1/(u.y); by Cauchy-Schwarz
     E_0 <= Rayleigh <= inverse-iteration.  The energy is the Rayleigh
-    quotient, and the iteration stops once their gap is at most
+    quotient, and the one return is a stop on their gap, once it is at most
     1e-15 (|shift| + 1/(u.y)).  The gap only estimates the error: its ratio
     to the Rayleigh quotient's error depends on how much each solve
     contracts the error, which the stop check does not test.  Returns the
-    energy and a positive unit vector; raises `GroundStateError` when a cap
-    is reached.
+    energy and a positive unit vector.  A gap shrinking less than 16-fold
+    per solve always tightens the shift (a small gap at a far shift is no
+    convergence), and a cap raises `GroundStateError`.
     """
     import numpy as np
     from scipy.linalg.lapack import dpttrf, dpttrs
@@ -272,10 +273,6 @@ def _lowest_eigenpair(diag, off, guess, start):
             if gaps[-1] <= 1e-15 * (abs(shift) + q):
                 return float(energy), u
             if len(gaps) > 2 and gaps[-1] > gaps[-2] / 16.0:
-                if gaps[-1] <= ulp:
-                    # stalled at rounding, below the resolution of diag itself:
-                    # a tighter shift cannot do better, so settle here
-                    return float(energy), u
                 break  # shift too far below E_0 for the gap: tighten it
         else:
             raise GroundStateError(f"inverse iteration did not settle in {len(gaps)} steps")

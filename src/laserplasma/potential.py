@@ -57,6 +57,9 @@ _MAX_NODES = 2**14
 BAND = 1e3
 _LOWER_BOUNDS = (("z", 1.0), ("mu", 1 / BAND), ("hbar", 1 / BAND), ("e_charge", 1 / BAND))
 _UNITS = "a0 = hbar^2/(mu z e_charge^2), E_h = z e_charge^2/a0"
+# the band of each parameter that scales with a0 or E_h, in those units
+_SCALED_BANDS = {"lambda_d": f"[{1 / BAND:g} a0, inf]", "alpha0": f"[0, {BAND:g} a0]",
+                 "field": f"[0, {BAND:g} E_h/a0]"}
 
 
 class PoleProximityError(ValueError):
@@ -68,8 +71,9 @@ class ModelParams:
     """Physical parameters of the screened, dressed, field-driven atom.
 
     Each field must lie in its band, set by `BAND` = 1e3 in the Bohr radius
-    a0 = hbar^2 / (mu Z e^2) and the energy E_h = Z e^2 / a0; a value outside
-    it raises ValueError naming the field and its band.
+    a0 = hbar^2 / (mu Z e^2) and the energy E_h = Z e^2 / a0.  One table holds
+    the bands of lambda_d, alpha0 and F; it refuses NaN and every infinity but
+    lambda_d = inf, with a ValueError naming the field, its band and the value.
 
     Parameters
     ----------
@@ -105,12 +109,6 @@ class ModelParams:
     e0_amp: float | None = None
 
     def __post_init__(self):
-        # written so that NaN fails every comparison; lambda_d = inf is the
-        # unscreened limit and stays allowed
-        if not self.lambda_d > 0:
-            raise ValueError(f"lambda_d must be > 0, got {self.lambda_d}")
-        if not 0 <= self.field < math.inf:
-            raise ValueError(f"field must be finite and >= 0, got {self.field}")
         for name, low in _LOWER_BOUNDS:
             value = getattr(self, name)
             if not low <= value <= BAND:
@@ -131,19 +129,15 @@ class ModelParams:
             object.__setattr__(self, "alpha0", alpha0)
         elif self.alpha0 is None:
             object.__setattr__(self, "alpha0", 0.0)
-        if not 0 <= self.alpha0 < math.inf:
-            raise ValueError(f"alpha0 must be finite and >= 0, got {self.alpha0}")
         a = self.coulomb_strength
         a0 = self.hbar**2 / (self.mu * a)
-        if not self.lambda_d >= a0 / BAND:
-            raise ValueError(f"lambda_d must be inf or >= {1 / BAND:g} a0 = {a0 / BAND:g} "
-                             f"({_UNITS}); got {self.lambda_d}")
-        for name, unit, high in (("alpha0", "a0", BAND * a0),
-                                 ("field", "E_h/a0", BAND * a / a0**2)):
+        # NaN and every infinity but lambda_d = inf, the unscreened limit, fail here
+        for name, low, high in (("lambda_d", a0 / BAND, math.inf), ("alpha0", 0.0, BAND * a0),
+                                ("field", 0.0, BAND * a / a0**2)):
             value = getattr(self, name)
-            if not value <= high:
-                raise ValueError(f"{name} must be <= {BAND:g} {unit} = {high:g} ({_UNITS}); "
-                                 f"got {value}")
+            if not low <= value <= high:
+                raise ValueError(f"{name} must lie in {_SCALED_BANDS[name]} = [{low:g}, {high:g}] "
+                                 f"({_UNITS}); got {value}")
 
     @property
     def coulomb_strength(self):

@@ -560,7 +560,7 @@ def test_usage_error_exit_code(capsys):
     assert "lambda_d" in err
     code, out, err = run_cli(capsys, ["energy", "--lambda-d", "5", "--field", "nan"])
     assert code == EXIT_USAGE
-    assert out == "" and "field must be finite" in err
+    assert out == "" and "field must lie in [0, 1000 E_h/a0]" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -604,9 +604,10 @@ def test_bad_sweep_values_are_usage_errors(capsys, argv):
      "sweep value -0.01 for field"),
     (["sweep", "--vary", "lambda-d", "--values", "0,5", "--field", "0.01"], None,
      "sweep value 0.0 for lambda_d: "),
-    (["energy", "--lambda-d", "-inf"], None, "lambda_d must be > 0, got -inf"),
+    (["energy", "--lambda-d", "-inf"], None,
+     f"lambda_d must lie in [0.001 a0, inf] = [0.001, inf] ({UNITS}); got -inf"),
     (["energy", "--lambda-d", "5", "--field", "-nan"], None,
-     "field must be finite and >= 0, got nan"),
+     f"field must lie in [0, 1000 E_h/a0] = [0, 1000] ({UNITS}); got nan"),
     (["energy", "--lambda-d", "-information"], None, "argument --lambda-d: expected one argument"),
     (["oracle", "--lambda-d", "100", "--grid-rmin", "0.5"], None,
      "unrecognized arguments: --grid-rmin 0.5"),
@@ -614,9 +615,11 @@ def test_bad_sweep_values_are_usage_errors(capsys, argv):
      "unrecognized arguments: --grid-rmin 0.5"),
     # NaN breaks every order, but the fault to name is the value outside the domain
     (["sweep", "--vary", "field", "--values", "0.01,nan", "--lambda-d", "100"], None,
-     "sweep value nan for field: field must be finite and >= 0, got nan"),
+     f"sweep value nan for field: field must lie in [0, 1000 E_h/a0] = [0, 1000] ({UNITS}); "
+     "got nan"),
     (["sweep", "--vary", "field", "--values", "nan,0.01", "--lambda-d", "100"], None,
-     "sweep value nan for field: field must be finite and >= 0, got nan"),
+     f"sweep value nan for field: field must lie in [0, 1000 E_h/a0] = [0, 1000] ({UNITS}); "
+     "got nan"),
     (["sweep", "--vary", "field", "--values", "0.01,0.01", "--lambda-d", "100"], None,
      "sweep values must be strictly monotone"),
     # all three Richardson grids share the far wall, so the error estimate cannot
@@ -816,7 +819,7 @@ def test_potential_names_the_point_whose_coefficients_leave_the_floats(capsys):
     # Bohr radius a0 = 1/Z, before any coefficient is computed
     code, out, err = run_cli(capsys, ["potential", "--lambda-d", "1e-77", "--z", "10"])
     assert (code, out) == (EXIT_USAGE, "")
-    assert err == (f"usage error: lambda_d must be inf or >= 0.001 a0 = 0.0001 ({UNITS}); "
+    assert err == (f"usage error: lambda_d must lie in [0.001 a0, inf] = [0.0001, inf] ({UNITS}); "
                    "got 1e-77\n")
 
 
@@ -897,23 +900,23 @@ def test_oracle_box_of_twenty_decay_lengths_is_accepted(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["energy", "--lambda-d", "1e-80"], f"lambda_d must be inf or >= 0.001 a0 = 0.001 ({UNITS}); "
-     "got 1e-80"),
-    (["energy", "--lambda-d", "1e-77"], f"lambda_d must be inf or >= 0.001 a0 = 0.001 ({UNITS}); "
-     "got 1e-77"),
+    (["energy", "--lambda-d", "1e-80"],
+     f"lambda_d must lie in [0.001 a0, inf] = [0.001, inf] ({UNITS}); got 1e-80"),
+    (["energy", "--lambda-d", "1e-77"],
+     f"lambda_d must lie in [0.001 a0, inf] = [0.001, inf] ({UNITS}); got 1e-77"),
     (["energy", "--lambda-d", "5", "--field", "1e300"],
-     f"field must be <= 1000 E_h/a0 = 1000 ({UNITS}); got 1e+300"),
+     f"field must lie in [0, 1000 E_h/a0] = [0, 1000] ({UNITS}); got 1e+300"),
     (["energy", "--lambda-d", "5", "--z", "1e200"], "z must lie in [1, 1000], got 1e+200"),
     (["energy", "--lambda-d", "5", "--z", "1e300"], "z must lie in [1, 1000], got 1e+300"),
     # the first value outside the band is named, not the first value
     (["sweep", "--vary", "lambda-d", "--values", "1,0.01,1e-20"],
-     f"sweep value 1e-20 for lambda_d: lambda_d must be inf or >= 0.001 a0 = 0.001 ({UNITS}); "
-     "got 1e-20"),
+     "sweep value 1e-20 for lambda_d: "
+     f"lambda_d must lie in [0.001 a0, inf] = [0.001, inf] ({UNITS}); got 1e-20"),
     (["potential", "--lambda-d", "1e-120", "--alpha0", "1e-3", "--field", "0.01"],
-     f"lambda_d must be inf or >= 0.001 a0 = 0.001 ({UNITS}); got 1e-120"),
+     f"lambda_d must lie in [0.001 a0, inf] = [0.001, inf] ({UNITS}); got 1e-120"),
 ], ids=["lambda-tiny", "ladder-overflow", "field-huge", "z-huge", "z-errno", "sweep-ladder",
         "potential-lambda-tiny"])
-def test_float_overflow_is_a_numeric_failure_naming_the_point(capsys, argv, message):
+def test_input_past_the_floats_is_a_usage_error_naming_the_band(capsys, argv, message):
     # these inputs left the floats (a power of lambda_D, e3, the ladder's
     # products) and exited 3; each lies outside ModelParams' band, which
     # refuses it as one usage line naming the parameter and its band

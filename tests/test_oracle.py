@@ -227,19 +227,53 @@ def test_shift_search_is_certified_whatever_the_guess():
     ModelParams(lambda_d=2.0, field=4.0),
 ], ids=lambda p: f"lambda{p.lambda_d:g}-F{p.field:g}-alpha{p.alpha0:g}-hbar{p.hbar:g}")
 def test_well_separated_states_settle_at_rounding(p):
-    # E_1 - E_0 is 1.8 to 5.8 Ha here, so the iteration reaches rounding in a
-    # few steps; it used to bisect the shift at each stall until the
-    # factorization cap.  At lambda_D = 2, F = 4 the 8000- and 4000-point
-    # solves stall near 1e-13, above their 1e-15 |E| target, and settle at
-    # rounding; without that return the 8000-point solve raises GroundStateError
+    # E_1 - E_0 is 1.8 to 5.8 Ha here, so each grid reaches rounding in a few
+    # solves and stops on its own gap between the Rayleigh quotient and the
+    # inverse-iteration value
     grid = default_grid(p)
+    _assert_each_grid_settles(p, grid)
+    assert require_converged(solve_ground_state(model_potential(p), grid, p)).energy > 0.0
+
+
+def _assert_each_grid_settles(p, grid):
+    """Each Richardson grid's energy lies within rounding of bisection, with u >= 0."""
     for n in (grid.n_points, grid.n_points // 2, grid.n_points // 4):
         coarse = RadialGrid(0.0, grid.r_max, n)
         diag, off = hamiltonian_arrays(model_potential(p), coarse, p)
         energy, u = solve_on_grid(model_potential(p), coarse, p)
         assert abs(energy - _bisected_lowest(diag, off)) <= _rounding_bound(diag, off)
         assert np.all(u >= 0.0)
-    assert require_converged(solve_ground_state(model_potential(p), grid, p)).energy > 0.0
+
+
+@pytest.mark.parametrize("p, grid", [
+    (ModelParams(lambda_d=0.505262551762442, alpha0=0.001770591403981207,
+                 field=0.000997266705940353), RadialGrid(0.0, 20.0, 8000)),
+    # on `default_grid`, whose 2000-point grid contracted slowly below diag's ulp
+    (ModelParams(lambda_d=0.9857330437606814, alpha0=0.7076235256308525,
+                 field=4.051798646847163), RadialGrid(0.0, 50.0, 8000)),
+], ids=["lambda0.505-box20", "lambda0.986-default-box"])
+def test_slow_contraction_below_the_ulp_tightens_the_shift(p, grid):
+    # off the benchmark's window, these grids contract by less than 16-fold per
+    # solve with a gap below diag's ulp; they settle by tightening the shift
+    _assert_each_grid_settles(p, grid)
+
+
+def test_a_small_gap_at_a_far_shift_is_not_returned():
+    # inverse iteration contracts by (E_0 - shift)/(E_1 - shift) per solve, so a
+    # gap below diag's ulp at a shift far below E_0 is no sign of convergence:
+    # from a flat start at its own Rayleigh quotient, a return on that gap gave
+    # 2.0e-3 here, where E_0 = 9.87e-6.  Either a value within rounding or a
+    # GroundStateError is sound
+    n = 1000
+    diag, off = np.full(n, 2.0), np.full(n - 1, -1.0)
+    diag[-1] = 1e9
+    start = flat(n)
+    guess = float((start * start) @ diag + 2.0 * off[0] * (start[:-1] @ start[1:]))
+    try:
+        energy, _ = _lowest_eigenpair(diag, off, guess, start)
+    except GroundStateError:
+        return
+    assert abs(energy - _bisected_lowest(diag, off)) <= _rounding_bound(diag, off)
 
 
 def test_each_grid_solve_factors_once(monkeypatch):

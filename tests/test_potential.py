@@ -23,6 +23,8 @@ from laserplasma.perturbation import wavefunction_eval
 
 from exact import exact_coefficient, pole_free, series_terms
 
+UNITS = "(a0 = hbar^2/(mu z e_charge^2), E_h = z e_charge^2/a0)"
+
 
 def test_params_validation():
     with pytest.raises(ValueError, match="lambda_d"):
@@ -63,8 +65,30 @@ def test_params_validation():
         ModelParams(lambda_d=5.0, omega=1e200, e0_amp=1.0)
     with pytest.raises(ValueError, match="no float alpha0 at omega = 1e-200: float division"):
         ModelParams(lambda_d=5.0, omega=1e-200, e0_amp=1.0)
-    with pytest.raises(ValueError, match="alpha0 must be finite and >= 0, got inf"):
+    with pytest.raises(ValueError, match=re.escape("alpha0 must lie in [0, 1000 a0] = [0, 1000] (")
+                       + ".*; got inf$"):
         ModelParams(lambda_d=5.0, omega=1e-150, e0_amp=1e300)
+
+
+# (name, band in a0 and E_h units, its bounds at a0 = E_h = 1)
+SCALED_BANDS = [("lambda_d", "[0.001 a0, inf]", 1e-3, math.inf),
+                ("alpha0", "[0, 1000 a0]", 0.0, 1e3), ("field", "[0, 1000 E_h/a0]", 0.0, 1e3)]
+
+
+@pytest.mark.parametrize("name, band, low, high", SCALED_BANDS, ids=[b[0] for b in SCALED_BANDS])
+def test_one_band_refuses_each_value_outside_it_in_one_form(name, band, low, high):
+    # below or above the band, NaN and +-inf: one message naming the parameter, its
+    # band in a0 and E_h units and as numbers, and the value
+    bounds = f"[{low:g}, {high:g}]"
+    for value in (math.nextafter(low, -math.inf), -1.0, high * 2.0, math.nan, -math.inf, math.inf):
+        if value == high:  # lambda_d's band has no value above it
+            continue
+        message = f"{name} must lie in {band} = {bounds} {UNITS}; got {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ModelParams(**{"lambda_d": 1.0, name: value})
+    # each bound lies in the band: lambda_d = inf, alpha0 = 0 and F = 0 among them
+    for value in (low, high):
+        assert getattr(ModelParams(**{"lambda_d": 1.0, name: value}), name) == value
 
 
 def test_derived_quantities():
@@ -337,19 +361,19 @@ def test_coefficients_refuse_a_value_past_the_floats():
     # lambda_D**-2 at 1e-300, (alpha0/lambda_D)**2 at alpha0/lambda_D = 1e200,
     # A = Z e**2 at e = 1e200) lies outside ModelParams' band, which refuses it
     # with one ValueError naming the parameter and its band
-    units = "(a0 = hbar^2/(mu z e_charge^2), E_h = z e_charge^2/a0)"
     for kwargs, message in [
-        ({"lambda_d": 1e-77, "z": 10.0}, f"lambda_d must be inf or >= 0.001 a0 = 0.0001 {units}; "
-                                         "got 1e-77"),
+        ({"lambda_d": 1e-77, "z": 10.0},
+         f"lambda_d must lie in [0.001 a0, inf] = [0.0001, inf] {UNITS}; got 1e-77"),
         ({"lambda_d": 100.0, "z": 1e308}, "z must lie in [1, 1000], got 1e+308"),
-        ({"lambda_d": 1e-80}, f"lambda_d must be inf or >= 0.001 a0 = 0.001 {units}; got 1e-80"),
-        ({"lambda_d": 1e-300}, f"lambda_d must be inf or >= 0.001 a0 = 0.001 {units}; "
+        ({"lambda_d": 1e-80}, f"lambda_d must lie in [0.001 a0, inf] = [0.001, inf] {UNITS}; "
+                              "got 1e-80"),
+        ({"lambda_d": 1e-300}, f"lambda_d must lie in [0.001 a0, inf] = [0.001, inf] {UNITS}; "
                                "got 1e-300"),
-        ({"lambda_d": 1.0, "alpha0": 1e200}, f"alpha0 must be <= 1000 a0 = 1000 {units}; "
-                                             "got 1e+200"),
+        ({"lambda_d": 1.0, "alpha0": 1e200},
+         f"alpha0 must lie in [0, 1000 a0] = [0, 1000] {UNITS}; got 1e+200"),
         ({"lambda_d": 1.0, "e_charge": 1e200}, "e_charge must lie in [0.001, 1000], got 1e+200"),
-        ({"lambda_d": 1.0, "field": 1e300}, f"field must be <= 1000 E_h/a0 = 1000 {units}; "
-                                            "got 1e+300"),
+        ({"lambda_d": 1.0, "field": 1e300},
+         f"field must lie in [0, 1000 E_h/a0] = [0, 1000] {UNITS}; got 1e+300"),
     ]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ModelParams(**kwargs)

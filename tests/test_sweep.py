@@ -79,6 +79,24 @@ def test_invalid_value_aborts_with_named_value():
     assert "-3" in str(err.value)
 
 
+def test_an_arithmetic_error_is_raised_again_naming_its_row(monkeypatch):
+    # real input reaches this: `oracle --lambda-d inf --grid-rmax 1e300` overflows in
+    # the solve; the second row fails, so the message names the second row's point
+    solve = sweep.solve_ground_state
+
+    def overflow_at_second_row(potential, grid, p):
+        if p.field == 0.02:
+            raise OverflowError("cannot convert float infinity to integer")
+        return solve(potential, grid, p)
+
+    monkeypatch.setattr(sweep, "solve_ground_state", overflow_at_second_row)
+    spec = SweepSpec("field", (0.01, 0.02), FIXED, outputs=frozenset({"breakdown", "oracle"}))
+    with pytest.raises(OverflowError) as err:
+        run_sweep(spec)
+    assert str(err.value) == ("cannot convert float infinity to integer at "
+                              f"{replace(FIXED, field=0.02)}")
+
+
 def test_first_bad_value_in_input_order_is_named():
     # the last value fails first at the endpoints, but -0.01 comes before it
     with pytest.raises(ValueError, match=r"sweep value -0\.01 for field"):
