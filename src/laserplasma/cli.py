@@ -50,7 +50,7 @@ from .sweep import (
     FIGURE_TAGS,
     TABLE1_ALPHA0,
     SweepSpec,
-    _linspace,
+    _spacing,
     _with_field,
     figure_dataset,
     run_sweep,
@@ -199,15 +199,6 @@ def _grid_from(ns, params):
     flags = zip(("r_max", "n_points"), (ns.grid_rmax, ns.grid_points))
     given = {field: value for field, value in flags if value is not None}
     return replace(default_grid(params), **given) if given else None
-
-
-def _spacing(start, stop, num, geometric):
-    """np.linspace(start, stop, num) bit for bit, or if geometric a log-spaced range with
-    both ends exact and every value within 1e-14 relative of np.geomspace; a tuple of floats."""
-    if not geometric:
-        return _linspace(start, stop, num)
-    logs = _linspace(math.log10(start), math.log10(stop), num)
-    return (start, *(10.0 ** y for y in logs[1:-1]), stop)[:num]
 
 
 def _sweep_values(ns):

@@ -106,11 +106,13 @@ class RadialGrid:
             raise ValueError(f"r_max must be finite and exceed r_min, got r_max = {self.r_max}")
         if not hasattr(self.n_points, "__index__") or self.n_points < 100:
             raise ValueError(f"n_points must be an integer >= 100, got {self.n_points!r}")
-        # the kinetic term divides by h^2, which must not underflow
-        if not self.spacing * self.spacing >= sys.float_info.min:
+        # the kinetic term divides by h^2, which must neither underflow nor overflow
+        square = self.spacing * self.spacing
+        if not sys.float_info.min <= square < math.inf:
             raise ValueError(
                 f"grid r_min = {self.r_min:g}, r_max = {self.r_max:g}, n_points = {self.n_points}"
-                f" has spacing {self.spacing:g}, whose square underflows")
+                f" has spacing {self.spacing:g}, whose square"
+                f" {'overflows' if square > 1.0 else 'underflows'}")
 
     @property
     def spacing(self) -> float:
@@ -170,8 +172,13 @@ def _require_points(n_points: int, name: str) -> None:
 
 def require_grid(grid: RadialGrid, p: ModelParams, name: str = "grid") -> None:
     """Refuse a grid that `solve_ground_state` cannot solve: fewer than
-    `MIN_POINTS` points, or a box that `require_box` refuses."""
+    `MIN_POINTS` points, an n // 4 grid, its coarsest, that `RadialGrid`
+    refuses, or a box that `require_box` refuses."""
     _require_points(grid.n_points, name)
+    try:
+        RadialGrid(0.0, grid.r_max, grid.n_points // 4)
+    except ValueError as exc:
+        raise ValueError(f"{name}'s n_points // 4 Richardson grid is refused: {exc}") from None
     require_box(grid, p, name)
 
 

@@ -12,11 +12,12 @@ potential once per screening length, and every energy figure is one
 `_breakdowns` call with its field axis as ``fields``, so each point of its
 other axis computes its coefficient parts once for every field.  Sweeps
 without the oracle, the table and all seven figures compute in plain floats
-and load no numpy: the potential figures (fig1a-fig1c) take their radii from
-`_linspace` and evaluate the potentials one float radius at a time.  Oracle
-rows load numpy and scipy through the solver.
+and load no numpy: figure axes are float tuples from `_linspace` and `_spacing`
+(the CLI's ranges too), and the potential figures evaluate one float radius at
+a time.  Oracle rows load numpy and scipy through the solver.
 """
 
+import math
 from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import NamedTuple
@@ -92,29 +93,23 @@ class SweepSpec:
             raise ValueError("sweep needs at least one value")
         rest = values[1:]
         monotone = all(map(float.__lt__, values, rest)) or all(map(float.__gt__, values, rest))
-        inside = monotone
         try:  # every domain is an interval, so monotone values lie inside when both ends do
-            if monotone:
-                self._params_at(values[0])
-                if rest:
-                    self._params_at(rest[-1])
-        except ValueError:
-            inside = False
-        if not inside:  # name the first value outside the domain; NaN breaks every order
+            for value in dict.fromkeys((values[0], values[-1])) if monotone else values:
+                self._params_at(value)
+        except ValueError:  # name the first value outside the domain; NaN breaks every order
             for value in values:
                 self._params_at(value)
-            if not monotone:
-                raise ValueError("sweep values must be strictly monotone")
+        if not monotone:
+            raise ValueError("sweep values must be strictly monotone")
         unknown = set(self.outputs) - set(_OUTPUT_CHOICES)
         if unknown:
             raise ValueError(f"unknown outputs {sorted(unknown)}")
         if "overlap" in self.outputs and "oracle" not in self.outputs:
             raise ValueError('the "overlap" output requires "oracle"')
-        grid = self.oracle_grid
-        if grid is not None and "oracle" not in self.outputs:
-            raise ValueError('an oracle_grid requires the "oracle" output')
-        if grid is not None:
-            require_grid(grid, self.fixed, "oracle_grid")
+        if self.oracle_grid is not None:
+            if "oracle" not in self.outputs:
+                raise ValueError('an oracle_grid requires the "oracle" output')
+            require_grid(self.oracle_grid, self.fixed, "oracle_grid")
         object.__setattr__(self, "outputs", frozenset(self.outputs))
 
     def _params_at(self, value: float) -> ModelParams:
@@ -205,6 +200,15 @@ def _linspace(start, stop, num):
     return tuple(start + i * step for i in range(num - 1)) + (stop,)
 
 
+def _spacing(start, stop, num, geometric):
+    """np.linspace(start, stop, num) bit for bit, or if geometric a log-spaced range with
+    both ends exact and every value within 1e-14 relative of np.geomspace; a tuple of floats."""
+    if not geometric:
+        return _linspace(start, stop, num)
+    logs = _linspace(math.log10(start), math.log10(stop), num)
+    return (start, *(10.0 ** y for y in logs[1:-1]), stop)[:num]
+
+
 # Axis ranges are not pinned by the captions being reproduced; these
 # defaults bracket the described features and are recorded in each
 # dataset's note so files remain self-describing.  An axis is a
@@ -216,18 +220,7 @@ _FIG1_ALPHA0 = 1e-3
 _FIG2AB_FIELD_AXIS = ("field", (0.0001, 0.001, 0.01))
 _FIG2AB_ALPHA_AXIS = ("alpha0", _linspace(0.0, 0.5, 51))
 _FIG2_ALPHA0 = 1e-4
-# np.geomspace(1e-4, 4e-2, 25), written out: the CLI's pow-based `_spacing`
-# rounds 1 of the 25 values (index 2) differently in the last bit
-_FIG2C_FIELD_AXIS = ("field", (
-    0.0001, 0.00012835688421125162, 0.00016475489724420656, 0.00021147425268811283,
-    0.00027144176165949066, 0.00034841418771425404, 0.00044721359549995795,
-    0.0005740294369528563, 0.0007368062997280774, 0.000945741609003176,
-    0.0012139244620058345, 0.0015581556161088884, 0.0020000000000000005,
-    0.0025671376842250327, 0.0032950979448841317, 0.0042294850537622575,
-    0.005428835233189814, 0.006968283754285082, 0.008944271909999161,
-    0.011480588739057126, 0.01473612599456155, 0.01891483218006352,
-    0.024278489240116694, 0.03116311232217777, 0.04,
-))
+_FIG2C_FIELD_AXIS = ("field", _spacing(1e-4, 4e-2, 25, geometric=True))
 _SHORT_NAMES = {"field": "F"}
 
 

@@ -867,19 +867,32 @@ def test_builders_write_nothing(capsys):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings("error")
 def test_oracle_grid_out_of_float_range(capsys):
-    # a spacing whose square underflows is refused as a usage error naming the grid
-    code, out, err = run_cli(capsys, ["oracle", "--lambda-d", "20", "--grid-rmax", "1e-300"])
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert err.startswith("usage error: grid r_min = 0, r_max = 1e-300, n_points = 8000")
-    assert err.endswith("whose square underflows\n") and "ModelParams" not in err
+    # a spacing whose square underflows or overflows is refused as a usage error
+    # naming the grid, and so is a grid whose n // 4 Richardson grid's square overflows
+    for argv, start, end in [
+        (["oracle", "--lambda-d", "20", "--grid-rmax", "1e-300"],
+         "grid r_min = 0, r_max = 1e-300, n_points = 8000", "underflows"),
+        (["oracle", "--lambda-d", "20", "--grid-rmax", "1e308"],
+         "grid r_min = 0, r_max = 1e+308, n_points = 8000", "overflows"),
+        (["oracle", "--lambda-d", "inf", "--grid-rmax", "1e300"],
+         "grid r_min = 0, r_max = 1e+300, n_points = 8000", "overflows"),
+        (["sweep", "--vary", "field", "--values", "0", "--lambda-d", "inf", "--with-oracle",
+          "--grid-rmax", "8e157"],
+         "oracle_grid's n_points // 4 Richardson grid is refused: "
+         "grid r_min = 0, r_max = 8e+157, n_points = 2000", "overflows"),
+    ]:
+        code, out, err = run_cli(capsys, argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"usage error: {start}") and err.count("\n") == 1
+        assert err.endswith(f"whose square {end}\n") and "ModelParams" not in err
     # a box whose series overflows gives its one diagnostic and no numpy warning
-    code, out, err = run_cli(capsys, ["oracle", "--lambda-d", "20", "--grid-rmax", "1e308"])
+    code, out, err = run_cli(capsys, ["oracle", "--lambda-d", "20", "--grid-rmax", "1e150"])
     assert code == EXIT_NUMERIC
     assert out == ""
-    assert err.startswith("numeric failure: potential is not finite at grid point r = ")
-    assert err.count("\n") == 1
+    assert err == "numeric failure: potential is not finite at grid point r = 1.24984e+146\n"
 
 
 @pytest.mark.filterwarnings("error")

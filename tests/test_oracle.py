@@ -106,10 +106,13 @@ def test_grid_validation():
     for r_max in (math.inf, math.nan):
         with pytest.raises(ValueError, match="r_max must be finite"):
             RadialGrid(0.0, r_max, 500)
-    # the kinetic term divides by h^2, so h^2 must not underflow
+    # the kinetic term divides by h^2, so h^2 must neither underflow nor overflow
     with pytest.raises(ValueError, match="r_max = 1e-300, n_points = 500 .* underflows"):
         RadialGrid(0.0, 1e-300, 500)
     RadialGrid(0.0, 1e-140, 500)
+    with pytest.raises(ValueError, match=r"r_max = 1e\+300, n_points = 500 .* overflows"):
+        RadialGrid(0.0, 1e300, 500)
+    RadialGrid(0.0, 1e150, 8000)
 
 
 def test_grid_wall_is_at_the_origin():

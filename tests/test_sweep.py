@@ -80,8 +80,7 @@ def test_invalid_value_aborts_with_named_value():
 
 
 def test_an_arithmetic_error_is_raised_again_naming_its_row(monkeypatch):
-    # real input reaches this: `oracle --lambda-d inf --grid-rmax 1e300` overflows in
-    # the solve; the second row fails, so the message names the second row's point
+    # the second row's solve overflows, so the message names the second row's point
     solve = sweep.solve_ground_state
 
     def overflow_at_second_row(potential, grid, p):
@@ -101,6 +100,12 @@ def test_first_bad_value_in_input_order_is_named():
     # the last value fails first at the endpoints, but -0.01 comes before it
     with pytest.raises(ValueError, match=r"sweep value -0\.01 for field"):
         SweepSpec("field", (0.02, -0.01, -0.03), FIXED)
+    # the first value outside the domain lies inside a monotone sweep: the c3 rule
+    # refuses 1.9 and 2.0, and the band 5e-4 and 1e-4, so the first is named
+    with pytest.raises(ValueError, match=r"sweep value 1\.9 for alpha0"):
+        SweepSpec("alpha0", (0.0, 1.9, 2.0), ModelParams(lambda_d=1.0))
+    with pytest.raises(ValueError, match=r"sweep value 0\.0005 for lambda_d"):
+        SweepSpec("lambda_d", (1.0, 5e-4, 1e-4), ModelParams(lambda_d=1.0))
 
 
 def test_a_domain_fault_is_named_before_an_outputs_or_grid_fault():
@@ -121,10 +126,10 @@ def test_a_sweep_checks_each_endpoint_once(monkeypatch):
     params_at = SweepSpec._params_at
     monkeypatch.setattr(SweepSpec, "_params_at",
                         lambda spec, value: checked.append(value) or params_at(spec, value))
-    for values in ((0.01,), (0.01, 0.02, 0.03)):
+    for values in ((0.01,), (0.01, 0.02, 0.03), (0.03, 0.02, 0.01)):
         checked.clear()
         SweepSpec("field", values, FIXED)
-        assert checked == sorted({values[0], values[-1]})
+        assert sorted(checked) == sorted({values[0], values[-1]})
 
 
 def test_alpha0_sweep_rejects_laser_pair():
@@ -217,11 +222,16 @@ def test_each_energy_figure_is_one_breakdowns_call(monkeypatch):
 
 def test_figure_axes_equal_numpy_spacing():
     # the goldens print 7 decimals, so only this pins every axis bit for bit;
-    # fig1c's axis depends on the curve's lambda_d, the label's second field
+    # fig1c's axis depends on the curve's lambda_d, the label's second field.
+    # fig2c's log axis is the CLI's geometric rule: both ends exact and 10**y
+    # between them, each within 1e-14 relative of np.geomspace
+    logs = np.linspace(math.log10(1e-4), math.log10(4e-2), 25)[1:-1]
+    fig2c = np.array([1e-4, *(10.0 ** float(y) for y in logs), 4e-2])
+    np.testing.assert_allclose(fig2c, np.geomspace(1e-4, 4e-2, 25), rtol=1e-14, atol=0)
     fig1c = {"lambda_d=1": np.linspace(0.02, 1.2, 60), "lambda_d=100": np.linspace(0.05, 10.0, 60)}
     axes = {"fig1a": np.linspace(0.05, 10.0, 120), "fig1b": np.linspace(0.05, 10.0, 120),
             "fig2a": np.linspace(0.0, 0.5, 51), "fig2b": np.linspace(0.0, 0.5, 51),
-            "fig2c": np.geomspace(1e-4, 4e-2, 25), "fig2d": np.linspace(2.0, 100.0, 50)}
+            "fig2c": fig2c, "fig2d": np.linspace(2.0, 100.0, 50)}
     for tag in (*axes, "fig1c"):
         rows = figure_dataset(tag).rows
         for label in dict.fromkeys(label for label, _, _ in rows):
