@@ -55,7 +55,8 @@ _MAX_NODES = 2**14
 # every bound of `ModelParams`' band is BAND times an atomic-scale unit; inside it no
 # coefficient, superpotential or energy below the c3 root leaves the floats
 BAND = 1e3
-_LOWER_BOUNDS = (("z", 1.0), ("mu", 1 / BAND), ("hbar", 1 / BAND), ("e_charge", 1 / BAND))
+_LOWER_BOUNDS = (("z", 1.0), ("mu", 1 / BAND), ("hbar", 1 / BAND), ("e_charge", 1 / BAND),
+                 ("omega", 1 / BAND), ("e0_amp", 0.0))
 _UNITS = "a0 = hbar^2/(mu z e_charge^2), E_h = z e_charge^2/a0"
 # the band of each parameter that scales with a0 or E_h, in those units
 _SCALED_BANDS = {"lambda_d": f"[{1 / BAND:g} a0, inf]", "alpha0": f"[0, {BAND:g} a0]",
@@ -92,10 +93,10 @@ class ModelParams:
         Effective electron mass, reduced Planck constant and elementary
         charge (each in [1 / BAND, BAND]).  Defaults of 1 select atomic units.
     omega, e0_amp : float or None
-        Optional laser angular frequency (finite, > 0) and field amplitude
-        (finite, >= 0), given both or neither.  Every formula depends on
-        them solely through the alpha0 they fix, e E0 / (mu omega^2); an
-        alpha0 given with them must equal it exactly.
+        Optional laser angular frequency (in [1 / BAND, BAND]) and field
+        amplitude (in [0, BAND]), given both or neither.  Every formula
+        depends on them solely through the alpha0 they fix, e E0 / (mu omega^2);
+        an alpha0 given with them must equal it exactly.
     """
 
     lambda_d: float
@@ -109,21 +110,15 @@ class ModelParams:
     e0_amp: float | None = None
 
     def __post_init__(self):
-        for name, low in _LOWER_BOUNDS:
-            value = getattr(self, name)
-            if not low <= value <= BAND:
-                raise ValueError(f"{name} must lie in [{low:g}, {BAND:g}], got {value}")
         if (self.omega is None) != (self.e0_amp is None):
             raise ValueError("omega and e0_amp must be given together")
+        for name, low in _LOWER_BOUNDS:
+            value = getattr(self, name)
+            if value is not None and not low <= value <= BAND:
+                raise ValueError(f"{name} must lie in [{low:g}, {BAND:g}], got {value}")
         if self.omega is not None:
-            if not 0 < self.omega < math.inf:
-                raise ValueError(f"omega must be finite and > 0, got {self.omega}")
-            if not 0 <= self.e0_amp < math.inf:
-                raise ValueError(f"e0_amp must be finite and >= 0, got {self.e0_amp}")
-            try:
-                alpha0 = self.e_charge * self.e0_amp / (self.mu * self.omega**2)
-            except ArithmeticError as exc:  # omega**2 overflows, or underflows to a zero divisor
-                raise ValueError(f"no float alpha0 at omega = {self.omega}: {exc.args[-1]}") from exc
+            # a float of at most 1e15 inside the band; the alpha0 band below refuses a large one
+            alpha0 = self.e_charge * self.e0_amp / (self.mu * self.omega**2)
             if self.alpha0 not in (None, alpha0):
                 raise ValueError(f"alpha0 = {self.alpha0}, but omega and e0_amp fix it at {alpha0}")
             object.__setattr__(self, "alpha0", alpha0)

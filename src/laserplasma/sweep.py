@@ -12,9 +12,9 @@ potential once per screening length, and every energy figure is one
 `_breakdowns` call with its field axis as ``fields``, so each point of its
 other axis computes its coefficient parts once for every field.  Sweeps
 without the oracle, the table and all seven figures compute in plain floats
-and load no numpy: figure axes are float tuples from `_linspace` and `_spacing`
-(the CLI's ranges too), and the potential figures evaluate one float radius at
-a time.  Oracle rows load numpy and scipy through the solver.
+and load no numpy: figure axes are float tuples from `_spacing` (the CLI's
+ranges too), and the potential figures evaluate one float radius at a time.
+Oracle rows load numpy and scipy through the solver.
 """
 
 import math
@@ -192,21 +192,17 @@ class FigureDataset:
     rows: tuple
 
 
-def _linspace(start, stop, num):
-    """np.linspace(start, stop, num) as a tuple of floats, equal bit for bit (num >= 1)."""
+def _spacing(start, stop, num, geometric=False):
+    """np.linspace(start, stop, num) as a tuple of floats, equal bit for bit (num >= 1), or if
+    geometric a log-spaced range with both ends exact and every value within 1e-14 relative
+    of np.geomspace."""
+    if geometric:
+        logs = _spacing(math.log10(start), math.log10(stop), num)
+        return (start, *(10.0 ** y for y in logs[1:-1]), stop)[:num]
     if num == 1:
         return (float(start),)
     step = (stop - start) / (num - 1)
     return tuple(start + i * step for i in range(num - 1)) + (stop,)
-
-
-def _spacing(start, stop, num, geometric):
-    """np.linspace(start, stop, num) bit for bit, or if geometric a log-spaced range with
-    both ends exact and every value within 1e-14 relative of np.geomspace; a tuple of floats."""
-    if not geometric:
-        return _linspace(start, stop, num)
-    logs = _linspace(math.log10(start), math.log10(stop), num)
-    return (start, *(10.0 ** y for y in logs[1:-1]), stop)[:num]
 
 
 # Axis ranges are not pinned by the captions being reproduced; these
@@ -218,7 +214,7 @@ _FIG1C_FIELDS = (0.1, 10.0)
 _FIG1C_LAMBDAS = (1.0, 100.0)
 _FIG1_ALPHA0 = 1e-3
 _FIG2AB_FIELD_AXIS = ("field", (0.0001, 0.001, 0.01))
-_FIG2AB_ALPHA_AXIS = ("alpha0", _linspace(0.0, 0.5, 51))
+_FIG2AB_ALPHA_AXIS = ("alpha0", _spacing(0.0, 0.5, 51))
 _FIG2_ALPHA0 = 1e-4
 _FIG2C_FIELD_AXIS = ("field", _spacing(1e-4, 4e-2, 25, geometric=True))
 _SHORT_NAMES = {"field": "F"}
@@ -242,7 +238,7 @@ def _potential_figure(tag, outer, inner):
     """V_eff(r) curves, one per (outer, inner) pair of the lambda_d and field
     axes; the dressed part, which the field leaves fixed, is built once per lambda_d."""
     (outer_name, outer_values), (inner_name, inner_values) = outer, inner
-    radii = _linspace(0.05, 10.0, 120)
+    radii = _spacing(0.05, 10.0, 120)
     dressed = {lam: _dressed_curve(lam, radii) for lam in dict((outer, inner))["lambda_d"]}
     rows = []
     for a in outer_values:
@@ -262,7 +258,7 @@ def _potential_figure(tag, outer, inner):
 def _fig1c(tag):
     rows = []
     for lam in _FIG1C_LAMBDAS:
-        radii = _linspace(0.02, 1.2 * lam, 60) if lam <= 2.0 else _linspace(0.05, 10.0, 60)
+        radii = _spacing(0.02, 1.2 * lam, 60) if lam <= 2.0 else _spacing(0.05, 10.0, 60)
         dressed = _dressed_curve(lam, radii)
         for f in _FIG1C_FIELDS:
             coeffs = taylor_coefficients(ModelParams(lambda_d=lam, alpha0=_FIG1_ALPHA0, field=f))
@@ -316,7 +312,7 @@ _FIGURES = {
     "fig2c": (_energy_figure, {"alpha0": _FIG2_ALPHA0}, ("lambda_d", (5.0, 10.0, 50.0, 100.0)),
               _FIG2C_FIELD_AXIS, "static field"),
     "fig2d": (_energy_figure, {"alpha0": _FIG2_ALPHA0}, ("field", (0.0001, 0.001, 0.01, 0.04)),
-              ("lambda_d", _linspace(2.0, 100.0, 50)), "screening length",
+              ("lambda_d", _spacing(2.0, 100.0, 50)), "screening length",
               "curves flatten beyond lambda_d ~ 25"),
 }
 

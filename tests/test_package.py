@@ -32,10 +32,12 @@ _FLOAT_PROBE = """
 import sys
 from laserplasma import (ModelParams, dressed_pair_eval, ecsc_eval, taylor_coefficients,
                          total_energy, v0_quadrature, veff_series_eval, wavefunction_eval)
-p = ModelParams(lambda_d=5.0, alpha0=1e-3, field=0.01)
-values = [ecsc_eval(1.0, p), dressed_pair_eval(1.0, p), v0_quadrature(1.0, p),
-          veff_series_eval(1.0, taylor_coefficients(p)), wavefunction_eval(1.0, p),
-          total_energy(p).total]
+values = []
+for p in (ModelParams(lambda_d=5.0, alpha0=1e-3, field=0.01),
+          ModelParams(lambda_d=5.0, omega=2.0, e0_amp=1.0)):
+    values += [ecsc_eval(1.0, p), dressed_pair_eval(1.0, p), v0_quadrature(1.0, p),
+               veff_series_eval(1.0, taylor_coefficients(p)), wavefunction_eval(1.0, p),
+               total_energy(p).total]
 assert all(type(value) is float for value in values), values
 print("loaded:", *sorted({"numpy", "scipy"} & set(sys.modules)))
 """

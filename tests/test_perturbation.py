@@ -18,7 +18,7 @@ from laserplasma.perturbation import (
 )
 from laserplasma.oracle import RadialGrid, solve_ground_state
 from laserplasma.potential import ModelParams, taylor_coefficients, veff_series_eval
-from laserplasma.sweep import SweepSpec, _linspace, figure_dataset, run_sweep, table1_rows
+from laserplasma.sweep import SweepSpec, _spacing, figure_dataset, run_sweep, table1_rows
 
 from exact import series_terms
 
@@ -336,7 +336,7 @@ def test_every_corner_of_the_band_is_finite():
     for p, field_max in _band_corners():
         values = [*vars(taylor_coefficients(p)).values(), *superpotential_set(p)]
         if p.alpha0 / p.lambda_d < potential._C3_ROOT:
-            rows = run_sweep(SweepSpec("field", _linspace(0.0, field_max, 1000), p))
+            rows = run_sweep(SweepSpec("field", _spacing(0.0, field_max, 1000), p))
             assert len(rows) == 1000
             values += [*total_energy(p), e3_hierarchy(p), *(row.breakdown.total for row in rows)]
         else:
@@ -348,6 +348,25 @@ def test_every_corner_of_the_band_is_finite():
     assert corners == 16 * 2 * 5
 
 
+def test_every_laser_corner_gives_a_float_alpha0_or_the_alpha0_band_refusal():
+    # at each corner of (mu, e_charge, omega, E0) the quotient e E0 / (mu omega^2)
+    # needs no overflow handler: it is a float that the alpha0 band accepts or refuses
+    band = potential.BAND
+    accepted = 0
+    for mu, e_charge, omega, e0_amp in itertools.product(*[(1 / band, band)] * 3, (0.0, band)):
+        alpha0 = e_charge * e0_amp / (mu * omega**2)
+        assert math.isfinite(alpha0) and alpha0 <= 1e15
+        try:
+            p = ModelParams(lambda_d=math.inf, mu=mu, e_charge=e_charge, omega=omega,
+                            e0_amp=e0_amp)
+        except ValueError as exc:
+            assert str(exc).startswith("alpha0 must lie in [0, 1000 a0]"), exc
+        else:
+            assert p.alpha0 == alpha0 and p.alpha0 <= 1e9
+            accepted += 1
+    assert accepted == 12
+
+
 def test_physical_atoms_lie_in_the_band():
     # muonic hydrogen (reduced mass 185.84), positronium (mu = 0.5) and Z = 118
     # are accepted, with finite energies, from lambda_D = 1 to the unscreened limit
@@ -355,6 +374,20 @@ def test_physical_atoms_lie_in_the_band():
         for lambda_d in (1.0, 100.0, math.inf):
             p = ModelParams(lambda_d=lambda_d, alpha0=1e-4, field=0.01, **atom)
             assert all(map(math.isfinite, (*total_energy(p), e3_hierarchy(p)))), p
+    # CO2 (omega = 0.0043), Ti:sapphire (0.057) and 100 eV XUV (3.67 a.u.) lasers at
+    # E0 = 1e-4 and 1e-2 fix alpha0 <= 541 a0, in the band; their energies may still
+    # lie past the c3 root, a separate check
+    for omega, e0_amp in itertools.product((0.0043, 0.057, 3.67), (1e-4, 1e-2)):
+        p = ModelParams(lambda_d=math.inf, omega=omega, e0_amp=e0_amp)
+        assert p.alpha0 == p.e_charge * e0_amp / (p.mu * omega**2) <= 541.0
+
+
+def test_breakdowns_refuses_a_total_past_the_floats():
+    # lambda_D = 1e-77 lies outside the band, so only a direct call reaches the last
+    # guard: c3 is about 3.3e307 and 15 c3 overflows to inf, with no RuntimeWarning
+    breakdowns = perturbation._breakdowns(ModelParams(lambda_d=5.0), "lambda_d", (1e-77,))
+    with pytest.raises(OverflowError, match="^energy is not finite$"):
+        next(breakdowns)
 
 
 def test_e3_hierarchy_total_matches_oracle():
